@@ -15,6 +15,7 @@ text mode prints.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -154,6 +155,12 @@ def _digest_params(params: dict) -> str:
 # random tensors for oracle runs (documented so runs are reproducible)
 
 
+@functools.cache
+def _subset_pool(order: int, dim: int) -> tuple[int, ...]:
+    """Masks of the nonempty subsets of [dim] with at most order-1 members."""
+    return tuple(m for m in range(1, 1 << dim) if bin(m).count("1") <= order - 1)
+
+
 def random_pattern(rng: random.Random, order: int, dim: int) -> PatternTensor:
     """Seeded random pattern tensor: every row receives between 1 and 3 support
     sets, each drawn uniformly among the nonempty subsets of [dim] with at most
@@ -163,8 +170,7 @@ def random_pattern(rng: random.Random, order: int, dim: int) -> PatternTensor:
         raise ValueError(f"random_pattern enumerates subsets; dim {dim} > 16")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    limit = order - 1
-    pool = [m for m in range(1, 1 << dim) if bin(m).count("1") <= limit]
+    pool = _subset_pool(order, dim)
     rows = []
     for _ in range(dim):
         count = rng.randint(1, 3)
@@ -317,17 +323,18 @@ def cmd_construct(args: argparse.Namespace) -> int:
         payload = wielandt_matrix(n)
         gamma = matrix_gamma(payload)
     elif args.kind == "small-matrix":
-        payload = small_exponent_matrix(n, need("t"))
-        gamma = matrix_gamma(payload)
+        # small_exponent_matrix returns only a matrix whose exponent it verified.
+        gamma = need("t")
+        payload = small_exponent_matrix(n, gamma)
     elif args.kind == "a0":
         payload = wielandt_tensor(need("m"), n)
         gamma = analyze(payload).gamma
     elif args.kind == "ak":
         payload = wielandt_frontier_tensor(need("m"), n, need("k"))
         gamma = analyze(payload).gamma
-    else:  # bt
-        payload, _spec = degree_witness(need("m"), n, need("t"))
-        gamma = analyze(payload).gamma
+    else:  # bt: degree_witness returns only a tensor whose degree it verified
+        payload, spec = degree_witness(need("m"), n, need("t"))
+        gamma = spec.t
     text = render_document(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

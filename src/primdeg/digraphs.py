@@ -108,36 +108,32 @@ def reverse(d: Digraph) -> Digraph:
     masks = [0] * d.dim
     for u in range(d.dim):
         m = d.out_neighbors[u].mask
-        v = 0
         while m:
             low = m & -m
             masks[low.bit_length() - 1] |= 1 << u
             m ^= low
-            v += 1
     return Digraph(d.dim, tuple(IndexSet(m, d.dim) for m in masks))
 
 
 def exact_length_frontier(d: Digraph, start: int, length: int) -> IndexSet:
     """Vertices reachable from ``start`` by walks of length exactly ``length``.
 
-    Computed by iterating "union of out-neighborhoods" from {start}; length 0
-    returns {start} itself.
+    A walk can step to u exactly from an in-neighbor of u, so the frontier is
+    the trace state S_length of column ``start`` in the order-2 view of
+    reverse(d), whose row u holds the in-neighbors of u. Length 0 returns
+    {start} itself.
     """
     if not 1 <= start <= d.dim:
         raise ValueError(f"vertex {start} out of range 1..{d.dim}")
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    outs = [s.mask for s in d.out_neighbors]
-    cur = 1 << (start - 1)
-    for _ in range(length):
-        nxt = 0
-        m = cur
-        while m:
-            low = m & -m
-            nxt |= outs[low.bit_length() - 1]
-            m ^= low
-        cur = nxt
-    return IndexSet(cur, d.dim)
+    if length == 0:
+        return IndexSet.singleton(start, d.dim)
+    # Imported locally: patterns imports this module for PatternMatrix.
+    from .patterns import PatternTensor, column_states
+
+    view = PatternTensor.from_matrix(PatternMatrix(d.dim, reverse(d).out_neighbors), 2)
+    return column_states(view, start, length)[-1]
 
 
 def matrix_gamma(matrix: PatternMatrix, max_steps: int | None = None) -> int | None:

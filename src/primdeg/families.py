@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import IndexSet
+from .bitsets import IndexSet, SupportFamily
 from .digraphs import PatternMatrix, matrix_gamma, wielandt_matrix
 from .errors import VerificationError
 from .patterns import PatternTensor, analyze, column_states, default_bound
-from . import patterns
 
 
 def monomial_lift(matrix: PatternMatrix, order: int) -> PatternTensor:
@@ -183,57 +182,20 @@ def exponent_set(order: int, dim: int) -> ExponentSetResult:
     return ExponentSetResult(order, dim, tuple(witnesses), tuple(failures))
 
 
-def _gamma_from_column_masks(cols: tuple[int, ...], dim: int, bound: int) -> int | None:
-    """Exponent of a zero-one matrix given as column bitmasks; the same frontier
-    iteration as the trace engine, kept allocation-free for bulk enumeration."""
-    full = (1 << dim) - 1
-    worst = 0
-    for j in range(dim):
-        cur = 1 << j
-        seen = [cur]
-        hit = None
-        for k in range(1, bound + 1):
-            nxt = 0
-            m = cur
-            while m:
-                low = m & -m
-                nxt |= cols[low.bit_length() - 1]
-                m ^= low
-            cur = nxt
-            if cur == full:
-                hit = k
-                break
-            if cur in seen:
-                break
-            seen.append(cur)
-        if hit is None:
-            return None
-        if hit > worst:
-            worst = hit
-    return worst
-
-
 def brute_force_matrix_exponent_set(dim: int) -> set[int]:
     """Exponents attained by zero-one matrices of the given dimension, by
-    exhausting all 2**(dim*dim) patterns. Intentionally capped at dim <= 4
-    (65536 patterns); the mask-level loop agrees with matrix_gamma, which tests
-    pin exhaustively at dim 3."""
+    analyzing all 2**(dim*dim) patterns. Intentionally capped at dim <= 4
+    (65536 patterns)."""
     if not 1 <= dim <= 4:
         raise ValueError(f"dim must be in 1..4, got {dim}")
-    bound = default_bound(dim)
+    row_mask = (1 << dim) - 1
+    rows = [SupportFamily.of_singletons(dim, m) for m in range(1 << dim)]
     out: set[int] = set()
-    n2 = dim * dim
-    for bits in range(1 << n2):
-        cols = [0] * dim
-        b = bits
-        while b:
-            low = b & -b
-            pos = low.bit_length() - 1
-            # bit layout: row-major, bit (i*dim + j) <-> entry (i+1, j+1)
-            cols[pos % dim] |= 1 << (pos // dim)
-            b ^= low
-        g = _gamma_from_column_masks(tuple(cols), dim, bound)
-        if g is not None and g not in out:
+    for bits in range(1 << (dim * dim)):
+        # bit layout: row-major, bit (i*dim + j) <-> entry (i+1, j+1)
+        matrix = tuple(rows[(bits >> (i * dim)) & row_mask] for i in range(dim))
+        g = analyze(PatternTensor(2, dim, matrix)).gamma
+        if g is not None:
             out.add(g)
     return out
 
@@ -243,4 +205,4 @@ def _monomial_pattern_from_bits(bits: int, dim: int, order: int) -> PatternTenso
     rows = []
     for i in range(dim):
         rows.append(IndexSet((bits >> (i * dim)) & ((1 << dim) - 1), dim))
-    return patterns.PatternTensor.from_matrix(PatternMatrix(dim, tuple(rows)), order)
+    return PatternTensor.from_matrix(PatternMatrix(dim, tuple(rows)), order)

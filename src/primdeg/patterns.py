@@ -22,10 +22,11 @@ of its step budget. For a primitive tensor every column reaches [n] within
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .bitsets import IndexSet, SupportFamily, _check_dim
-from .digraphs import PatternMatrix
+from .digraphs import PatternMatrix, reverse
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,18 @@ def _step_mask(tensor: PatternTensor, state: int) -> int:
     return out
 
 
+def _orbit(tensor: PatternTensor, column: int) -> Iterator[int]:
+    """S_1, S_2, ... of one start column as masks, without end.
+
+    This is the only loop over the recursion: traces, raw orbits, matrix
+    exponents and walk frontiers all read their states from it.
+    """
+    state = 1 << (column - 1)
+    while True:
+        state = _step_mask(tensor, state)
+        yield state
+
+
 def step(tensor: PatternTensor, state: IndexSet) -> IndexSet:
     """One fixpoint step: rows whose family has some support contained in ``state``.
 
@@ -137,12 +150,7 @@ def column_states(tensor: PatternTensor, column: int, steps: int) -> tuple[Index
         raise ValueError(f"column {column} out of range 1..{tensor.dim}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    cur = 1 << (column - 1)
-    out = []
-    for _ in range(steps):
-        cur = _step_mask(tensor, cur)
-        out.append(IndexSet(cur, tensor.dim))
-    return tuple(out)
+    return tuple(IndexSet(m, tensor.dim) for m in islice(_orbit(tensor, column), steps))
 
 
 @dataclass(frozen=True)
@@ -180,12 +188,19 @@ Outcome = Reached | Cycled | Exhausted
 class ColumnTrace:
     """The recorded orbit of one start column together with its outcome.
 
-    ``states[k-1]`` is S_k. The list ends at the step where the outcome fired.
+    ``masks[k-1]`` is the bitmask of S_k over indices 1..dim. The orbit ends
+    at the step where the outcome fired.
     """
 
     column: int
-    states: tuple[IndexSet, ...]
+    masks: tuple[int, ...]
+    dim: int
     outcome: Outcome
+
+    @property
+    def states(self) -> tuple[IndexSet, ...]:
+        """The orbit as IndexSets, ``states[k-1]`` = S_k; built on each read."""
+        return tuple(IndexSet(m, self.dim) for m in self.masks)
 
 
 def default_bound(dim: int) -> int:
@@ -208,13 +223,11 @@ def column_trace(tensor: PatternTensor, column: int, max_steps: int | None = Non
     if bound < 1:
         raise ValueError(f"max_steps must be >= 1, got {bound}")
     full = (1 << tensor.dim) - 1
-    cur = 1 << (column - 1)
-    states: list[int] = []
+    masks: list[int] = []
     seen: dict[int, int] = {}
     outcome: Outcome = Exhausted(bound)
-    for k in range(1, bound + 1):
-        cur = _step_mask(tensor, cur)
-        states.append(cur)
+    for k, cur in enumerate(islice(_orbit(tensor, column), bound), start=1):
+        masks.append(cur)
         if cur == full:
             outcome = Reached(k)
             break
@@ -222,11 +235,7 @@ def column_trace(tensor: PatternTensor, column: int, max_steps: int | None = Non
             outcome = Cycled(first_repeat_at=k, period=k - seen[cur])
             break
         seen[cur] = k
-    return ColumnTrace(
-        column=column,
-        states=tuple(IndexSet(m, tensor.dim) for m in states),
-        outcome=outcome,
-    )
+    return ColumnTrace(column, tuple(masks), tensor.dim, outcome)
 
 
 def gamma_j(tensor: PatternTensor, column: int, max_steps: int | None = None) -> int | None:
@@ -290,13 +299,7 @@ def check_necessary_conditions(tensor: PatternTensor) -> list[Violation]:
     primitive; an empty list proves nothing.
     """
     n = tensor.dim
-    cols = [0] * n
-    for u, fam in enumerate(tensor.rows):
-        s = fam.singles
-        while s:
-            low = s & -s
-            cols[low.bit_length() - 1] |= 1 << u
-            s ^= low
+    cols = [s.mask for s in reverse(majorization_pattern(tensor).digraph()).out_neighbors]
     violations: list[Violation] = []
     branching = False
     for j in range(1, n + 1):

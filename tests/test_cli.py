@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -296,6 +297,31 @@ class TestScan:
         code, _, err = run(capsys, ["scan-open-problem", "--m", "3", "--n", "30"])
         assert code == 1
         assert "error:" in err
+
+
+class TestGoldenOutput:
+    """stdout digests recorded from the engine before the trace loops were
+    merged into one; any byte change in these outputs is a regression."""
+
+    def test_analyze_per_column_json_lines(self, capsys, tmp_path, monkeypatch):
+        # The meta record carries the input path, so it is given relative.
+        monkeypatch.chdir(tmp_path)
+        assert main(["construct", "a0", "--m", "3", "--n", "12", "--out", "a0.txt"]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, ["analyze", "a0.txt", "--per-column", "--format", "json-lines"])
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "1d15288dd26169683da5b7e0d614b7544a68db352b41f319a9e966971c6730c9"
+        )
+
+    def test_exponent_set(self, capsys):
+        code, out, _ = run(capsys, ["exponent-set", "--m", "5", "--n", "5"])
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "b8acec8e2450ba9b5253666496837ee9d199047b873bcb63a254999f40aae95b"
+        )
 
 
 class TestTopLevel:

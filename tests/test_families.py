@@ -6,7 +6,6 @@ import pytest
 from oracle_utils import gamma_by_bool_powers, matrix_to_array
 from primdeg import (
     IndexSet,
-    PatternMatrix,
     VerificationError,
     analyze,
     brute_force_matrix_exponent_set,
@@ -23,7 +22,7 @@ from primdeg import (
     wielandt_matrix,
     wielandt_tensor,
 )
-from primdeg.families import _gamma_from_column_masks, _monomial_pattern_from_bits
+from primdeg.families import _monomial_pattern_from_bits
 
 
 class TestMonomialLift:
@@ -183,43 +182,20 @@ class TestBruteForce:
             brute_force_matrix_exponent_set(0)
 
 
-class TestGammaFromColumnMasks:
-    def test_agrees_with_object_engine_exhaustively_n3(self):
+class TestMatrixGammaEnumeration:
+    def test_exhaustive_n3_against_bool_powers(self):
         dim = 3
         for bits in range(1 << (dim * dim)):
-            cols = tuple(
-                sum(
-                    ((bits >> (i * dim + j)) & 1) << i
-                    for i in range(dim)
-                )
-                for j in range(dim)
-            )
-            fast = _gamma_from_column_masks(cols, dim, 5)
-            slow = matrix_gamma(
-                PatternMatrix.from_entries(
-                    dim,
-                    [
-                        (i + 1, j + 1)
-                        for i in range(dim)
-                        for j in range(dim)
-                        if (bits >> (i * dim + j)) & 1
-                    ],
-                )
-            )
-            assert fast == slow, bits
+            m = majorization_pattern(_monomial_pattern_from_bits(bits, dim, 2))
+            assert matrix_gamma(m) == gamma_by_bool_powers(matrix_to_array(m), 5), bits
 
-    def test_agrees_on_sampled_n4(self):
+    def test_sampled_n4_against_bool_powers(self):
         rng = random.Random(20260819)
         dim = 4
         for _ in range(200):
             bits = rng.getrandbits(dim * dim)
-            cols = tuple(
-                sum(((bits >> (i * dim + j)) & 1) << i for i in range(dim))
-                for j in range(dim)
-            )
-            fast = _gamma_from_column_masks(cols, dim, 10)
-            t = _monomial_pattern_from_bits(bits, dim, 2)
-            assert fast == analyze(t).gamma, bits
+            m = majorization_pattern(_monomial_pattern_from_bits(bits, dim, 2))
+            assert matrix_gamma(m) == gamma_by_bool_powers(matrix_to_array(m), 10), bits
 
     def test_helper_pattern_matches_bit_layout(self):
         # bit i*dim+j <-> entry (i+1, j+1)

@@ -236,6 +236,21 @@ class TestAnalyze:
         assert not r.primitive
         assert r.max_steps == 4 and r.bound == 17
 
+    def test_trace_states_replay_column_states(self):
+        # Columns 1-3 walk a 3-cycle and columns 4-5 a 2-cycle; the supports
+        # {1,2} and {4,5} never fit inside a one-index state.
+        cycling = make_pattern(
+            3,
+            5,
+            [(2, (1, 1)), (3, (2, 2)), (1, (3, 3)), (5, (4, 4)), (4, (5, 5)), (1, (1, 2)), (4, (4, 5))],
+        )
+        for t in (wielandt_tensor(3, 6), wielandt_tensor(4, 4), cycling):
+            for j, tr in enumerate(analyze(t).traces):
+                assert tr.states == column_states(t, j + 1, len(tr.states))
+                assert tuple(s.mask for s in tr.states) == tr.masks
+        periods = [tr.outcome.period for tr in analyze(cycling).traces]
+        assert periods == [3, 3, 3, 2, 2]
+
     @given(covered_pattern_inputs())
     def test_primitive_iff_every_column_reaches(self, raw):
         order, dim, entries = raw
