@@ -2,25 +2,13 @@
 
 The library decides whether a nonnegative tensor (given by its zero pattern)
 is primitive, computes its primitive degree and per-column degrees from
-reachability traces, cross-checks those traces against explicit dense-tensor
-oracles, and constructs witness families realizing every degree from 1 up to
-the extremal value (n-1)^2 + 1.
+reachability traces, and constructs witness families realizing every degree
+from 1 up to the extremal value (n-1)^2 + 1. The explicit dense-tensor oracles
+that cross-check the traces live in ``primdeg.dense`` and need numpy (the
+``oracle`` extra); nothing imported here loads it.
 """
 
 from .bitsets import MAX_DIM, IndexSet, SupportFamily
-from .dense import (
-    DENSE_CELL_CAP,
-    DenseTensor,
-    apply_to_basis,
-    densify,
-    general_product,
-    majorization_of,
-    majorization_recursion,
-    power_map,
-    power_patterns,
-    support_of,
-    to_pattern,
-)
 from .digraphs import (
     Digraph,
     PatternMatrix,
@@ -74,13 +62,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_DIM",
-    "DENSE_CELL_CAP",
     "IndexSet",
     "SupportFamily",
     "PatternTensor",
     "PatternMatrix",
     "Digraph",
-    "DenseTensor",
     "TensorDocument",
     "ColumnTrace",
     "Reached",
@@ -103,15 +89,6 @@ __all__ = [
     "check_necessary_conditions",
     "majorization_pattern",
     "default_bound",
-    "general_product",
-    "power_patterns",
-    "apply_to_basis",
-    "majorization_of",
-    "majorization_recursion",
-    "power_map",
-    "support_of",
-    "densify",
-    "to_pattern",
     "reverse",
     "exact_length_frontier",
     "matrix_gamma",

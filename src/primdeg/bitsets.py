@@ -209,9 +209,6 @@ class SupportFamily:
     def __contains__(self, s: IndexSet) -> bool:
         return s.dim == self.dim and s.mask in self.masks
 
-    def max_set_size(self) -> int:
-        return max((bin(m).count("1") for m in self.masks), default=0)
-
     def __repr__(self) -> str:
         inner = " ".join("{" + ",".join(map(str, IndexSet(m, self.dim).members)) + "}" for m in self.masks)
         return f"SupportFamily(dim={self.dim}, [{inner}])"

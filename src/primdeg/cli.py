@@ -23,19 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bitsets import SupportFamily
-from .dense import (
-    DenseTensor,
-    apply_to_basis,
-    densify,
-    general_product,
-    majorization_of,
-    majorization_recursion,
-    power_patterns,
-    support_of,
-)
 from .digraphs import matrix_gamma, wielandt_matrix
 from .errors import VerificationError
 from .families import degree_witness, exponent_set, small_exponent_matrix, wielandt_frontier_tensor, wielandt_tensor
@@ -178,13 +166,6 @@ def random_pattern(rng: random.Random, order: int, dim: int) -> PatternTensor:
     return PatternTensor(order, dim, tuple(rows))
 
 
-def _random_dense(rng: random.Random, order: int, dim: int) -> DenseTensor:
-    vals = np.array(
-        [rng.randint(0, 3) for _ in range(dim**order)], dtype=float
-    ).reshape((dim,) * order)
-    return DenseTensor(order, dim, vals)
-
-
 @dataclass
 class OracleCheckResult:
     order: int
@@ -213,6 +194,21 @@ def run_oracle_check(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if max_k < 1:
         raise ValueError(f"max-k must be >= 1, got {max_k}")
+    try:
+        from .dense import (
+            DenseTensor,
+            apply_to_basis,
+            densify,
+            general_product,
+            majorization_of,
+            majorization_recursion,
+            power_patterns,
+            support_of,
+        )
+    except ImportError as e:
+        raise ValueError(
+            f"oracle-check needs numpy ({e}); install the primdeg[oracle] extra"
+        ) from None
     rng = random.Random(seed)
     mismatches: list[tuple[int, str]] = []
     assoc = 0
@@ -247,9 +243,13 @@ def run_oracle_check(
                         problems.append(f"explicit power pattern differs at j={j} k={k}")
         if order == 3 and dim == 2:
             assoc += 1
-            a = _random_dense(rng, 3, 2)
-            b = _random_dense(rng, 3, 2)
-            c = _random_dense(rng, 3, 2)
+            # three random integer 2x2x2 tensors, cells drawn in C order
+            a, b, c = (
+                DenseTensor.from_array(
+                    [[[rng.randint(0, 3) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+                )
+                for _ in range(3)
+            )
             left = general_product(general_product(a, b), c)
             right = general_product(a, general_product(b, c))
             if left.values.shape != right.values.shape or (left.values != right.values).any():

@@ -14,6 +14,9 @@ the associativity demonstration and checks its accumulation stayed finite.
 
 Cell counts are capped (default 2**20, override with PRIMDEG_DENSE_CELL_CAP);
 a result beyond the cap is rejected, never truncated.
+
+This is an oracle, not an analysis route: it is the only module that needs
+numpy, and only ``oracle-check`` and the tests import it.
 """
 
 from __future__ import annotations

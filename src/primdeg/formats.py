@@ -12,20 +12,20 @@ Three formats, all 1-based, one header line each:
 Rendering is canonical (rows in order, sets sorted by mask, members ascending,
 floats in shortest round-trip form), so write-then-read is the identity and
 documents diff cleanly. Parsing is forgiving about blank lines and extra
-whitespace but rejects anything else with the offending line number.
+whitespace but rejects anything else with the offending line number. A sparse
+document keeps only its positive cells; a NaN or infinite value, or a cell
+given twice, is an error rather than a silent rewrite.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bitsets import IndexSet
-from .dense import DenseTensor, to_pattern
+from .bitsets import IndexSet, _check_dim
 from .digraphs import PatternMatrix
-from .errors import ParseError
+from .errors import CapExceededError, ParseError
 from .patterns import PatternTensor, make_pattern
 
 PATTERN_HEADER = "tensor-pattern v1"
@@ -36,11 +36,21 @@ _SET_RE = re.compile(r"\{([^{}]*)\}")
 
 
 @dataclass(frozen=True)
+class SparseTensor:
+    """The content of a sparse document: its positive cells, each a pair of a
+    1-based index tuple and a finite value, in lexicographic index order."""
+
+    order: int
+    dim: int
+    entries: tuple[tuple[tuple[int, ...], float], ...]
+
+
+@dataclass(frozen=True)
 class TensorDocument:
     """One parsed document: kind is 'pattern', 'sparse', or 'matrix'."""
 
     kind: str
-    payload: PatternTensor | DenseTensor | PatternMatrix
+    payload: PatternTensor | SparseTensor | PatternMatrix
 
     def as_pattern_tensor(self) -> PatternTensor:
         """The pattern-analysis view of any document kind.
@@ -54,8 +64,9 @@ class TensorDocument:
         if self.kind == "matrix":
             assert isinstance(self.payload, PatternMatrix)
             return PatternTensor.from_matrix(self.payload, 2)
-        assert isinstance(self.payload, DenseTensor)
-        return to_pattern(self.payload)
+        assert isinstance(self.payload, SparseTensor)
+        t = self.payload
+        return make_pattern(t.order, t.dim, ((idx[0], idx[1:]) for idx, _ in t.entries))
 
 
 def _lines_of(text: str) -> list[tuple[int, str]]:
@@ -126,7 +137,7 @@ def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
         raise ParseError(lines[0][0], str(e)) from None
 
 
-def _parse_sparse(lines: list[tuple[int, str]]) -> DenseTensor:
+def _parse_sparse(lines: list[tuple[int, str]]) -> SparseTensor:
     order = _keyed_int(lines, 1, "order")
     if order < 1:
         raise ParseError(lines[1][0], f"order must be >= 1, got {order}")
@@ -134,10 +145,10 @@ def _parse_sparse(lines: list[tuple[int, str]]) -> DenseTensor:
     if dim < 1:
         raise ParseError(lines[2][0], f"dim must be >= 1, got {dim}")
     try:
-        tensor = DenseTensor.zeros(order, dim)
-    except ValueError as e:
-        raise ParseError(lines[1][0], str(e)) from None
-    vals = tensor.values.copy()
+        _check_dim(dim)
+    except CapExceededError as e:
+        raise ParseError(lines[2][0], str(e)) from None
+    values: dict[tuple[int, ...], float] = {}
     for no, line in lines[3:]:
         parts = line.split()
         if parts[0] != "entry":
@@ -152,10 +163,14 @@ def _parse_sparse(lines: list[tuple[int, str]]) -> DenseTensor:
         for i in idx:
             if not 1 <= i <= dim:
                 raise ParseError(no, f"index {i} out of range 1..{dim}")
+        if not math.isfinite(value):
+            raise ParseError(no, f"value must be finite, got {parts[-1]!r}")
         if value < 0:
             raise ParseError(no, f"value must be nonnegative, got {value}")
-        vals[tuple(i - 1 for i in idx)] = value
-    return DenseTensor(order, dim, vals)
+        if idx in values:
+            raise ParseError(no, f"cell {' '.join(map(str, idx))} given twice")
+        values[idx] = value
+    return SparseTensor(order, dim, tuple((idx, v) for idx, v in sorted(values.items()) if v > 0))
 
 
 def _parse_matrix(lines: list[tuple[int, str]]) -> PatternMatrix:
@@ -210,11 +225,10 @@ def render_pattern(tensor: PatternTensor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_sparse(tensor: DenseTensor) -> str:
+def render_sparse(tensor: SparseTensor) -> str:
     lines = [SPARSE_HEADER, f"order {tensor.order}", f"dim {tensor.dim}"]
-    for idx in np.argwhere(tensor.values > 0):
-        pos = " ".join(str(int(i) + 1) for i in idx)
-        lines.append(f"entry {pos} {float(tensor.values[tuple(idx)])!r}")
+    for idx, value in tensor.entries:
+        lines.append(f"entry {' '.join(map(str, idx))} {value!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -225,17 +239,17 @@ def render_matrix(matrix: PatternMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_document(doc: TensorDocument | PatternTensor | DenseTensor | PatternMatrix) -> str:
+def render_document(doc: TensorDocument | PatternTensor | SparseTensor | PatternMatrix) -> str:
     payload = doc.payload if isinstance(doc, TensorDocument) else doc
     if isinstance(payload, PatternTensor):
         return render_pattern(payload)
-    if isinstance(payload, DenseTensor):
+    if isinstance(payload, SparseTensor):
         return render_sparse(payload)
     if isinstance(payload, PatternMatrix):
         return render_matrix(payload)
     raise TypeError(f"cannot render {type(payload).__name__}")
 
 
-def save_document(path: str, doc: TensorDocument | PatternTensor | DenseTensor | PatternMatrix) -> None:
+def save_document(path: str, doc: TensorDocument | PatternTensor | SparseTensor | PatternMatrix) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_document(doc))

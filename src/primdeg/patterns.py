@@ -51,9 +51,11 @@ class PatternTensor:
         for u, fam in enumerate(self.rows, start=1):
             if fam.dim != self.dim:
                 raise ValueError(f"row {u} dimension {fam.dim} does not match {self.dim}")
-            if fam.max_set_size() > self.order - 1:
+            # singletons always fit (order >= 2); only multi-index supports can be too big
+            size = max(map(int.bit_count, fam.multis), default=1)
+            if size > self.order - 1:
                 raise ValueError(
-                    f"row {u} holds a support of size {fam.max_set_size()}, "
+                    f"row {u} holds a support of size {size}, "
                     f"limit is order-1 = {self.order - 1}"
                 )
 

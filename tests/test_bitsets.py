@@ -118,10 +118,6 @@ class TestSupportFamily:
         assert IndexSet(0b001, 3) not in fam
         assert len(fam) == 2
 
-    def test_max_set_size(self):
-        assert SupportFamily.empty(4).max_set_size() == 0
-        assert SupportFamily.from_masks(4, [0b0111]).max_set_size() == 3
-
     @given(st.lists(st.integers(1, 63), min_size=1, max_size=10))
     def test_equivalent_inputs_build_equal_families(self, masks):
         fam = SupportFamily.from_masks(6, masks)

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import primdeg
 from primdeg import VerificationError, parse_document, render_document, wielandt_tensor
 from primdeg.cli import main
 from primdeg.formats import render_pattern
@@ -23,6 +28,16 @@ def run(capsys, argv):
 
 def json_records(out):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this primdeg."""
+    env = dict(os.environ)
+    src = str(Path(primdeg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestAnalyze:
@@ -96,6 +111,30 @@ class TestAnalyze:
         code, out, _ = run(capsys, ["analyze", str(path)])
         assert code == 0
         assert "conditions: violation zero-out-degree vertex=2" in out
+        assert "primitive: no" in out
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("entry 1 2 nan\n", 4),
+            ("entry 2 1 inf\n", 4),
+            ("entry 1 1 1.0\nentry 1 1 0\n", 5),
+        ],
+    )
+    def test_altered_sparse_values_rejected(self, capsys, tmp_path, body, line):
+        path = tmp_path / "bad.txt"
+        path.write_text("tensor-sparse v1\norder 2\ndim 2\n" + body)
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1
+        assert out == ""
+        assert f"error: line {line}:" in err
+
+    def test_one_entry_sparse_document_beyond_dense_cell_cap(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("tensor-sparse v1\norder 6\ndim 11\nentry 1 2 3 4 5 6 1.0\n")
+        code, out, _ = run(capsys, ["analyze", str(path)])
+        assert code == 0
+        assert "document: sparse order=6 dim=11" in out
         assert "primitive: no" in out
 
     def test_help_exits_zero(self, capsys):
@@ -266,6 +305,20 @@ class TestOracleCheck:
         assert summary["associativity_triples"] == 12
 
 
+    def test_without_numpy_names_the_oracle_extra(self):
+        proc = run_python(
+            "import sys; sys.modules['numpy'] = None\n"
+            "from primdeg.cli import main\n"
+            "sys.exit(main(['oracle-check', '--m', '2', '--n', '3']))\n"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "primdeg[oracle]" in errors[0]
+
+
 class TestScan:
     def test_requires_order_below_dim(self, capsys):
         code, _, err = run(capsys, ["scan-open-problem", "--m", "4", "--n", "4"])
@@ -325,6 +378,13 @@ class TestGoldenOutput:
 
 
 class TestTopLevel:
+    def test_import_does_not_load_numpy(self):
+        proc = run_python(
+            "import sys, primdeg, primdeg.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_no_command_shows_usage(self, capsys):
         code, _, err = run(capsys, [])
         assert code == 1

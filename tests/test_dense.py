@@ -6,21 +6,23 @@ import pytest
 from oracle_utils import brute_general_product
 from primdeg import (
     CapExceededError,
+    column_states,
+    make_pattern,
+    monomial_lift,
+    wielandt_matrix,
+    wielandt_tensor,
+)
+from primdeg.dense import (
     DenseTensor,
     apply_to_basis,
-    column_states,
     densify,
     general_product,
     majorization_of,
     majorization_recursion,
-    make_pattern,
-    monomial_lift,
     power_map,
     power_patterns,
     support_of,
     to_pattern,
-    wielandt_matrix,
-    wielandt_tensor,
 )
 from primdeg.cli import random_pattern
 

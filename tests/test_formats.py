@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from primdeg import (
-    DenseTensor,
     ParseError,
     PatternMatrix,
     PatternTensor,
     TensorDocument,
-    densify,
     load_document,
     parse_document,
     render_document,
@@ -18,7 +16,8 @@ from primdeg import (
     wielandt_tensor,
 )
 from primdeg.cli import random_pattern
-from primdeg.formats import render_matrix, render_pattern, render_sparse
+from primdeg.dense import DenseTensor, densify, to_pattern
+from primdeg.formats import SparseTensor, render_matrix, render_pattern, render_sparse
 
 PATTERN_TEXT = """\
 tensor-pattern v1
@@ -36,6 +35,35 @@ dim 2
 entry 1 2 2 1.5
 entry 2 1 1 2.0
 """
+
+
+def sparse_of(t: DenseTensor) -> SparseTensor:
+    """The sparse payload holding the positive cells of a dense tensor."""
+    return SparseTensor(
+        t.order,
+        t.dim,
+        tuple(
+            (tuple(int(i) + 1 for i in idx), float(t.values[tuple(idx)]))
+            for idx in np.argwhere(t.values > 0)
+        ),
+    )
+
+
+def dense_of(t: SparseTensor) -> np.ndarray:
+    vals = np.zeros((t.dim,) * t.order)
+    for idx, value in t.entries:
+        vals[tuple(i - 1 for i in idx)] = value
+    return vals
+
+
+def random_sparse_inputs():
+    """The seeded dense tensors of the sparse round-trip checks."""
+    rng = random.Random(7)
+    for _ in range(20):
+        dim = rng.randint(1, 3)
+        order = rng.randint(2, 3)
+        yield densify(random_pattern(rng, order, dim))
+
 
 MATRIX_TEXT = """\
 matrix v1
@@ -61,10 +89,10 @@ class TestParse:
         doc = parse_document(SPARSE_TEXT)
         assert doc.kind == "sparse"
         t = doc.payload
-        assert isinstance(t, DenseTensor)
-        assert t.value_at((1, 2, 2)) == 1.5
-        assert t.value_at((2, 1, 1)) == 2.0
-        assert float(t.values.sum()) == 3.5
+        assert isinstance(t, SparseTensor)
+        assert (t.order, t.dim) == (3, 2)
+        assert t.entries == (((1, 2, 2), 1.5), ((2, 1, 1), 2.0))
+        assert sum(v for _, v in t.entries) == 3.5
 
     def test_matrix_document(self):
         doc = parse_document(MATRIX_TEXT)
@@ -114,6 +142,8 @@ class TestParseErrors:
         self.check("tensor-pattern v1\norder 3\ndim 0\n", 3, "dim must be >= 1")
         self.check("matrix v1\ndimension 3\n", 2, "dim")
         self.check("matrix v1\ndim 0\n", 2, "dim must be >= 1")
+        self.check("tensor-sparse v1\norder 2\ndim 0\n", 3, "dim must be >= 1")
+        self.check("tensor-sparse v1\norder 2\ndim 999\n", 3, "exceeds the cap")
 
     def test_bad_row_line(self):
         base = "tensor-pattern v1\norder 3\ndim 3\n"
@@ -136,6 +166,10 @@ class TestParseErrors:
         self.check(base + "entry 1 2 3 1.5\n", 4, "out of range")
         self.check(base + "entry 1 2 2 -1.5\n", 4, "nonnegative")
         self.check(base + "entry 1 2 2 abc\n", 4, "malformed entry")
+        base2 = "tensor-sparse v1\norder 2\ndim 2\n"
+        self.check(base2 + "entry 1 2 nan\n", 4, "must be finite")
+        self.check(base2 + "entry 2 1 inf\n", 4, "must be finite")
+        self.check(base2 + "entry 1 1 1.0\nentry 1 1 0\n", 5, "cell 1 1 given twice")
 
     def test_bad_matrix_cell(self):
         base = "matrix v1\ndim 2\n"
@@ -170,13 +204,10 @@ class TestRender:
         )
 
     def test_sparse_values_round_trip_exactly(self):
-        vals = np.zeros((2, 2))
-        vals[0, 1] = 0.1
-        vals[1, 0] = 3.0
-        text = render_sparse(DenseTensor(2, 2, vals))
+        text = render_sparse(SparseTensor(2, 2, (((1, 2), 0.1), ((2, 1), 3.0))))
+        assert text == "tensor-sparse v1\norder 2\ndim 2\nentry 1 2 0.1\nentry 2 1 3.0\n"
         t = parse_document(text).payload
-        assert t.value_at((1, 2)) == 0.1
-        assert t.value_at((2, 1)) == 3.0
+        assert dict(t.entries) == {(1, 2): 0.1, (2, 1): 3.0}
 
     def test_render_document_dispatches(self):
         for text in (PATTERN_TEXT, SPARSE_TEXT, MATRIX_TEXT):
@@ -201,14 +232,33 @@ class TestRoundTrips:
             assert parse_document(render_document(doc)).payload == t
 
     def test_random_sparse_round_trip(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            dim = rng.randint(1, 3)
-            order = rng.randint(2, 3)
-            t = densify(random_pattern(rng, order, dim))
-            doc = TensorDocument("sparse", t)
+        for t in random_sparse_inputs():
+            doc = TensorDocument("sparse", sparse_of(t))
             back = parse_document(render_document(doc)).payload
-            assert np.array_equal(back.values, t.values)
+            assert back == doc.payload
+            assert np.array_equal(dense_of(back), t.values)
+
+    def test_random_sparse_pattern_matches_dense_oracle(self):
+        for t in random_sparse_inputs():
+            text = render_sparse(sparse_of(t))
+            assert parse_document(text).as_pattern_tensor() == to_pattern(t)
+
+    def test_shuffled_sparse_cells_render_like_dense_route(self):
+        # every cell listed, zeros included, in random order; the canonical
+        # rendering is the positive cells in the dense array's C order
+        rng = random.Random(11)
+        for _ in range(30):
+            order, dim = rng.randint(2, 4), rng.randint(1, 3)
+            vals = np.array([rng.choice([0.0, 0.0, 0.1, 1.5, 2.0, 1e-300]) for _ in range(dim**order)])
+            t = DenseTensor(order, dim, vals.reshape((dim,) * order))
+            cells = [tuple(int(i) + 1 for i in idx) for idx in np.ndindex(t.values.shape)]
+            rng.shuffle(cells)
+            text = f"tensor-sparse v1\norder {order}\ndim {dim}\n" + "".join(
+                f"entry {' '.join(map(str, c))} {t.value_at(c)!r}\n" for c in cells
+            )
+            doc = parse_document(text)
+            assert render_document(doc) == render_sparse(sparse_of(t))
+            assert doc.as_pattern_tensor() == to_pattern(t)
 
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "t.txt"

@@ -76,9 +76,14 @@ class TestMakePattern:
             make_pattern(1, 3, [])
 
     def test_row_size_invariant_enforced(self):
-        fam = SupportFamily.from_masks(4, [0b0111])
-        with pytest.raises(ValueError, match="size"):
-            PatternTensor(3, 4, (fam,) + (SupportFamily.empty(4),) * 3)
+        empty = SupportFamily.empty(4)
+        fam = SupportFamily.from_masks(4, [0b1000, 0b0111])
+        with pytest.raises(ValueError, match=r"^row 2 holds a support of size 3, limit is order-1 = 2$"):
+            PatternTensor(3, 4, (empty, fam, empty, empty))
+        pair = SupportFamily.from_masks(4, [0b0110])
+        with pytest.raises(ValueError, match=r"^row 1 holds a support of size 2, limit is order-1 = 1$"):
+            PatternTensor(2, 4, (pair, empty, empty, empty))
+        PatternTensor(2, 4, (SupportFamily.of_singletons(4, 0b1111),) + (empty,) * 3)
 
     def test_from_matrix_builds_singleton_rows(self):
         t = PatternTensor.from_matrix(wielandt_matrix(5), 5)
