@@ -10,12 +10,12 @@ that cross-check the traces live in ``primdeg.dense`` and need numpy (the
 
 from .bitsets import MAX_DIM, IndexSet, SupportFamily
 from .digraphs import (
-    Digraph,
     PatternMatrix,
     exact_length_frontier,
     frobenius_representable,
+    majorization_pattern,
     matrix_gamma,
-    reverse,
+    monomial_lift,
     walk_decomposition,
     wielandt_matrix,
 )
@@ -27,7 +27,6 @@ from .families import (
     brute_force_matrix_exponent_set,
     degree_witness,
     exponent_set,
-    monomial_lift,
     small_exponent_matrix,
     wielandt_frontier_tensor,
     wielandt_tensor,
@@ -54,7 +53,6 @@ from .patterns import (
     default_bound,
     gamma_j,
     make_pattern,
-    majorization_pattern,
     step,
 )
 
@@ -66,7 +64,6 @@ __all__ = [
     "SupportFamily",
     "PatternTensor",
     "PatternMatrix",
-    "Digraph",
     "TensorDocument",
     "ColumnTrace",
     "Reached",
@@ -89,7 +86,6 @@ __all__ = [
     "check_necessary_conditions",
     "majorization_pattern",
     "default_bound",
-    "reverse",
     "exact_length_frontier",
     "matrix_gamma",
     "wielandt_matrix",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
 
@@ -130,12 +130,27 @@ def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
+def transpose_masks(masks: Sequence[int]) -> tuple[int, ...]:
+    """Columns of the square 0/1 matrix whose row u is ``masks[u]``.
+
+    Bit u of the j-th result is set exactly when bit j of ``masks[u]`` is.
+    Involutive on n masks over n bits.
+    """
+    out = [0] * len(masks)
+    for u, m in enumerate(masks):
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= 1 << u
+            m ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SupportFamily:
     """An inclusion-minimal family (antichain) of nonempty subsets of [dim].
 
     ``masks`` is the canonical sorted tuple of member bitmasks. Construction via
-    :meth:`from_masks` / :meth:`from_sets` minimizes arbitrary input: inserting a
+    :meth:`from_masks` minimizes arbitrary input: inserting a
     superset of a present set is a no-op, inserting a subset evicts everything it
     dominates. Two families built from step-equivalent raw collections therefore
     compare equal.
@@ -169,15 +184,6 @@ class SupportFamily:
     @classmethod
     def from_masks(cls, dim: int, masks: Iterable[int]) -> "SupportFamily":
         return cls(dim, minimize_masks(masks))
-
-    @classmethod
-    def from_sets(cls, dim: int, sets: Iterable[IndexSet]) -> "SupportFamily":
-        collected = []
-        for s in sets:
-            if s.dim != dim:
-                raise ValueError(f"dimension mismatch: {s.dim} vs {dim}")
-            collected.append(s.mask)
-        return cls.from_masks(dim, collected)
 
     @classmethod
     def empty(cls, dim: int) -> "SupportFamily":

@@ -4,7 +4,8 @@ scan-open-problem.
 Exit codes: 0 success (a "not primitive" verdict is a success), 1 input or
 usage error (missing file, parse error, out-of-range parameter, cap), 2
 internal verification failure (a construction or cross-check disagreed with
-itself).
+itself), 3 unexpected internal error (any other exception; its traceback goes
+to stderr).
 
 Output is deterministic for fixed inputs, flags, and seed: wall-clock timing
 goes to stderr so stdout can be compared byte for byte. ``--format
@@ -18,13 +19,15 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import random
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from .bitsets import SupportFamily
-from .digraphs import matrix_gamma, wielandt_matrix
+from .digraphs import majorization_pattern, matrix_gamma, wielandt_matrix
 from .errors import VerificationError
 from .families import degree_witness, exponent_set, small_exponent_matrix, wielandt_frontier_tensor, wielandt_tensor
 from .formats import parse_document, render_document, save_document
@@ -36,7 +39,6 @@ from .patterns import (
     check_necessary_conditions,
     column_states,
     default_bound,
-    majorization_pattern,
 )
 
 SCAN_DIM_GUARD = 12
@@ -225,8 +227,9 @@ def run_oracle_check(
                     problems.append(f"basis iterate support differs at j={j} k={k}")
         recursion = majorization_recursion(d, max_k)
         for k in range(1, max_k + 1):
+            cols = recursion[k - 1].reversed_digraph().rows
             for j in range(1, dim + 1):
-                if recursion[k - 1].column(j) != states[j][k - 1]:
+                if cols[j - 1] != states[j][k - 1]:
                     problems.append(f"majorization recursion differs at j={j} k={k}")
         if order == 2:
             g_matrix = matrix_gamma(majorization_pattern(tensor))
@@ -237,7 +240,7 @@ def run_oracle_check(
             explicit += 1
             powers = power_patterns(d, min(max_k, 3))
             for k, p in enumerate(powers, start=1):
-                cols = majorization_of(p).columns()
+                cols = majorization_of(p).reversed_digraph().rows
                 for j in range(1, dim + 1):
                     if cols[j - 1] != states[j][k - 1]:
                         problems.append(f"explicit power pattern differs at j={j} k={k}")
@@ -361,12 +364,10 @@ def cmd_exponent_set(args: argparse.Namespace) -> int:
             t=w.degree,
             kind=w.spec.kind,
             k=w.spec.k,
-            gamma=w.verified_gamma,
+            gamma=w.degree,
             status="ok",
         )
         if args.emit_witnesses:
-            import os
-
             os.makedirs(args.emit_witnesses, exist_ok=True)
             save_document(
                 os.path.join(args.emit_witnesses, f"witness-t{w.degree:03d}.txt"), w.tensor
@@ -510,6 +511,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception:
+        traceback.print_exc()
+        return 3
     finally:
         elapsed = time.perf_counter() - start
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)

@@ -219,7 +219,7 @@ def majorization_recursion(a: DenseTensor, steps: int) -> list[PatternMatrix]:
     n = a.dim
     current = majorization_of(a)
     out = [current]
-    cols = [np.array([(i + 1) in current.column(j + 1) for i in range(n)]) for j in range(n)]
+    cols = [np.array([(i + 1) in c for i in range(n)]) for c in current.reversed_digraph().rows]
     for _ in range(steps - 1):
         cols = [_apply_pattern(a.values, c, a.order) for c in cols]
         entries = [

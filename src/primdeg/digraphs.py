@@ -1,11 +1,13 @@
 """Zero-one matrices, their digraphs, and exact-length reachability.
 
-A :class:`PatternMatrix` records only which entries of a nonnegative matrix are
-positive. Two digraph views matter: D(M) has an arc i -> j when entry (i, j) is
-positive, and the reversed digraph rev(D(M)) has an arc j -> i for the same
-entry. Walk counting in the reversed digraph is what drives the column-trace
-machinery for tensors, so the matrix-level operations here double as an
-independent cross-check route.
+A :class:`PatternMatrix` records which entries of a nonnegative matrix are
+positive and is also the digraph D(M): row i holds the out-neighbors of vertex
+i. The reversed digraph rev(D(M)), with an arc j -> i for each positive entry
+(i, j), is the transposed matrix.
+
+This layer sits above the trace engine in ``patterns``: a matrix enters it as
+its order-2 monomial lift, so matrix exponents and walk frontiers are column
+traces, and a tensor's majorization pattern is read back here as a matrix.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitsets import IndexSet, _check_dim
+from .bitsets import IndexSet, SupportFamily, _check_dim, transpose_masks
+from .patterns import PatternTensor, analyze, column_states
 
 
 @dataclass(frozen=True)
 class PatternMatrix:
-    """Positivity pattern of a square nonnegative matrix; row i is an IndexSet."""
+    """Positivity pattern of a square nonnegative matrix; row i is an IndexSet.
+
+    Read as a digraph on 1..dim, row i is the out-neighbor set of vertex i.
+    """
 
     dim: int
     rows: tuple[IndexSet, ...]
@@ -56,72 +62,49 @@ class PatternMatrix:
         return [[1 if j in r else 0 for j in range(1, self.dim + 1)] for r in self.rows]
 
     def entry(self, i: int, j: int) -> bool:
+        """Whether entry (i, j) is positive, i.e. the digraph has the arc i -> j."""
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise ValueError(f"position ({i},{j}) out of range 1..{self.dim}")
         return j in self.rows[i - 1]
 
-    def column(self, j: int) -> IndexSet:
-        if not 1 <= j <= self.dim:
-            raise ValueError(f"column {j} out of range 1..{self.dim}")
-        bit = 1 << (j - 1)
-        mask = 0
-        for i, r in enumerate(self.rows):
-            if r.mask & bit:
-                mask |= 1 << i
-        return IndexSet(mask, self.dim)
+    def reversed_digraph(self) -> "PatternMatrix":
+        """The transpose: an arc j -> i for every positive entry (i, j).
 
-    def columns(self) -> tuple[IndexSet, ...]:
-        return tuple(self.column(j) for j in range(1, self.dim + 1))
-
-    def digraph(self) -> "Digraph":
-        """Digraph with an arc i -> j for every positive entry (i, j)."""
-        return Digraph(self.dim, self.rows)
-
-    def reversed_digraph(self) -> "Digraph":
-        """Digraph with an arc j -> i for every positive entry (i, j)."""
-        return Digraph(self.dim, self.columns())
+        Row j is column j of this matrix. Involutive.
+        """
+        cols = transpose_masks([r.mask for r in self.rows])
+        return PatternMatrix(self.dim, tuple(IndexSet(m, self.dim) for m in cols))
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """A digraph on vertices 1..dim given by out-neighbor sets."""
+def monomial_lift(matrix: PatternMatrix, order: int) -> PatternTensor:
+    """Order-m tensor positive exactly on cells (u, v, v, ..., v) with (u, v)
+    positive in the matrix: row u holds the singleton {v} for each such v.
 
-    dim: int
-    out_neighbors: tuple[IndexSet, ...]
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        if len(self.out_neighbors) != self.dim:
-            raise ValueError(f"expected {self.dim} out-neighbor sets, got {len(self.out_neighbors)}")
-        for s in self.out_neighbors:
-            if s.dim != self.dim:
-                raise ValueError(f"out-neighbor set dimension {s.dim} does not match {self.dim}")
-
-    def has_arc(self, u: int, v: int) -> bool:
-        if not 1 <= u <= self.dim:
-            raise ValueError(f"vertex {u} out of range 1..{self.dim}")
-        return v in self.out_neighbors[u - 1]
+    For order 2 this is the matrix itself. Its trace states, degrees, and
+    primitivity verdict coincide with the matrix's for every order >= 2.
+    """
+    rows = tuple(SupportFamily.of_singletons(matrix.dim, r.mask) for r in matrix.rows)
+    return PatternTensor(order, matrix.dim, rows)
 
 
-def reverse(d: Digraph) -> Digraph:
-    """Flip every arc. Involutive: reverse(reverse(d)) == d."""
-    masks = [0] * d.dim
-    for u in range(d.dim):
-        m = d.out_neighbors[u].mask
-        while m:
-            low = m & -m
-            masks[low.bit_length() - 1] |= 1 << u
-            m ^= low
-    return Digraph(d.dim, tuple(IndexSet(m, d.dim) for m in masks))
+def majorization_pattern(tensor: PatternTensor) -> PatternMatrix:
+    """The matrix pattern with (u, j) positive iff cell (u, j, j, ..., j) is.
+
+    Only singleton supports contribute; singletons always survive antichain
+    minimization, so this is well defined on the stored representation.
+    """
+    rows = tuple(IndexSet(fam.singles, tensor.dim) for fam in tensor.rows)
+    return PatternMatrix(tensor.dim, rows)
 
 
-def exact_length_frontier(d: Digraph, start: int, length: int) -> IndexSet:
-    """Vertices reachable from ``start`` by walks of length exactly ``length``.
+def exact_length_frontier(d: PatternMatrix, start: int, length: int) -> IndexSet:
+    """Vertices reachable from ``start`` by walks of length exactly ``length``
+    in the digraph ``d``.
 
     A walk can step to u exactly from an in-neighbor of u, so the frontier is
     the trace state S_length of column ``start`` in the order-2 view of
-    reverse(d), whose row u holds the in-neighbors of u. Length 0 returns
-    {start} itself.
+    d.reversed_digraph(), whose row u holds the in-neighbors of u. Length 0
+    returns {start} itself.
     """
     if not 1 <= start <= d.dim:
         raise ValueError(f"vertex {start} out of range 1..{d.dim}")
@@ -129,11 +112,7 @@ def exact_length_frontier(d: Digraph, start: int, length: int) -> IndexSet:
         raise ValueError(f"length must be >= 0, got {length}")
     if length == 0:
         return IndexSet.singleton(start, d.dim)
-    # Imported locally: patterns imports this module for PatternMatrix.
-    from .patterns import PatternTensor, column_states
-
-    view = PatternTensor.from_matrix(PatternMatrix(d.dim, reverse(d).out_neighbors), 2)
-    return column_states(view, start, length)[-1]
+    return column_states(monomial_lift(d.reversed_digraph(), 2), start, length)[-1]
 
 
 def matrix_gamma(matrix: PatternMatrix, max_steps: int | None = None) -> int | None:
@@ -143,11 +122,7 @@ def matrix_gamma(matrix: PatternMatrix, max_steps: int | None = None) -> int | N
     It is computed by running the order-2 tensor view of the matrix through the
     column-trace engine, so matrices and monomial tensors share one code path.
     """
-    # Imported locally: patterns imports this module for PatternMatrix.
-    from .patterns import PatternTensor, analyze
-
-    report = analyze(PatternTensor.from_matrix(matrix, 2), max_steps=max_steps)
-    return report.gamma
+    return analyze(monomial_lift(matrix, 2), max_steps=max_steps).gamma
 
 
 def wielandt_matrix(dim: int) -> PatternMatrix:

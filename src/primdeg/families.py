@@ -20,18 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitsets import IndexSet, SupportFamily
-from .digraphs import PatternMatrix, matrix_gamma, wielandt_matrix
+from .digraphs import PatternMatrix, matrix_gamma, monomial_lift, wielandt_matrix
 from .errors import VerificationError
 from .patterns import PatternTensor, analyze, column_states, default_bound
-
-
-def monomial_lift(matrix: PatternMatrix, order: int) -> PatternTensor:
-    """Order-m tensor positive exactly on cells (u, v, v, ..., v) with (u, v)
-    positive in the matrix. Its trace states, degrees, and primitivity verdict
-    coincide with the matrix's for every order >= 2."""
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    return PatternTensor.from_matrix(matrix, order)
 
 
 def wielandt_tensor(order: int, dim: int) -> PatternTensor:
@@ -93,7 +84,7 @@ def small_exponent_matrix(dim: int, target: int) -> PatternMatrix:
 class FamilySpec:
     """Recipe for one constructed tensor, recorded alongside its witnesses."""
 
-    kind: str  # "monomial-lift" | "wielandt-lift" | "wielandt-frontier"
+    kind: str  # "monomial-lift" | "wielandt-frontier"
     order: int
     dim: int
     k: int | None = None
@@ -135,7 +126,6 @@ class DegreeWitness:
     degree: int
     spec: FamilySpec
     tensor: PatternTensor
-    verified_gamma: int
 
 
 @dataclass(frozen=True)
@@ -178,7 +168,7 @@ def exponent_set(order: int, dim: int) -> ExponentSetResult:
         except VerificationError as e:
             failures.append((degree, str(e)))
             continue
-        witnesses.append(DegreeWitness(degree, spec, tensor, degree))
+        witnesses.append(DegreeWitness(degree, spec, tensor))
     return ExponentSetResult(order, dim, tuple(witnesses), tuple(failures))
 
 
@@ -202,7 +192,6 @@ def brute_force_matrix_exponent_set(dim: int) -> set[int]:
 
 def _monomial_pattern_from_bits(bits: int, dim: int, order: int) -> PatternTensor:
     """Helper for enumeration tests: bit (i*dim + j) set means entry (i+1, j+1)."""
-    rows = []
-    for i in range(dim):
-        rows.append(IndexSet((bits >> (i * dim)) & ((1 << dim) - 1), dim))
-    return PatternTensor.from_matrix(PatternMatrix(dim, tuple(rows)), order)
+    row_mask = (1 << dim) - 1
+    rows = tuple(IndexSet((bits >> (i * dim)) & row_mask, dim) for i in range(dim))
+    return monomial_lift(PatternMatrix(dim, rows), order)

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .bitsets import IndexSet, _check_dim
-from .digraphs import PatternMatrix
+from .digraphs import PatternMatrix, monomial_lift
 from .errors import CapExceededError, ParseError
 from .patterns import PatternTensor, make_pattern
 
@@ -63,7 +63,7 @@ class TensorDocument:
             return self.payload
         if self.kind == "matrix":
             assert isinstance(self.payload, PatternMatrix)
-            return PatternTensor.from_matrix(self.payload, 2)
+            return monomial_lift(self.payload, 2)
         assert isinstance(self.payload, SparseTensor)
         t = self.payload
         return make_pattern(t.order, t.dim, ((idx[0], idx[1:]) for idx, _ in t.entries))

@@ -17,6 +17,10 @@ gamma_j. States evolve deterministically, so every trace either reaches [n],
 revisits an earlier state (a certificate that [n] is unreachable), or runs out
 of its step budget. For a primitive tensor every column reaches [n] within
 (n-1)^2 + 1 steps, which is the default budget.
+
+This module imports only ``bitsets`` from the package. Matrices, digraphs and
+the majorization pattern live one layer up, in ``digraphs``, which runs them
+through this engine as order-2 tensors.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .bitsets import IndexSet, SupportFamily, _check_dim
-from .digraphs import PatternMatrix, reverse
+from .bitsets import IndexSet, SupportFamily, _check_dim, transpose_masks
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,6 @@ class PatternTensor:
                     f"row {u} holds a support of size {size}, "
                     f"limit is order-1 = {self.order - 1}"
                 )
-
-    @classmethod
-    def from_matrix(cls, matrix: PatternMatrix, order: int) -> "PatternTensor":
-        """Monomial tensor view of a matrix: row u holds the singleton {v} for
-        every positive entry (u, v). For order 2 this is the matrix itself."""
-        rows = tuple(SupportFamily.of_singletons(matrix.dim, r.mask) for r in matrix.rows)
-        return cls(order, matrix.dim, rows)
 
     def row(self, u: int) -> SupportFamily:
         if not 1 <= u <= self.dim:
@@ -301,7 +297,9 @@ def check_necessary_conditions(tensor: PatternTensor) -> list[Violation]:
     primitive; an empty list proves nothing.
     """
     n = tensor.dim
-    cols = [s.mask for s in reverse(majorization_pattern(tensor).digraph()).out_neighbors]
+    # row u of the majorization pattern is fam.singles; its columns are the
+    # out-neighbor sets of the reversed digraph
+    cols = transpose_masks([fam.singles for fam in tensor.rows])
     violations: list[Violation] = []
     branching = False
     for j in range(1, n + 1):
@@ -323,13 +321,3 @@ def check_necessary_conditions(tensor: PatternTensor) -> list[Violation]:
             Violation("no-branching", None, "no vertex has out-degree >= 2 in the reversed digraph")
         )
     return violations
-
-
-def majorization_pattern(tensor: PatternTensor) -> PatternMatrix:
-    """The matrix pattern with (u, j) positive iff cell (u, j, j, ..., j) is.
-
-    Only singleton supports contribute; singletons always survive antichain
-    minimization, so this is well defined on the stored representation.
-    """
-    rows = tuple(IndexSet(fam.singles, tensor.dim) for fam in tensor.rows)
-    return PatternMatrix(tensor.dim, rows)

@@ -397,3 +397,16 @@ class TestTopLevel:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "analyze" in out and "construct" in out
+
+    def test_unexpected_exception_exit_code(self, capsys, monkeypatch):
+        import primdeg.cli as cli_mod
+
+        def boom(order, dim):
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setattr(cli_mod, "exponent_set", boom)
+        code, out, err = run(capsys, ["exponent-set", "--m", "3", "--n", "3"])
+        assert code == 3
+        assert out == ""
+        assert "Traceback" in err and "RuntimeError: unexpected state" in err
+        assert err.splitlines()[-1].startswith("elapsed: ")

@@ -162,7 +162,7 @@ class TestMajorization:
         for j in range(1, 6):
             states = column_states(a0, j, 6)
             for k in range(1, 7):
-                assert rec[k - 1].column(j) == states[k - 1], (j, k)
+                assert rec[k - 1].reversed_digraph().rows[j - 1] == states[k - 1], (j, k)
 
     def test_recursion_outruns_explicit_powers(self):
         a = densify(wielandt_tensor(3, 3))
@@ -184,7 +184,7 @@ class TestMajorization:
                 for j in range(1, n + 1):
                     col = arr[(slice(None),) + (j - 1,) * (arr.ndim - 1)]
                     got = frozenset(int(u) + 1 for u in range(n) if col[u])
-                    assert got == frozenset(rec[k - 1].column(j).members)
+                    assert got == frozenset(rec[k - 1].reversed_digraph().rows[j - 1].members)
 
 
 class TestApplyToBasis:

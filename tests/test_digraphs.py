@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from oracle_utils import frontier_by_bool_powers, gamma_by_bool_powers, matrix_to_array
 from primdeg import (
-    Digraph,
+    IndexSet,
     PatternMatrix,
     exact_length_frontier,
     frobenius_representable,
     matrix_gamma,
-    reverse,
     walk_decomposition,
     wielandt_matrix,
 )
@@ -40,11 +39,9 @@ class TestPatternMatrix:
         assert PatternMatrix.from_rows01(rows).to_rows01() == rows
 
     def test_column_view(self):
-        m = wielandt_matrix(4)
-        assert m.column(1).members == (2,)
-        assert m.column(3).members == (1, 4)
-        assert m.column(4).members == (1,)
-        assert [c.members for c in m.columns()] == [(2,), (3,), (1, 4), (1,)]
+        # column j of the matrix is row j of its transpose
+        cols = wielandt_matrix(4).reversed_digraph().rows
+        assert [c.members for c in cols] == [(2,), (3,), (1, 4), (1,)]
 
     def test_bad_entries(self):
         with pytest.raises(ValueError):
@@ -58,22 +55,29 @@ class TestPatternMatrix:
 class TestDigraphConstruction:
     def test_wielandt_reversed_arcs(self):
         rd = wielandt_matrix(5).reversed_digraph()
-        assert rd.out_neighbors[0].members == (2,)
-        assert rd.out_neighbors[1].members == (3,)
-        assert rd.out_neighbors[2].members == (4,)
-        assert rd.out_neighbors[3].members == (1, 5)
-        assert rd.out_neighbors[4].members == (1,)
+        assert isinstance(rd, PatternMatrix)
+        assert rd.rows[0].members == (2,)
+        assert rd.rows[1].members == (3,)
+        assert rd.rows[2].members == (4,)
+        assert rd.rows[3].members == (1, 5)
+        assert rd.rows[4].members == (1,)
 
     def test_reverse_is_involutive(self):
         m = wielandt_matrix(6)
-        d = m.digraph()
-        assert reverse(reverse(d)) == d
-        assert reverse(d) == m.reversed_digraph()
+        rd = m.reversed_digraph()
+        assert rd != m
+        assert rd.reversed_digraph() == m
+        # the transpose identity: entry (i, j) of the reversal is entry (j, i)
+        transposed = [list(col) for col in zip(*m.to_rows01())]
+        assert rd.to_rows01() == transposed
 
     def test_has_arc(self):
-        d = wielandt_matrix(4).digraph()
-        assert d.has_arc(2, 1) and d.has_arc(1, 3) and d.has_arc(1, 4)
-        assert not d.has_arc(1, 2)
+        # an arc u -> v of the digraph is the positive entry (u, v)
+        d = wielandt_matrix(4)
+        assert d.entry(2, 1) and d.entry(1, 3) and d.entry(1, 4)
+        assert not d.entry(1, 2)
+        with pytest.raises(ValueError):
+            d.entry(5, 1)
 
     @given(st.integers(2, 6), st.integers(0, 2**12 - 1))
     def test_arc_sets_transpose(self, dim, bits):
@@ -82,10 +86,11 @@ class TestDigraphConstruction:
             for u in range(dim)
         ]
         m = PatternMatrix.from_rows01(rows)
-        d, rd = m.digraph(), m.reversed_digraph()
+        rd = m.reversed_digraph()
+        assert rd.reversed_digraph() == m
         for u in range(1, dim + 1):
             for v in range(1, dim + 1):
-                assert d.has_arc(u, v) == rd.has_arc(v, u) == bool(rows[u - 1][v - 1])
+                assert m.entry(u, v) == rd.entry(v, u) == bool(rows[u - 1][v - 1])
 
 
 class TestExactLengthFrontier:
@@ -100,7 +105,7 @@ class TestExactLengthFrontier:
         assert 5 not in front
 
     def test_validation(self):
-        d = wielandt_matrix(4).digraph()
+        d = wielandt_matrix(4)
         with pytest.raises(ValueError):
             exact_length_frontier(d, 5, 1)
         with pytest.raises(ValueError):
@@ -229,9 +234,7 @@ class TestWalkDecomposition:
 
 class TestDigraphValidation:
     def test_neighbor_dim_checked(self):
-        from primdeg import IndexSet
-
-        with pytest.raises(ValueError):
-            Digraph(3, (IndexSet.empty(3), IndexSet.empty(4), IndexSet.empty(3)))
-        with pytest.raises(ValueError):
-            Digraph(3, (IndexSet.empty(3),))
+        with pytest.raises(ValueError, match="row dimension 4 does not match 3"):
+            PatternMatrix(3, (IndexSet.empty(3), IndexSet.empty(4), IndexSet.empty(3)))
+        with pytest.raises(ValueError, match="expected 3 rows, got 1"):
+            PatternMatrix(3, (IndexSet.empty(3),))

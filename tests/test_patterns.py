@@ -85,14 +85,6 @@ class TestMakePattern:
             PatternTensor(2, 4, (pair, empty, empty, empty))
         PatternTensor(2, 4, (SupportFamily.of_singletons(4, 0b1111),) + (empty,) * 3)
 
-    def test_from_matrix_builds_singleton_rows(self):
-        t = PatternTensor.from_matrix(wielandt_matrix(5), 5)
-        m = wielandt_matrix(5)
-        for u in range(1, 6):
-            assert [s.members for s in t.rows[u - 1].sets] == [
-                (v,) for v in m.rows[u - 1].members
-            ]
-
 
 class TestStep:
     def test_wielandt_example(self):
