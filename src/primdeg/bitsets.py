@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
@@ -130,6 +131,16 @@ def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending and 0-based."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def transpose_masks(masks: Sequence[int]) -> tuple[int, ...]:
     """Columns of the square 0/1 matrix whose row u is ``masks[u]``.
 
@@ -138,10 +149,8 @@ def transpose_masks(masks: Sequence[int]) -> tuple[int, ...]:
     """
     out = [0] * len(masks)
     for u, m in enumerate(masks):
-        while m:
-            low = m & -m
-            out[low.bit_length() - 1] |= 1 << u
-            m ^= low
+        for j in bit_indices(m):
+            out[j] |= 1 << u
     return tuple(out)
 
 
@@ -195,6 +204,12 @@ class SupportFamily:
         if not 0 <= union_mask < (1 << dim):
             raise ValueError(f"mask {union_mask:#x} out of range for dim {dim}")
         return cls(dim, tuple(1 << i for i in range(dim) if union_mask >> i & 1))
+
+    @cached_property
+    def indices(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The 0-based members of ``singles`` and of each mask in ``multis``:
+        the view the bit-sliced step reads, built once per family."""
+        return bit_indices(self.singles), tuple(bit_indices(m) for m in self.multis)
 
     @property
     def sets(self) -> tuple[IndexSet, ...]:

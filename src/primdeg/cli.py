@@ -296,13 +296,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         max_steps=result.max_steps,
     )
     if args.per_column:
-        for trace in result.traces:
-            rec: dict = {
-                "record": "column",
-                "j": trace.column,
-                "gamma_j": result.gamma_by_column[trace.column - 1],
-            }
-            o = trace.outcome
+        for j, o in enumerate(result.outcomes, start=1):
+            rec: dict = {"record": "column", "j": j, "gamma_j": result.gamma_by_column[j - 1]}
             if isinstance(o, Reached):
                 rec.update(outcome="reached", step=o.step)
             elif isinstance(o, Cycled):

@@ -87,13 +87,30 @@ def _keyed_int(lines: list[tuple[int, str]], pos: int, key: str) -> int:
     return int(m.group(1))
 
 
-def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
+def _keyed_order(lines: list[tuple[int, str]]) -> int:
+    """The ``order N`` line, which follows a tensor header."""
     order = _keyed_int(lines, 1, "order")
     if order < 2:
         raise ParseError(lines[1][0], f"order must be >= 2, got {order}")
-    dim = _keyed_int(lines, 2, "dim")
+    return order
+
+
+def _keyed_dim(lines: list[tuple[int, str]], pos: int) -> int:
+    """The ``dim N`` line at ``pos``, checked against 1 and the dimension cap."""
+    dim = _keyed_int(lines, pos, "dim")
+    no = lines[pos][0]
     if dim < 1:
-        raise ParseError(lines[2][0], f"dim must be >= 1, got {dim}")
+        raise ParseError(no, f"dim must be >= 1, got {dim}")
+    try:
+        _check_dim(dim)
+    except CapExceededError as e:
+        raise ParseError(no, str(e)) from None
+    return dim
+
+
+def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
+    order = _keyed_order(lines)
+    dim = _keyed_dim(lines, 2)
     seen_rows: set[int] = set()
     row_sets: dict[int, list[IndexSet]] = {}
     for no, line in lines[3:]:
@@ -138,16 +155,8 @@ def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
 
 
 def _parse_sparse(lines: list[tuple[int, str]]) -> SparseTensor:
-    order = _keyed_int(lines, 1, "order")
-    if order < 1:
-        raise ParseError(lines[1][0], f"order must be >= 1, got {order}")
-    dim = _keyed_int(lines, 2, "dim")
-    if dim < 1:
-        raise ParseError(lines[2][0], f"dim must be >= 1, got {dim}")
-    try:
-        _check_dim(dim)
-    except CapExceededError as e:
-        raise ParseError(lines[2][0], str(e)) from None
+    order = _keyed_order(lines)
+    dim = _keyed_dim(lines, 2)
     values: dict[tuple[int, ...], float] = {}
     for no, line in lines[3:]:
         parts = line.split()
@@ -174,9 +183,7 @@ def _parse_sparse(lines: list[tuple[int, str]]) -> SparseTensor:
 
 
 def _parse_matrix(lines: list[tuple[int, str]]) -> PatternMatrix:
-    dim = _keyed_int(lines, 1, "dim")
-    if dim < 1:
-        raise ParseError(lines[1][0], f"dim must be >= 1, got {dim}")
+    dim = _keyed_dim(lines, 1)
     body = lines[2:]
     if len(body) != dim:
         no = body[-1][0] if body else lines[1][0]

@@ -1,4 +1,4 @@
-"""Zero-pattern tensors and the column-trace decision procedure for primitivity.
+"""Zero-pattern tensors and the trace decision procedure for primitivity.
 
 A nonnegative tensor of order m and dimension n is represented purely by its
 zero pattern: row u keeps the family of index sets {i2, ..., im} (as sets, not
@@ -18,6 +18,17 @@ revisits an earlier state (a certificate that [n] is unreachable), or runs out
 of its step budget. For a primitive tensor every column reaches [n] within
 (n-1)^2 + 1 steps, which is the default budget.
 
+:func:`column_trace` follows one start column. :func:`analyze` follows all of
+them at once, bit-sliced: row u keeps a mask R_u over start columns, with bit
+j set iff u is in column j's state. One step sets R_u to the OR of the R_i of
+row u's singleton supports and, for each larger support, the AND of its
+members' R_i. Column j has reached [n] when bit j survives the AND of all R_u.
+A column that cycles is certified without tracing it alone: Brent's cycle
+detection compares the masks with a snapshot taken at steps 1, 2, 4, 8, ...,
+and the steps since the snapshot at the first match are the column's exact
+period; a second pass compares S_i with S_{i+period} to find where the cycle
+starts. Both certificates equal the ones ``column_trace`` gives.
+
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
 through this engine as order-2 tensors.
@@ -25,11 +36,13 @@ through this engine as order-2 tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import islice
+from operator import and_, or_, xor
 from typing import Iterable, Iterator, Sequence
 
-from .bitsets import IndexSet, SupportFamily, _check_dim, transpose_masks
+from .bitsets import IndexSet, SupportFamily, _check_dim, bit_indices, transpose_masks
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,9 @@ def _step_mask(tensor: PatternTensor, state: int) -> int:
 def _orbit(tensor: PatternTensor, column: int) -> Iterator[int]:
     """S_1, S_2, ... of one start column as masks, without end.
 
-    This is the only loop over the recursion: traces, raw orbits, matrix
-    exponents and walk frontiers all read their states from it.
+    The one single-column loop over the recursion: traces, raw orbits and walk
+    frontiers read their states from it. :func:`analyze` steps every column
+    at once instead and falls back to it only when the budget runs out.
     """
     state = 1 << (column - 1)
     while True:
@@ -246,36 +260,113 @@ def gamma_j(tensor: PatternTensor, column: int, max_steps: int | None = None) ->
 class PrimitivityReport:
     """Outcome of a full analysis: verdict, degrees, and per-column certificates.
 
-    ``primitive`` holds exactly when every column trace reached [n] within the
-    step budget; ``gamma`` is then the largest column degree. ``bound`` records
-    the universal budget (dim-1)^2 + 1 and ``max_steps`` the budget actually
-    used, so a caller that lowered it can tell the verdict is budget-relative.
+    ``primitive`` holds exactly when every column reached [n] within the step
+    budget; ``gamma`` is then the largest column degree. ``outcomes[j-1]`` is
+    the outcome :func:`column_trace` gives column j under the same budget.
+    ``bound`` records the universal budget (dim-1)^2 + 1 and ``max_steps`` the
+    budget actually used, so a caller that lowered it can tell the verdict is
+    budget-relative.
     """
 
     primitive: bool
     gamma: int | None
     gamma_by_column: tuple[int | None, ...]
-    traces: tuple[ColumnTrace, ...]
+    outcomes: tuple[Outcome, ...]
     bound: int
     max_steps: int
+    tensor: PatternTensor = field(repr=False, compare=False)
+
+    @cached_property
+    def traces(self) -> tuple[ColumnTrace, ...]:
+        """Every column's recorded orbit, traced one column at a time on first read."""
+        return tuple(
+            column_trace(self.tensor, j, self.max_steps) for j in range(1, self.tensor.dim + 1)
+        )
+
+
+def _sliced_step(
+    rows: Sequence[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]], R: list[int]
+) -> list[int]:
+    """One step of every column at once: bit j of ``R[u]`` says u is in column
+    j+1's state. ``rows[u]`` is ``tensor.rows[u].indices``."""
+    out = []
+    for singles, multis in rows:
+        acc = 0
+        for i in singles:
+            acc |= R[i]
+        for m in multis:
+            meet = -1
+            for i in m:
+                meet &= R[i]
+            acc |= meet
+        out.append(acc)
+    return out
 
 
 def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityReport:
-    """Decide primitivity by tracing every column; gamma = max over columns."""
-    traces = tuple(
-        column_trace(tensor, j, max_steps) for j in range(1, tensor.dim + 1)
-    )
-    gammas = tuple(
-        t.outcome.step if isinstance(t.outcome, Reached) else None for t in traces
-    )
-    primitive = all(g is not None for g in gammas)
+    """Decide primitivity by tracing every column at once; gamma = max over columns.
+
+    Each outcome equals ``column_trace(tensor, j, max_steps).outcome``. The
+    module docstring describes the bit-sliced loop and its cycle
+    certificates; columns still open when the budget runs out are traced
+    alone by ``column_trace``.
+    """
+    n = tensor.dim
+    bound = default_bound(n) if max_steps is None else max_steps
+    if bound < 1:
+        raise ValueError(f"max_steps must be >= 1, got {bound}")
+    rows = [fam.indices for fam in tensor.rows]
+    outcomes: list[Outcome | None] = [None] * n
+    gammas: list[int | None] = [None] * n
+    open_cols = (1 << n) - 1
+    periods: dict[int, int] = {}  # period -> columns that cycle with it
+    first = R = _sliced_step(rows, [1 << u for u in range(n)])
+    snap, snap_step, k = None, 0, 1
+    while True:
+        reached = open_cols & reduce(and_, R)
+        if reached:
+            outcome = Reached(k)
+            for j in bit_indices(reached):
+                outcomes[j], gammas[j] = outcome, k
+            open_cols ^= reached
+        if snap is not None:
+            repeated = open_cols & ~reduce(or_, map(xor, R, snap))
+            if repeated:
+                periods[k - snap_step] = periods.get(k - snap_step, 0) | repeated
+                open_cols ^= repeated
+        if not open_cols or k == bound:
+            break
+        if k & (k - 1) == 0:
+            snap, snap_step = R, k
+        R, k = _sliced_step(rows, R), k + 1
+    for j in bit_indices(open_cols):
+        outcomes[j] = column_trace(tensor, j + 1, bound).outcome
+    for period, cols in periods.items():
+        # S_i against S_{i+period}: the first i where column j agrees is where
+        # its cycle starts, so its first repeat comes at i + period.
+        early = late = first
+        for _ in range(period):
+            late = _sliced_step(rows, late)
+        i = 1
+        while True:
+            same = cols & ~reduce(or_, map(xor, early, late))
+            if same:
+                outcome = Cycled(first_repeat_at=i + period, period=period)
+                for j in bit_indices(same):
+                    outcomes[j] = outcome
+                cols ^= same
+                if not cols:
+                    break
+            early, late, i = _sliced_step(rows, early), _sliced_step(rows, late), i + 1
+    primitive = None not in gammas
     return PrimitivityReport(
         primitive=primitive,
         gamma=max(gammas) if primitive else None,  # type: ignore[type-var]
-        gamma_by_column=gammas,
-        traces=traces,
-        bound=default_bound(tensor.dim),
-        max_steps=default_bound(tensor.dim) if max_steps is None else max_steps,
+        gamma_by_column=tuple(gammas),
+        outcomes=tuple(outcomes),  # type: ignore[arg-type]
+        bound=default_bound(n),
+        max_steps=bound,
+        tensor=tensor,
     )
 
 

@@ -129,6 +129,24 @@ class TestAnalyze:
         assert out == ""
         assert f"error: line {line}:" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("tensor-sparse v1\norder 1\ndim 2\nentry 1 1.0\n", 2),
+            ("tensor-pattern v1\norder 3\ndim 200\n", 3),
+            ("tensor-pattern v1\norder 3\ndim 200\nrow 1: {2}\n", 3),
+            ("matrix v1\ndim 200\n" + ("0 " * 199 + "1\n") * 200, 2),
+        ],
+        ids=["sparse-order-1", "pattern-over-cap", "pattern-over-cap-with-row", "matrix-over-cap"],
+    )
+    def test_header_errors_name_their_line(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1
+        assert out == ""
+        assert f"error: line {line}: " in err
+
     def test_one_entry_sparse_document_beyond_dense_cell_cap(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text("tensor-sparse v1\norder 6\ndim 11\nentry 1 2 3 4 5 6 1.0\n")

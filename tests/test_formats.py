@@ -136,7 +136,8 @@ class TestParseErrors:
         self.check("tensor-pattern v1\nsize 3\n", 2, "order")
         self.check("tensor-pattern v1\norder x\n", 2, "order")
         self.check("tensor-pattern v1\norder 1\ndim 2\n", 2, "order must be >= 2")
-        self.check("tensor-sparse v1\norder 0\ndim 2\n", 2, "order must be >= 1")
+        self.check("tensor-sparse v1\norder 0\ndim 2\n", 2, "order must be >= 2, got 0")
+        self.check("tensor-sparse v1\norder 1\ndim 2\nentry 1 1.0\n", 2, "order must be >= 2, got 1")
 
     def test_bad_dim_line(self):
         self.check("tensor-pattern v1\norder 3\ndim 0\n", 3, "dim must be >= 1")
@@ -144,6 +145,10 @@ class TestParseErrors:
         self.check("matrix v1\ndim 0\n", 2, "dim must be >= 1")
         self.check("tensor-sparse v1\norder 2\ndim 0\n", 3, "dim must be >= 1")
         self.check("tensor-sparse v1\norder 2\ndim 999\n", 3, "exceeds the cap")
+        self.check("tensor-pattern v1\norder 3\ndim 200\n", 3, "exceeds the cap")
+        self.check("tensor-pattern v1\norder 3\ndim 200\nrow 1: {2}\n", 3, "exceeds the cap")
+        self.check("matrix v1\ndim 200\n", 2, "exceeds the cap")
+        self.check("matrix v1\ndim 200\n" + "0 " * 199 + "1\n", 2, "exceeds the cap")
 
     def test_bad_row_line(self):
         base = "tensor-pattern v1\norder 3\ndim 3\n"

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle_utils import raw_states, raw_step
+from primdeg import patterns
 from primdeg import (
     Cycled,
     Exhausted,
@@ -259,6 +260,107 @@ class TestAnalyze:
             assert r.gamma <= default_bound(dim)
         else:
             assert r.gamma is None
+
+
+@st.composite
+def sparse_row_pattern_inputs(draw, max_dim=9, max_order=6):
+    """Every row draws 0-3 entries, so empty rows are common but not the rule."""
+    dim = draw(st.integers(1, max_dim))
+    order = draw(st.integers(2, max_order))
+    entries = [
+        (row, tuple(draw(st.integers(1, dim)) for _ in range(order - 1)))
+        for row in range(1, dim + 1)
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return order, dim, entries
+
+
+def assert_matches_per_column_reference(t, max_steps):
+    """analyze against column_trace run on every column with the same budget."""
+    r = analyze(t, max_steps)
+    ref = tuple(column_trace(t, j, max_steps).outcome for j in range(1, t.dim + 1))
+    assert r.outcomes == ref
+    gammas = tuple(o.step if isinstance(o, Reached) else None for o in ref)
+    assert r.gamma_by_column == gammas
+    assert r.primitive == all(g is not None for g in gammas)
+    assert r.gamma == (max(gammas) if r.primitive else None)
+    assert r.bound == default_bound(t.dim)
+    assert r.max_steps == (default_bound(t.dim) if max_steps is None else max_steps)
+    return r
+
+
+class TestBitSlicedAnalyze:
+    """The all-columns-at-once engine against the per-column reference."""
+
+    @given(sparse_row_pattern_inputs())
+    def test_every_budget_matches_reference(self, raw):
+        t = make_pattern(*raw)
+        for max_steps in (None, *range(1, default_bound(t.dim) + 2)):
+            assert_matches_per_column_reference(t, max_steps)
+
+    @given(sparse_row_pattern_inputs())
+    def test_lazy_traces_agree_with_outcomes(self, raw):
+        t = make_pattern(*raw)
+        for max_steps in (None, 1, 3):
+            r = analyze(t, max_steps)
+            assert tuple(tr.outcome for tr in r.traces) == r.outcomes
+            assert r.traces is r.traces
+
+    def test_tails_and_several_periods(self):
+        # arcs i -> u (row u holds {i}): a 3-cycle 1 2 3, a 2-cycle 4 5, the
+        # tails 8 -> 6 -> 7 -> 1 and 10 -> 9 -> 4, and 13 -> 12 -> nothing,
+        # so column 13 dies into the empty state and 11 starts there.
+        arcs = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 4), (8, 6), (6, 7), (7, 1), (10, 9), (9, 4), (13, 12)]
+        t = make_pattern(2, 13, [(u, (i,)) for i, u in arcs])
+        r = assert_matches_per_column_reference(t, None)
+        tails = {j: o.first_repeat_at - o.period for j, o in enumerate(r.outcomes, 1)}
+        periods = {j: o.period for j, o in enumerate(r.outcomes, 1)}
+        assert {j: periods[j] for j in (1, 4, 6, 8, 10, 11, 13)} == {1: 3, 4: 2, 6: 3, 8: 3, 10: 2, 11: 1, 13: 1}
+        assert {j: tails[j] for j in (1, 6, 8, 10, 11, 13)} == {1: 1, 6: 2, 8: 3, 10: 2, 11: 1, 13: 2}
+        for o in set(r.outcomes):
+            # a budget equal to the first repeat, and one step below it
+            assert_matches_per_column_reference(t, o.first_repeat_at)
+            assert_matches_per_column_reference(t, o.first_repeat_at - 1)
+
+    def test_coprime_cycles_with_multi_index_supports(self):
+        # Cycles of lengths 2, 3, 5 and 7, each vertex also fed by a pair of
+        # its cycle's other members, and a tail 18 -> 1 through a pair support.
+        entries, base = [], 0
+        for length in (2, 3, 5, 7):
+            for a in range(length):
+                u, v = base + a + 1, base + (a + 1) % length + 1
+                entries += [(v, (u, u)), (v, (u, base + (a + 2) % length + 1))]
+            base += length
+        entries += [(1, (18, 18)), (18, (17, 1))]
+        t = make_pattern(3, 18, entries)
+        r = assert_matches_per_column_reference(t, None)
+        assert {o.period for o in r.outcomes} == {2, 3, 5, 7}
+        for max_steps in range(1, 40):
+            assert_matches_per_column_reference(t, max_steps)
+
+    def test_cycles_found_without_per_column_traces(self, monkeypatch):
+        # Columns on coprime cycles summing to 100 never reach [n]; each gets
+        # its certificate from the sliced run, long before the default budget.
+        def no_trace(*args, **kwargs):
+            raise AssertionError("column_trace called")
+
+        monkeypatch.setattr(patterns, "column_trace", no_trace)
+        entries, base = [], 0
+        for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            entries += [(base + (a + 1) % length + 1, (base + a + 1,) * 2) for a in range(length)]
+            base += length
+        entries += [(u, (u % 100 + 1, (u + 1) % 100 + 1)) for u in range(1, 101)]
+        r = analyze(make_pattern(3, 100, entries))
+        lengths = [length for length in (2, 3, 5, 7, 11, 13, 17, 19, 23) for _ in range(length)]
+        assert r.outcomes == tuple(Cycled(first_repeat_at=p + 1, period=p) for p in lengths)
+
+    def test_wielandt_lift_at_the_dimension_cap(self):
+        n = 128
+        r = analyze(wielandt_tensor(3, n))
+        assert r.primitive and r.gamma == (n - 1) ** 2 + 1 == 16130
+        # column j < n reaches one step sooner than column j - 1; column n is last
+        assert r.gamma_by_column == tuple(16130 - j for j in range(1, n)) + (16130,)
+        assert r.outcomes == tuple(Reached(g) for g in r.gamma_by_column)
 
 
 class TestNecessaryConditions:
