@@ -101,12 +101,6 @@ class IndexSet:
 
     __or__ = union
 
-    def intersection(self, other: "IndexSet") -> "IndexSet":
-        self._require_same_dim(other)
-        return IndexSet(self.mask & other.mask, self.dim)
-
-    __and__ = intersection
-
     def issubset(self, other: "IndexSet") -> bool:
         self._require_same_dim(other)
         return self.mask & other.mask == self.mask
@@ -116,6 +110,11 @@ class IndexSet:
         return f"IndexSet({{{inner}}}, dim={self.dim})"
 
 
+def _size_key(mask: int) -> tuple[int, int]:
+    """The order :func:`minimize_masks` scans in, so subsets come before supersets."""
+    return bin(mask).count("1"), mask
+
+
 def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Reduce a collection of nonzero masks to its inclusion-minimal antichain.
 
@@ -123,12 +122,25 @@ def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     sorted ascending by mask value, which is the canonical storage order.
     """
     kept: list[int] = []
-    for cand in sorted(set(masks), key=lambda m: (bin(m).count("1"), m)):
+    for cand in sorted(set(masks), key=_size_key):
         if cand == 0:
             raise ValueError("empty set is not a valid support")
         if not any(k & cand == k for k in kept):
             kept.append(cand)
     return tuple(sorted(kept))
+
+
+def _is_minimized(masks: tuple[int, ...]) -> bool:
+    """``masks == minimize_masks(masks)`` for masks without 0, without
+    re-minimizing: strictly ascending, and no member a subset of one that
+    :func:`minimize_masks` scans after it."""
+    for i, m in enumerate(masks):
+        if i and masks[i - 1] >= m:
+            return False
+        for k in masks:
+            if k & m == k and k != m and _size_key(k) < _size_key(m):
+                return False
+    return True
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:
@@ -176,7 +188,10 @@ class SupportFamily:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
         limit = 1 << self.dim
-        if self.masks != minimize_masks(self.masks):
+        masks = self.masks
+        if 0 in masks:
+            raise ValueError("empty set is not a valid support")
+        if not (isinstance(masks, tuple) and _is_minimized(masks)):
             raise ValueError("masks must be a canonical inclusion-minimal tuple")
         singles = 0
         multis = []

@@ -29,6 +29,18 @@ and the steps since the snapshot at the first match are the column's exact
 period; a second pass compares S_i with S_{i+period} to find where the cycle
 starts. Both certificates equal the ones ``column_trace`` gives.
 
+:func:`gammas` runs the same step over many tensors of one dimension n at
+once, for callers that need only gamma. Bit t*n + j-1 of R_u is a lane: it
+says u is in column j's state of tensor t. A support that every tensor in the
+batch holds in row u enters as it is. A support that only some hold gets one
+extra member, a pseudo-index c past the n rows whose R_c is the lane mask of
+those tensors; R_c is appended unchanged after every step, so the AND keeps
+that support on its own tensors' lanes. ``analyze`` is the one-tensor case,
+with no pseudo-index. A tensor's gamma is the first step at which all n
+of its lanes survive the AND of the R_u. It is None once one of its lanes
+that is not full matches a Brent snapshot (its column cycles, so [n] is out
+of reach), or when the budget runs out.
+
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
 through this engine as order-2 tensors.
@@ -68,7 +80,7 @@ class PatternTensor:
             if fam.dim != self.dim:
                 raise ValueError(f"row {u} dimension {fam.dim} does not match {self.dim}")
             # singletons always fit (order >= 2); only multi-index supports can be too big
-            size = max(map(int.bit_count, fam.multis), default=1)
+            size = max(map(int.bit_count, fam.multis)) if fam.multis else 1
             if size > self.order - 1:
                 raise ValueError(
                     f"row {u} holds a support of size {size}, "
@@ -288,7 +300,8 @@ def _sliced_step(
     rows: Sequence[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]], R: list[int]
 ) -> list[int]:
     """One step of every column at once: bit j of ``R[u]`` says u is in column
-    j+1's state. ``rows[u]`` is ``tensor.rows[u].indices``."""
+    j+1's state. ``rows[u]`` is ``tensor.rows[u].indices`` in :func:`analyze`;
+    :func:`gammas` passes lane rows whose pseudo-indices read past the n rows."""
     out = []
     for singles, multis in rows:
         acc = 0
@@ -368,6 +381,75 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
         max_steps=bound,
         tensor=tensor,
     )
+
+
+def gammas(tensors: Iterable[PatternTensor], max_steps: int | None = None) -> list[int | None]:
+    """``[analyze(t, max_steps).gamma for t in tensors]``, from one sliced run
+    per dimension over all of them (see the module docstring).
+
+    Every lane mask is an int over the whole batch, so building a batch costs
+    time quadratic in its size: callers pass a few hundred tensors at a time.
+    """
+    tensors = list(tensors)
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    out: list[int | None] = [None] * len(tensors)
+    for n in {t.dim for t in tensors}:
+        where = [pos for pos, t in enumerate(tensors) if t.dim == n]
+        bound = default_bound(n) if max_steps is None else max_steps
+        for pos, gamma in zip(where, _batch_gammas([tensors[p] for p in where], n, bound)):
+            out[pos] = gamma
+    return out
+
+
+def _batch_gammas(batch: list[PatternTensor], n: int, bound: int) -> list[int | None]:
+    """Gammas of same-dim tensors; lane t*n + j-1 is column j of ``batch[t]``."""
+    col = (1 << n) - 1
+    every = (1 << n * len(batch)) - 1
+    ones = every // col  # bit t*n for every tensor t
+    tops = ones << (n - 1)  # each tensor's last lane
+    low = every ^ tops  # the other lanes
+    held: list[dict[int, int]] = [{} for _ in range(n)]  # row -> support -> lanes
+    for t, tensor in enumerate(batch):
+        lanes = col << t * n
+        for h, fam in zip(held, tensor.rows):
+            for m in fam.masks:
+                h[m] = h.get(m, 0) | lanes
+    pseudo: dict[int, int] = {}  # lane mask -> its pseudo-index, n and up
+    rows = []
+    for h in held:
+        # every support goes in as a multi-index one; a support that not every
+        # tensor holds also takes the pseudo-index of its tensors' lanes
+        supports = [
+            bit_indices(m) + (() if lanes == every else (pseudo.setdefault(lanes, n + len(pseudo)),))
+            for m, lanes in h.items()
+        ]
+        rows.append(((), tuple(supports)))
+    consts = list(pseudo)  # R[c] for the pseudo-indices, appended after every step
+
+    def any_lane(x: int) -> int:
+        # the last lane of every tensor with a lane set in x (SWAR zero test)
+        return (((x & low) + low) | x) & tops
+
+    out: list[int | None] = [None] * len(batch)
+    live = every
+    R = _sliced_step(rows, [ones << u for u in range(n)] + consts)
+    snap: list[int] | None = None
+    k = 1
+    while True:
+        full = reduce(and_, R)
+        done = tops & ~any_lane(every & ~full) & live
+        for b in bit_indices(done):
+            out[b // n] = k
+        if snap is not None:
+            cycled = live & ~full & ~reduce(or_, map(xor, R, snap))
+            done |= any_lane(cycled)
+        live &= ~((done >> (n - 1)) * col)
+        if not live or k == bound:
+            return out
+        if k & (k - 1) == 0:
+            snap = R
+        R, k = _sliced_step(rows, R + consts), k + 1
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,28 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primdeg import CapExceededError, IndexSet, SupportFamily
-from primdeg.bitsets import MAX_DIM, minimize_masks
+from primdeg.bitsets import MAX_DIM, _check_dim, minimize_masks
+
+
+def outcome(fn, *args):
+    """None when ``fn(*args)`` returns, else the exception's type and message."""
+    try:
+        fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+def minimizing_validator(dim, masks):
+    """The SupportFamily check as it was: re-minimize, compare, then ranges."""
+    _check_dim(dim)
+    if masks != minimize_masks(masks):
+        raise ValueError("masks must be a canonical inclusion-minimal tuple")
+    for m in masks:
+        if not 0 < m < 1 << dim:
+            raise ValueError(f"mask {m:#x} out of range for dim {dim}")
 
 
 class TestIndexSet:
@@ -25,7 +44,8 @@ class TestIndexSet:
         a = IndexSet.from_members([1, 2], 4)
         b = IndexSet.from_members([2, 3], 4)
         assert (a | b).members == (1, 2, 3)
-        assert (a & b).members == (2,)
+        with pytest.raises(TypeError):
+            a & b  # IndexSet has no intersection
         assert a.issubset(a | b)
         assert not a.issubset(b)
 
@@ -125,3 +145,29 @@ class TestSupportFamily:
         assert fam == doubled
         for m in fam.masks:
             assert any(m & orig == m for orig in masks)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.integers(-80, 80), max_size=5),
+        st.booleans(),
+    )
+    def test_validator_agrees_with_minimizing_check(self, dim, masks, canonical_order):
+        # negatives, 0 and masks past 1 << dim included; sorting the distinct
+        # draws makes tuples that pass or fail only on containment or range
+        masks = tuple(sorted(set(masks))) if canonical_order else tuple(masks)
+        assert outcome(SupportFamily, dim, masks) == outcome(minimizing_validator, dim, masks)
+
+    def test_validator_keeps_message_precedence(self):
+        # 5 is inside -1 as bit sets, but minimize_masks scans -1 first and
+        # keeps both, so the range message wins over the canonical one
+        for dim, masks, message in [
+            (4, (-1, 5), "mask -0x1 out of range for dim 4"),
+            (4, (-2, -1), "masks must be a canonical inclusion-minimal tuple"),
+            (4, (0, 3), "empty set is not a valid support"),
+            (2, (1, 6), "mask 0x6 out of range for dim 2"),
+            (2, (6, 1), "masks must be a canonical inclusion-minimal tuple"),
+            (4, [1, 2], "masks must be a canonical inclusion-minimal tuple"),
+        ]:
+            assert outcome(SupportFamily, dim, masks) == (ValueError, message)
+            assert outcome(minimizing_validator, dim, masks) == (ValueError, message)

@@ -394,6 +394,24 @@ class TestGoldenOutput:
             == "b8acec8e2450ba9b5253666496837ee9d199047b873bcb63a254999f40aae95b"
         )
 
+    @pytest.mark.parametrize(
+        "m, n, budget, seed, digest",
+        [
+            # 8 primitive of 500 (degrees 5-8); 500 = three 128-tensor batches and 116
+            (3, 4, 500, 1, "82f0d50ba316786b8011785f0acdbed54d109742aacf28a05d0fa210747030a9"),
+            # 11 primitive of 2000 (degrees 4-7)
+            (3, 5, 2000, 1, "06dad3195fef4649714271b796d2c181da192c410a82899c2254834a49dae5ca"),
+            # 1 primitive of 2000 (degree 10)
+            (4, 6, 2000, 6, "1eea1f5c7076f73e394462652511192b99d692561ee2b9cc8bd3b0210616ccae"),
+        ],
+    )
+    def test_scan_open_problem(self, capsys, m, n, budget, seed, digest):
+        # recorded while the scan still analyzed one tensor at a time
+        argv = ["scan-open-problem", "--m", str(m), "--n", str(n), "--budget", str(budget), "--seed", str(seed)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestTopLevel:
     def test_import_does_not_load_numpy(self):

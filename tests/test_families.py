@@ -23,6 +23,7 @@ from primdeg import (
     wielandt_tensor,
 )
 from primdeg.families import _monomial_pattern_from_bits
+from primdeg.patterns import gammas
 
 
 class TestMonomialLift:
@@ -187,6 +188,13 @@ class TestMatrixGammaEnumeration:
         for bits in range(1 << (dim * dim)):
             m = majorization_pattern(_monomial_pattern_from_bits(bits, dim, 2))
             assert matrix_gamma(m) == gamma_by_bool_powers(matrix_to_array(m), 5), bits
+
+    def test_exhaustive_n3_batch_against_bool_powers(self):
+        dim = 3
+        tensors = [_monomial_pattern_from_bits(bits, dim, 2) for bits in range(1 << (dim * dim))]
+        expected = [gamma_by_bool_powers(matrix_to_array(majorization_pattern(t)), 5) for t in tensors]
+        assert gammas(tensors) == expected
+        assert sorted({g for g in expected if g is not None}) == [1, 2, 3, 4, 5]
 
     def test_sampled_n4_against_bool_powers(self):
         rng = random.Random(20260819)

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_utils import raw_states, raw_step
 from primdeg import patterns
+from primdeg.patterns import gammas
 from primdeg import (
     Cycled,
     Exhausted,
@@ -17,6 +18,7 @@ from primdeg import (
     column_states,
     column_trace,
     default_bound,
+    degree_witness,
     gamma_j,
     majorization_pattern,
     make_pattern,
@@ -361,6 +363,67 @@ class TestBitSlicedAnalyze:
         # column j < n reaches one step sooner than column j - 1; column n is last
         assert r.gamma_by_column == tuple(16130 - j for j in range(1, n)) + (16130,)
         assert r.outcomes == tuple(Reached(g) for g in r.gamma_by_column)
+
+
+def assert_gammas_match_analyze(tensors, budgets):
+    for max_steps in budgets:
+        assert gammas(tensors, max_steps) == [analyze(t, max_steps).gamma for t in tensors], max_steps
+
+
+class TestBatchGammas:
+    """The batch engine against one ``analyze`` per tensor."""
+
+    @settings(max_examples=50)
+    @given(st.lists(sparse_row_pattern_inputs(), min_size=1, max_size=40))
+    def test_mixed_batches_at_every_budget(self, raws):
+        # dims 1-9 and orders 2-6 in one batch, with empty rows
+        tensors = [make_pattern(*raw) for raw in raws]
+        top = max(default_bound(t.dim) for t in tensors)
+        assert_gammas_match_analyze(tensors, (None, *range(1, top + 2)))
+
+    @given(st.lists(covered_pattern_inputs(max_dim=4), min_size=1, max_size=40))
+    def test_batches_with_every_row_covered(self, raws):
+        tensors = [make_pattern(*raw) for raw in raws]
+        assert_gammas_match_analyze(tensors, (None, *range(1, 12)))
+
+    def test_all_primitive_batch(self):
+        # every degree at dims 3-5, and Wielandt lifts, in one batch
+        tensors = [degree_witness(n, n, g)[0] for n in (3, 4, 5) for g in range(1, default_bound(n) + 1)]
+        tensors += [wielandt_tensor(3, n) for n in (6, 7)]
+        assert None not in gammas(tensors)
+        assert_gammas_match_analyze(tensors, (None, *range(1, default_bound(7) + 2)))
+
+    def test_one_tensor_batches(self):
+        t = wielandt_tensor(3, 30)
+        g = default_bound(30)
+        assert gammas([t]) == [g]
+        assert gammas([t], g) == [g]
+        assert gammas([t], g - 1) == [None]
+        assert gammas([make_pattern(2, 1, [(1, (1,))])]) == [1]
+        assert gammas([make_pattern(2, 1, [])]) == [None]
+
+    def test_results_in_input_order(self):
+        # dims interleave, so the per-dim groups must be put back in order
+        tensors = [wielandt_tensor(3, 3 + i % 4) for i in range(12)]
+        assert gammas(tensors) == [default_bound(t.dim) for t in tensors]
+        assert gammas(iter(tensors)) == gammas(tensors)
+
+    def test_empty_input_and_bad_budget(self):
+        assert gammas([]) == []
+        with pytest.raises(ValueError, match="max_steps must be >= 1, got 0"):
+            gammas([wielandt_tensor(3, 4)], 0)
+
+    def test_cycles_stop_the_batch_early(self, monkeypatch):
+        # two non-primitive tensors cycling at periods 2 and 3: the batch
+        # stops within a few steps of the second one's detection, not at the
+        # default budget of their dimension
+        calls = []
+        real_step = patterns._sliced_step
+        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
+        swap = make_pattern(2, 40, [(u, (u % 2 + 1,)) for u in (1, 2)] + [(u, (1,)) for u in range(3, 41)])
+        rot = make_pattern(2, 40, [(u, (u % 3 + 1,)) for u in (1, 2, 3)] + [(u, (1,)) for u in range(4, 41)])
+        assert gammas([swap, rot]) == [None, None]
+        assert len(calls) <= 8 < default_bound(40)
 
 
 class TestNecessaryConditions:
