@@ -43,7 +43,6 @@ from .patterns import (
 )
 
 SCAN_DIM_GUARD = 12
-SCAN_BATCH = 128  # sampled tensors per call of the batch engine
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +415,10 @@ def cmd_scan_open_problem(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     counts: dict[int, int] = {}
     primitive = 0
-    for start in range(0, args.budget, SCAN_BATCH):
-        size = min(SCAN_BATCH, args.budget - start)
-        for gamma in gammas([random_pattern(rng, args.m, args.n) for _ in range(size)]):
-            if gamma is not None:
-                primitive += 1
-                counts[gamma] = counts.get(gamma, 0) + 1
+    for gamma in gammas(random_pattern(rng, args.m, args.n) for _ in range(args.budget)):
+        if gamma is not None:
+            primitive += 1
+            counts[gamma] = counts.get(gamma, 0) + 1
     report = RunReport()
     params = {"order": args.m, "dim": args.n, "budget": args.budget, "seed": args.seed}
     report.add(record="meta", command="scan-open-problem", sha256=_digest_params(params), **params)

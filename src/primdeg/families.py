@@ -174,22 +174,18 @@ def exponent_set(order: int, dim: int) -> ExponentSetResult:
 
 def brute_force_matrix_exponent_set(dim: int) -> set[int]:
     """Exponents attained by zero-one matrices of the given dimension, by
-    running all 2**(dim*dim) patterns through the batch engine, 256 at a time.
-    Intentionally capped at dim <= 4 (65536 patterns)."""
+    running all 2**(dim*dim) patterns through the batch engine. Intentionally
+    capped at dim <= 4 (65536 patterns)."""
     if not 1 <= dim <= 4:
         raise ValueError(f"dim must be in 1..4, got {dim}")
     row_mask = (1 << dim) - 1
     rows = [SupportFamily.of_singletons(dim, m) for m in range(1 << dim)]
-    total = 1 << (dim * dim)
-    out: set[int] = set()
-    for start in range(0, total, 256):
-        # bit layout: row-major, bit (i*dim + j) <-> entry (i+1, j+1)
-        batch = (
-            PatternTensor(2, dim, tuple(rows[(bits >> (i * dim)) & row_mask] for i in range(dim)))
-            for bits in range(start, min(start + 256, total))
-        )
-        out.update(g for g in gammas(batch) if g is not None)
-    return out
+    # bit layout: row-major, bit (i*dim + j) <-> entry (i+1, j+1)
+    matrices = (
+        PatternTensor(2, dim, tuple(rows[(bits >> (i * dim)) & row_mask] for i in range(dim)))
+        for bits in range(1 << (dim * dim))
+    )
+    return {g for g in gammas(matrices) if g is not None}
 
 
 def _monomial_pattern_from_bits(bits: int, dim: int, order: int) -> PatternTensor:

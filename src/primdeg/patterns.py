@@ -39,7 +39,9 @@ that support on its own tensors' lanes. ``analyze`` is the one-tensor case,
 with no pseudo-index. A tensor's gamma is the first step at which all n
 of its lanes survive the AND of the R_u. It is None once one of its lanes
 that is not full matches a Brent snapshot (its column cycles, so [n] is out
-of reach), or when the budget runs out.
+of reach), or when the default budget runs out. Every lane mask is an int
+over the whole batch, so building one costs time quadratic in its size;
+``gammas`` therefore runs its input in chunks of ``GAMMA_CHUNK`` tensors.
 
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
@@ -55,6 +57,10 @@ from operator import and_, or_, xor
 from typing import Iterable, Iterator, Sequence
 
 from .bitsets import IndexSet, SupportFamily, _check_dim, bit_indices, transpose_masks
+
+# Tensors per sliced run of :func:`gammas`. Larger chunks step a little faster
+# but hold more tensors in memory at once.
+GAMMA_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class PatternTensor:
             if fam.dim != self.dim:
                 raise ValueError(f"row {u} dimension {fam.dim} does not match {self.dim}")
             # singletons always fit (order >= 2); only multi-index supports can be too big
-            size = max(map(int.bit_count, fam.multis)) if fam.multis else 1
+            size = max(map(int.bit_count, fam.multis), default=1)
             if size > self.order - 1:
                 raise ValueError(
                     f"row {u} holds a support of size {size}, "
@@ -383,27 +389,27 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     )
 
 
-def gammas(tensors: Iterable[PatternTensor], max_steps: int | None = None) -> list[int | None]:
-    """``[analyze(t, max_steps).gamma for t in tensors]``, from one sliced run
-    per dimension over all of them (see the module docstring).
-
-    Every lane mask is an int over the whole batch, so building a batch costs
-    time quadratic in its size: callers pass a few hundred tensors at a time.
+def gammas(tensors: Iterable[PatternTensor]) -> list[int | None]:
+    """``[analyze(t).gamma for t in tensors]``, from one sliced run per
+    dimension in each chunk of :data:`GAMMA_CHUNK` tensors (see the module
+    docstring). The input is drawn one chunk at a time, so it may be a lazy
+    iterable of any length.
     """
-    tensors = list(tensors)
-    if max_steps is not None and max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    out: list[int | None] = [None] * len(tensors)
-    for n in {t.dim for t in tensors}:
-        where = [pos for pos, t in enumerate(tensors) if t.dim == n]
-        bound = default_bound(n) if max_steps is None else max_steps
-        for pos, gamma in zip(where, _batch_gammas([tensors[p] for p in where], n, bound)):
-            out[pos] = gamma
+    out: list[int | None] = []
+    it = iter(tensors)
+    while chunk := list(islice(it, GAMMA_CHUNK)):
+        start = len(out)
+        out += [None] * len(chunk)
+        for n in {t.dim for t in chunk}:
+            where = [pos for pos, t in enumerate(chunk) if t.dim == n]
+            for pos, gamma in zip(where, _batch_gammas([chunk[p] for p in where], n)):
+                out[start + pos] = gamma
     return out
 
 
-def _batch_gammas(batch: list[PatternTensor], n: int, bound: int) -> list[int | None]:
+def _batch_gammas(batch: list[PatternTensor], n: int) -> list[int | None]:
     """Gammas of same-dim tensors; lane t*n + j-1 is column j of ``batch[t]``."""
+    bound = default_bound(n)
     col = (1 << n) - 1
     every = (1 << n * len(batch)) - 1
     ones = every // col  # bit t*n for every tensor t

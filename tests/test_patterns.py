@@ -365,53 +365,55 @@ class TestBitSlicedAnalyze:
         assert r.outcomes == tuple(Reached(g) for g in r.gamma_by_column)
 
 
-def assert_gammas_match_analyze(tensors, budgets):
-    for max_steps in budgets:
-        assert gammas(tensors, max_steps) == [analyze(t, max_steps).gamma for t in tensors], max_steps
+def assert_gammas_match_analyze(tensors):
+    assert gammas(tensors) == [analyze(t).gamma for t in tensors]
 
 
 class TestBatchGammas:
     """The batch engine against one ``analyze`` per tensor."""
 
-    @settings(max_examples=50)
+    @settings(max_examples=200)
     @given(st.lists(sparse_row_pattern_inputs(), min_size=1, max_size=40))
-    def test_mixed_batches_at_every_budget(self, raws):
+    def test_mixed_batches(self, raws):
         # dims 1-9 and orders 2-6 in one batch, with empty rows
-        tensors = [make_pattern(*raw) for raw in raws]
-        top = max(default_bound(t.dim) for t in tensors)
-        assert_gammas_match_analyze(tensors, (None, *range(1, top + 2)))
+        assert_gammas_match_analyze([make_pattern(*raw) for raw in raws])
 
     @given(st.lists(covered_pattern_inputs(max_dim=4), min_size=1, max_size=40))
     def test_batches_with_every_row_covered(self, raws):
-        tensors = [make_pattern(*raw) for raw in raws]
-        assert_gammas_match_analyze(tensors, (None, *range(1, 12)))
+        assert_gammas_match_analyze([make_pattern(*raw) for raw in raws])
 
     def test_all_primitive_batch(self):
         # every degree at dims 3-5, and Wielandt lifts, in one batch
         tensors = [degree_witness(n, n, g)[0] for n in (3, 4, 5) for g in range(1, default_bound(n) + 1)]
         tensors += [wielandt_tensor(3, n) for n in (6, 7)]
         assert None not in gammas(tensors)
-        assert_gammas_match_analyze(tensors, (None, *range(1, default_bound(7) + 2)))
+        assert_gammas_match_analyze(tensors)
+
+    def test_budget_runs_out(self, monkeypatch):
+        # a 3-cycle at dim 3 first matches a snapshot at step 7, after the
+        # default budget of 5 steps, so the budget decides it
+        calls = []
+        real_step = patterns._sliced_step
+        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
+        rot = make_pattern(2, 3, [(u, (u % 3 + 1,)) for u in (1, 2, 3)])
+        assert gammas([rot]) == [None]
+        assert len(calls) == default_bound(3)
+        assert analyze(rot).gamma is None
 
     def test_one_tensor_batches(self):
-        t = wielandt_tensor(3, 30)
-        g = default_bound(30)
-        assert gammas([t]) == [g]
-        assert gammas([t], g) == [g]
-        assert gammas([t], g - 1) == [None]
+        assert gammas([wielandt_tensor(3, 30)]) == [default_bound(30)]
         assert gammas([make_pattern(2, 1, [(1, (1,))])]) == [1]
         assert gammas([make_pattern(2, 1, [])]) == [None]
 
-    def test_results_in_input_order(self):
-        # dims interleave, so the per-dim groups must be put back in order
-        tensors = [wielandt_tensor(3, 3 + i % 4) for i in range(12)]
-        assert gammas(tensors) == [default_bound(t.dim) for t in tensors]
-        assert gammas(iter(tensors)) == gammas(tensors)
+    def test_results_in_input_order_across_chunks(self):
+        # dims interleave within and across chunks, so the per-dim groups of
+        # every chunk must be put back in order; the input may be a generator
+        dims = [3 + i % 4 for i in range(2 * patterns.GAMMA_CHUNK + 5)]
+        assert gammas(wielandt_tensor(3, n) for n in dims) == [default_bound(n) for n in dims]
 
-    def test_empty_input_and_bad_budget(self):
+    def test_empty_input(self):
         assert gammas([]) == []
-        with pytest.raises(ValueError, match="max_steps must be >= 1, got 0"):
-            gammas([wielandt_tensor(3, 4)], 0)
+        assert gammas(iter(())) == []
 
     def test_cycles_stop_the_batch_early(self, monkeypatch):
         # two non-primitive tensors cycling at periods 2 and 3: the batch
