@@ -152,20 +152,23 @@ def _subset_pool(order: int, dim: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, 1 << dim) if bin(m).count("1") <= order - 1)
 
 
-def random_pattern(rng: random.Random, order: int, dim: int) -> PatternTensor:
-    """Seeded random pattern tensor: every row receives between 1 and 3 support
-    sets, each drawn uniformly among the nonempty subsets of [dim] with at most
-    order-1 members (duplicates and dominated draws are absorbed by the
-    antichain). Enumeration of the subset pool caps dim at 16."""
+def _random_rows(rng: random.Random, order: int, dim: int) -> list[list[int]]:
+    """The row masks :func:`random_pattern` draws, as drawn: per row
+    ``randint(1, 3)``, then that many ``choice`` calls on the subset pool."""
     if dim > 16:
         raise ValueError(f"random_pattern enumerates subsets; dim {dim} > 16")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     pool = _subset_pool(order, dim)
-    rows = []
-    for _ in range(dim):
-        count = rng.randint(1, 3)
-        rows.append(SupportFamily.from_masks(dim, [rng.choice(pool) for _ in range(count)]))
+    return [[rng.choice(pool) for _ in range(rng.randint(1, 3))] for _ in range(dim)]
+
+
+def random_pattern(rng: random.Random, order: int, dim: int) -> PatternTensor:
+    """Seeded random pattern tensor: every row receives between 1 and 3 support
+    sets, each drawn uniformly among the nonempty subsets of [dim] with at most
+    order-1 members (duplicates and dominated draws are absorbed by the
+    antichain). Enumeration of the subset pool caps dim at 16."""
+    rows = (SupportFamily.from_masks(dim, masks) for masks in _random_rows(rng, order, dim))
     return PatternTensor(order, dim, tuple(rows))
 
 
@@ -415,7 +418,7 @@ def cmd_scan_open_problem(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     counts: dict[int, int] = {}
     primitive = 0
-    for gamma in gammas(random_pattern(rng, args.m, args.n) for _ in range(args.budget)):
+    for gamma in gammas(args.n, (_random_rows(rng, args.m, args.n) for _ in range(args.budget))):
         if gamma is not None:
             primitive += 1
             counts[gamma] = counts.get(gamma, 0) + 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import IndexSet, SupportFamily
+from .bitsets import IndexSet, bit_indices
 from .digraphs import PatternMatrix, matrix_gamma, monomial_lift, wielandt_matrix
 from .errors import VerificationError
 from .patterns import PatternTensor, analyze, column_states, default_bound, gammas
@@ -174,18 +174,19 @@ def exponent_set(order: int, dim: int) -> ExponentSetResult:
 
 def brute_force_matrix_exponent_set(dim: int) -> set[int]:
     """Exponents attained by zero-one matrices of the given dimension, by
-    running all 2**(dim*dim) patterns through the batch engine. Intentionally
+    running all 2**(dim*dim) patterns through the batch engine as rows of
+    singleton masks. Intentionally
     capped at dim <= 4 (65536 patterns)."""
     if not 1 <= dim <= 4:
         raise ValueError(f"dim must be in 1..4, got {dim}")
     row_mask = (1 << dim) - 1
-    rows = [SupportFamily.of_singletons(dim, m) for m in range(1 << dim)]
+    rows = [tuple(1 << j for j in bit_indices(m)) for m in range(1 << dim)]
     # bit layout: row-major, bit (i*dim + j) <-> entry (i+1, j+1)
     matrices = (
-        PatternTensor(2, dim, tuple(rows[(bits >> (i * dim)) & row_mask] for i in range(dim)))
+        [rows[(bits >> (i * dim)) & row_mask] for i in range(dim)]
         for bits in range(1 << (dim * dim))
     )
-    return {g for g in gammas(matrices) if g is not None}
+    return {g for g in gammas(dim, matrices) if g is not None}
 
 
 def _monomial_pattern_from_bits(bits: int, dim: int, order: int) -> PatternTensor:

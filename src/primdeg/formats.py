@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .bitsets import IndexSet, _check_dim
+from .bitsets import IndexSet, SupportFamily, _check_dim
 from .digraphs import PatternMatrix, monomial_lift
 from .errors import CapExceededError, ParseError
 from .patterns import PatternTensor, make_pattern
@@ -111,8 +111,7 @@ def _keyed_dim(lines: list[tuple[int, str]], pos: int) -> int:
 def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
     order = _keyed_order(lines)
     dim = _keyed_dim(lines, 2)
-    seen_rows: set[int] = set()
-    row_sets: dict[int, list[IndexSet]] = {}
+    row_masks: dict[int, list[int]] = {}
     for no, line in lines[3:]:
         m = re.fullmatch(r"row\s+(\d+):(.*)", line)
         if not m:
@@ -120,13 +119,12 @@ def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
         u = int(m.group(1))
         if not 1 <= u <= dim:
             raise ParseError(no, f"row {u} out of range 1..{dim}")
-        if u in seen_rows:
+        if u in row_masks:
             raise ParseError(no, f"row {u} given twice")
-        seen_rows.add(u)
         rest = m.group(2).strip()
         if rest and _SET_RE.sub("", rest).strip():
             raise ParseError(no, f"unexpected text outside {{...}} groups: {rest!r}")
-        sets = []
+        masks = row_masks[u] = []
         for group in _SET_RE.findall(rest):
             parts = [p.strip() for p in group.split(",") if p.strip()]
             if not parts:
@@ -135,23 +133,16 @@ def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
                 members = [int(p) for p in parts]
             except ValueError:
                 raise ParseError(no, f"non-integer member in {{{group}}}") from None
-            try:
-                s = IndexSet.from_members(members, dim)
-            except ValueError as e:
-                raise ParseError(no, str(e)) from None
-            if len(s) > order - 1:
+            mask = 0
+            for i in members:
+                if not 1 <= i <= dim:
+                    raise ParseError(no, f"index {i} out of range 1..{dim}")
+                mask |= 1 << (i - 1)
+            if mask.bit_count() > order - 1:
                 raise ParseError(no, f"set {{{group}}} larger than order-1 = {order - 1}")
-            sets.append(s)
-        row_sets[u] = sets
-    try:
-        entries = [
-            (u, s.members + (s.members[-1],) * (order - 1 - len(s)))
-            for u, sets in row_sets.items()
-            for s in sets
-        ]
-        return make_pattern(order, dim, entries)
-    except ValueError as e:
-        raise ParseError(lines[0][0], str(e)) from None
+            masks.append(mask)
+    rows = (SupportFamily.from_masks(dim, row_masks.get(u, ())) for u in range(1, dim + 1))
+    return PatternTensor(order, dim, tuple(rows))
 
 
 def _parse_sparse(lines: list[tuple[int, str]]) -> SparseTensor:

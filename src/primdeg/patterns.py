@@ -30,18 +30,22 @@ period; a second pass compares S_i with S_{i+period} to find where the cycle
 starts. Both certificates equal the ones ``column_trace`` gives.
 
 :func:`gammas` runs the same step over many tensors of one dimension n at
-once, for callers that need only gamma. Bit t*n + j-1 of R_u is a lane: it
-says u is in column j's state of tensor t. A support that every tensor in the
-batch holds in row u enters as it is. A support that only some hold gets one
-extra member, a pseudo-index c past the n rows whose R_c is the lane mask of
-those tensors; R_c is appended unchanged after every step, so the AND keeps
-that support on its own tensors' lanes. ``analyze`` is the one-tensor case,
-with no pseudo-index. A tensor's gamma is the first step at which all n
-of its lanes survive the AND of the R_u. It is None once one of its lanes
-that is not full matches a Brent snapshot (its column cycles, so [n] is out
-of reach), or when the default budget runs out. Every lane mask is an int
-over the whole batch, so building one costs time quadratic in its size;
-``gammas`` therefore runs its input in chunks of ``GAMMA_CHUNK`` tensors.
+once, for callers that need only gamma. It reads each tensor as its n rows of
+support masks, so callers that draw or enumerate patterns build no
+:class:`PatternTensor`. The masks need not be minimized: duplicates merge in
+the lane table, and as the step is monotone a superset of another support
+never changes it. Bit t*n + j-1 of R_u is a lane: it says u is in column j's
+state of tensor t. A support that every tensor in the batch holds in row u
+enters as it is. A support that only some hold gets one extra member, a
+pseudo-index c past the n rows whose R_c is the lane mask of those tensors;
+R_c is appended unchanged after every step, so the AND keeps that support on
+its own tensors' lanes. ``analyze`` is the one-tensor case, with no
+pseudo-index. A tensor's gamma is the first step at which all n of its lanes
+survive the AND of the R_u. It is None once one of its lanes that is not full
+matches a Brent snapshot (its column cycles, so [n] is out of reach), or when
+the default budget runs out. Every lane mask is an int over the whole batch,
+so building one costs time quadratic in its size; ``gammas`` therefore runs
+its input in chunks of ``GAMMA_CHUNK`` tensors.
 
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
@@ -389,26 +393,24 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     )
 
 
-def gammas(tensors: Iterable[PatternTensor]) -> list[int | None]:
-    """``[analyze(t).gamma for t in tensors]``, from one sliced run per
-    dimension in each chunk of :data:`GAMMA_CHUNK` tensors (see the module
-    docstring). The input is drawn one chunk at a time, so it may be a lazy
-    iterable of any length.
+def gammas(n: int, tensors: Iterable[Sequence[Iterable[int]]]) -> list[int | None]:
+    """``analyze(t).gamma`` for every dimension-n tensor t in ``tensors``,
+    from one sliced run per chunk of :data:`GAMMA_CHUNK` (see the module
+    docstring). ``tensor[u-1]`` holds the support masks of row u, raw or
+    minimized (``[f.masks for f in t.rows]`` for a :class:`PatternTensor`);
+    a mask outside 1..2^n-1 raises ValueError. The input is drawn one chunk
+    at a time, so it may be a lazy iterable of any length.
     """
+    _check_dim(n)
     out: list[int | None] = []
     it = iter(tensors)
     while chunk := list(islice(it, GAMMA_CHUNK)):
-        start = len(out)
-        out += [None] * len(chunk)
-        for n in {t.dim for t in chunk}:
-            where = [pos for pos, t in enumerate(chunk) if t.dim == n]
-            for pos, gamma in zip(where, _batch_gammas([chunk[p] for p in where], n)):
-                out[start + pos] = gamma
+        out += _batch_gammas(chunk, n)
     return out
 
 
-def _batch_gammas(batch: list[PatternTensor], n: int) -> list[int | None]:
-    """Gammas of same-dim tensors; lane t*n + j-1 is column j of ``batch[t]``."""
+def _batch_gammas(batch: list[Sequence[Iterable[int]]], n: int) -> list[int | None]:
+    """Gammas of tensors given as row masks; lane t*n + j-1 is column j of ``batch[t]``."""
     bound = default_bound(n)
     col = (1 << n) - 1
     every = (1 << n * len(batch)) - 1
@@ -418,12 +420,14 @@ def _batch_gammas(batch: list[PatternTensor], n: int) -> list[int | None]:
     held: list[dict[int, int]] = [{} for _ in range(n)]  # row -> support -> lanes
     for t, tensor in enumerate(batch):
         lanes = col << t * n
-        for h, fam in zip(held, tensor.rows):
-            for m in fam.masks:
+        for h, masks in zip(held, tensor, strict=True):
+            for m in masks:
                 h[m] = h.get(m, 0) | lanes
     pseudo: dict[int, int] = {}  # lane mask -> its pseudo-index, n and up
     rows = []
-    for h in held:
+    for u, h in enumerate(held, start=1):
+        if bad := [m for m in h if not 0 < m <= col]:
+            raise ValueError(f"row {u} holds mask {bad[0]:#x}, outside 1..2^{n}-1")
         # every support goes in as a multi-index one; a support that not every
         # tensor holds also takes the pseudo-index of its tensors' lanes
         supports = [

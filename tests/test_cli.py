@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import primdeg
 from primdeg import VerificationError, parse_document, render_document, wielandt_tensor
-from primdeg.cli import main
+from primdeg.bitsets import minimize_masks
+from primdeg.cli import _random_rows, main, random_pattern
 from primdeg.formats import render_pattern
 
 
@@ -369,6 +371,17 @@ class TestScan:
         assert code == 1
         assert "error:" in err
 
+    def test_draws_match_random_pattern(self):
+        # the scan hands gammas the row masks random_pattern draws, unminimized,
+        # so the scan, oracle-check and the tests read one random stream
+        for order, dim in ((3, 4), (3, 10), (5, 6)):
+            a, b = random.Random(5), random.Random(5)
+            for _ in range(50):
+                rows = _random_rows(a, order, dim)
+                t = random_pattern(b, order, dim)
+                assert a.getstate() == b.getstate()
+                assert [minimize_masks(masks) for masks in rows] == [f.masks for f in t.rows]
+
 
 class TestGoldenOutput:
     """stdout digests recorded from the engine before the trace loops were
@@ -409,6 +422,22 @@ class TestGoldenOutput:
         # recorded while the scan still analyzed one tensor at a time
         argv = ["scan-open-problem", "--m", str(m), "--n", str(n), "--budget", str(budget), "--seed", str(seed)]
         code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "m, n, budget, seed, digest",
+        [
+            (3, 4, 500, 1, "f3627115ce69f694a42fa282e2387d88dae78d607b63dd1c87ad0b3161c2117a"),
+            (3, 5, 2000, 1, "acad11ee79bcd1ddbe3fbee6ba39217748a300884857ec9a0b837e1263b469bc"),
+            (4, 6, 2000, 6, "ff325c20a75b1bb05cd0a45b08bb2d4a955268f1b3332f4dffbd33fe4874461b"),
+        ],
+    )
+    def test_scan_open_problem_json_lines(self, capsys, m, n, budget, seed, digest):
+        # the same scans as json-lines, recorded while the scan still built a
+        # PatternTensor per draw
+        argv = ["scan-open-problem", "--m", str(m), "--n", str(n), "--budget", str(budget), "--seed", str(seed)]
+        code, out, _ = run(capsys, argv + ["--format", "json-lines"])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

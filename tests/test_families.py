@@ -193,7 +193,7 @@ class TestMatrixGammaEnumeration:
         dim = 3
         tensors = [_monomial_pattern_from_bits(bits, dim, 2) for bits in range(1 << (dim * dim))]
         expected = [gamma_by_bool_powers(matrix_to_array(majorization_pattern(t)), 5) for t in tensors]
-        assert gammas(tensors) == expected
+        assert gammas(dim, ([f.masks for f in t.rows] for t in tensors)) == expected
         assert sorted({g for g in expected if g is not None}) == [1, 2, 3, 4, 5]
 
     def test_sampled_n4_against_bool_powers(self):

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primdeg import (
     ParseError,
@@ -9,13 +11,15 @@ from primdeg import (
     PatternTensor,
     TensorDocument,
     load_document,
+    majorization_pattern,
+    make_pattern,
     parse_document,
     render_document,
     save_document,
     wielandt_matrix,
     wielandt_tensor,
 )
-from primdeg.cli import random_pattern
+from primdeg.cli import main, random_pattern
 from primdeg.dense import DenseTensor, densify, to_pattern
 from primdeg.formats import SparseTensor, render_matrix, render_pattern, render_sparse
 
@@ -271,3 +275,116 @@ class TestRoundTrips:
         save_document(path, doc)
         assert load_document(path) == doc
         assert path.read_text() == render_document(doc)
+
+
+@st.composite
+def written_patterns(draw):
+    """A pattern document as a person might write it: sets unsorted, members
+    repeated or out of order, supersets and duplicates of other sets, rows in
+    any order or left out; with the cells ``make_pattern`` takes for it."""
+    order, dim = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    entries, lines = [], []
+    for u in draw(st.permutations(range(1, dim + 1))):
+        if draw(st.integers(0, 4)) == 0:
+            continue  # a row left out is empty
+        groups = []
+        for _ in range(draw(st.integers(0, 4))):
+            members = draw(st.lists(st.integers(1, dim), min_size=1, max_size=order - 1))
+            members += draw(st.lists(st.sampled_from(members), max_size=2))  # repeats
+            distinct = sorted(set(members))
+            entries.append((u, distinct + distinct[-1:] * (order - 1 - len(distinct))))
+            groups.append("{" + " , ".join(map(str, members)) + "}")
+        lines.append(f"row {u}:  " + "  ".join(groups))
+    text = f"tensor-pattern v1\norder {order}\ndim {dim}\n" + "\n".join(lines) + "\n"
+    return text, make_pattern(order, dim, entries)
+
+
+@st.composite
+def rendered_documents(draw):
+    """The canonical rendering of a small seeded document of each format."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    order, dim = draw(st.integers(2, 4)), draw(st.integers(1, 8))
+    t = random_pattern(rng, order, dim)
+    kind = draw(st.sampled_from(["pattern", "sparse", "matrix"]))
+    if kind == "pattern":
+        return render_pattern(t)
+    if kind == "matrix":
+        return render_matrix(majorization_pattern(t))
+    cells = {
+        (u, *s.members, *s.members[-1:] * (order - 1 - len(s))): rng.choice([0.5, 2.0, 1e-300, 3.25])
+        for u, fam in enumerate(t.rows, start=1)
+        for s in fam.sets
+    }
+    return render_sparse(SparseTensor(order, dim, tuple(sorted(cells.items()))))
+
+
+DAMAGE = [*"0123456789{},:- .\nerowdimntyx", "{}", "{1,2,3,4}", ",1", "nan", "-1"]
+
+
+@st.composite
+def damaged_documents(draw):
+    """A rendering cut short, or with 1-3 characters, tokens, lines or set
+    members inserted, replaced, deleted or repeated after the header line,
+    mostly in the body. A seeded rng places the damage, so it falls evenly."""
+    text = draw(rendered_documents())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    head = text.index("\n") + 1
+    start = head if rng.random() < 0.2 else text.index("\n", text.index("dim ")) + 1
+    if rng.random() < 0.3:
+        return text, text[: rng.randrange(start, len(text))]
+    damaged = text
+    for _ in range(rng.randint(1, 3)):
+        i, c = rng.randint(start, len(damaged)), rng.choice(DAMAGE)
+        op = rng.choice(["insert", "replace", "delete", "line", "member", "member"])
+        closes = [k for k in range(start, len(damaged)) if damaged[k] == "}"]
+        if op == "member" and closes:
+            # one more member, maybe out of range, or an empty set after it
+            k = rng.choice(closes)
+            extra = rng.choice([f",{rng.randint(0, 9)}", f",{rng.randint(1, 4)}", "} {"])
+            damaged = damaged[:k] + extra + damaged[k:]
+        elif op == "insert":
+            damaged = damaged[:i] + c + damaged[i:]
+        elif op == "replace":
+            damaged = damaged[:i] + c + damaged[i + 1 :]
+        elif op == "delete":
+            damaged = damaged[:i] + damaged[i + 1 :]
+        else:
+            lines = damaged.splitlines(keepends=True)
+            j = rng.randrange(1, len(lines))
+            damaged = "".join(lines[: j + 1] + lines[j:])
+    return text, damaged
+
+
+class TestFuzz:
+    @given(written_patterns())
+    def test_written_patterns_parse_to_make_pattern(self, written):
+        text, expected = written
+        assert parse_document(text).payload == expected
+
+    @settings(max_examples=500)
+    @given(damaged_documents())
+    def test_damage_parses_or_raises_parse_error(self, damage):
+        # a damaged document either still reads as a document, which then
+        # renders and reads back to itself, or fails with a ParseError that
+        # names one of its lines; nothing else escapes the parser
+        text, damaged = damage
+        try:
+            doc = parse_document(damaged)
+        except ParseError as e:
+            assert 1 <= e.line_no <= max(1, len(damaged.splitlines()))
+            return
+        assert parse_document(render_document(doc)) == doc
+        if damaged.strip() == text.strip():
+            assert doc == parse_document(text)
+
+    @given(damaged_documents())
+    def test_analyze_exits_one_on_parse_errors(self, tmp_path_factory, damage):
+        _, damaged = damage
+        try:
+            parse_document(damaged)
+            expected = 0
+        except ParseError:
+            expected = 1
+        path = tmp_path_factory.mktemp("fuzz") / "doc.txt"
+        path.write_text(damaged)
+        assert main(["analyze", str(path)]) == expected

@@ -365,17 +365,69 @@ class TestBitSlicedAnalyze:
         assert r.outcomes == tuple(Reached(g) for g in r.gamma_by_column)
 
 
+def row_masks(t):
+    return [f.masks for f in t.rows]
+
+
 def assert_gammas_match_analyze(tensors):
-    assert gammas(tensors) == [analyze(t).gamma for t in tensors]
+    """gammas, one call per dimension on the tensors' row masks, against one
+    analyze per tensor, in input order."""
+    got = {}
+    for n in {t.dim for t in tensors}:
+        where = [i for i, t in enumerate(tensors) if t.dim == n]
+        got.update(zip(where, gammas(n, [row_masks(tensors[i]) for i in where])))
+    assert [got[i] for i in range(len(tensors))] == [analyze(t).gamma for t in tensors]
+
+
+@st.composite
+def raw_mask_batches(draw, max_dim=9, max_order=6, max_tensors=12):
+    """Tensors of one dimension as raw row masks, the way a caller may hand
+    them to ``gammas``: unminimized, in any order, with duplicates, supersets
+    and empty rows. Each comes with its order, which bounds its support size."""
+    dim = draw(st.integers(1, max_dim))
+    batch = []
+    for _ in range(draw(st.integers(1, max_tensors))):
+        order = draw(st.integers(2, max_order))
+
+        def support():
+            m = draw(st.integers(1, (1 << dim) - 1))
+            while m.bit_count() >= order:
+                m &= m - 1  # drop the lowest member
+            return m
+
+        rows = []
+        for _ in range(dim):
+            masks = [support() for _ in range(draw(st.integers(0, 3)))]
+            if masks and draw(st.booleans()):
+                m = draw(st.sampled_from(masks))
+                grown = m | 1 << draw(st.integers(0, dim - 1))
+                masks += [m, grown if grown.bit_count() < order else m]
+            rows.append(draw(st.permutations(masks)))
+        batch.append((order, rows))
+    return dim, batch
+
+
+def entries_of(rows, order):
+    """make_pattern cells for raw row masks: members ascending, the last repeated."""
+    for u, masks in enumerate(rows, start=1):
+        for m in masks:
+            members = [i + 1 for i in range(m.bit_length()) if m >> i & 1]
+            yield u, members + members[-1:] * (order - 1 - len(members))
 
 
 class TestBatchGammas:
     """The batch engine against one ``analyze`` per tensor."""
 
+    @given(raw_mask_batches())
+    def test_raw_row_masks(self, drawn):
+        dim, batch = drawn
+        expected = [analyze(make_pattern(order, dim, entries_of(rows, order))).gamma for order, rows in batch]
+        assert gammas(dim, [rows for _, rows in batch]) == expected
+
     @settings(max_examples=200)
     @given(st.lists(sparse_row_pattern_inputs(), min_size=1, max_size=40))
     def test_mixed_batches(self, raws):
-        # dims 1-9 and orders 2-6 in one batch, with empty rows
+        # dims 1-9 and orders 2-6, with empty rows, one gammas call per dim
         assert_gammas_match_analyze([make_pattern(*raw) for raw in raws])
 
     @given(st.lists(covered_pattern_inputs(max_dim=4), min_size=1, max_size=40))
@@ -383,11 +435,11 @@ class TestBatchGammas:
         assert_gammas_match_analyze([make_pattern(*raw) for raw in raws])
 
     def test_all_primitive_batch(self):
-        # every degree at dims 3-5, and Wielandt lifts, in one batch
+        # every degree at dims 3-5, and Wielandt lifts
         tensors = [degree_witness(n, n, g)[0] for n in (3, 4, 5) for g in range(1, default_bound(n) + 1)]
         tensors += [wielandt_tensor(3, n) for n in (6, 7)]
-        assert None not in gammas(tensors)
         assert_gammas_match_analyze(tensors)
+        assert None not in [analyze(t).gamma for t in tensors]
 
     def test_budget_runs_out(self, monkeypatch):
         # a 3-cycle at dim 3 first matches a snapshot at step 7, after the
@@ -396,24 +448,35 @@ class TestBatchGammas:
         real_step = patterns._sliced_step
         monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
         rot = make_pattern(2, 3, [(u, (u % 3 + 1,)) for u in (1, 2, 3)])
-        assert gammas([rot]) == [None]
+        assert gammas(3, [row_masks(rot)]) == [None]
         assert len(calls) == default_bound(3)
         assert analyze(rot).gamma is None
 
     def test_one_tensor_batches(self):
-        assert gammas([wielandt_tensor(3, 30)]) == [default_bound(30)]
-        assert gammas([make_pattern(2, 1, [(1, (1,))])]) == [1]
-        assert gammas([make_pattern(2, 1, [])]) == [None]
+        assert gammas(30, [row_masks(wielandt_tensor(3, 30))]) == [default_bound(30)]
+        assert gammas(1, [[[1]]]) == [1]
+        assert gammas(1, [[[]]]) == [None]
 
     def test_results_in_input_order_across_chunks(self):
-        # dims interleave within and across chunks, so the per-dim groups of
-        # every chunk must be put back in order; the input may be a generator
-        dims = [3 + i % 4 for i in range(2 * patterns.GAMMA_CHUNK + 5)]
-        assert gammas(wielandt_tensor(3, n) for n in dims) == [default_bound(n) for n in dims]
+        # three chunks of one dimension, each tensor a witness of its own
+        # degree; the input may be a generator
+        witnesses = {g: row_masks(degree_witness(5, 5, g)[0]) for g in range(1, default_bound(5) + 1)}
+        degrees = [1 + (7 * i) % default_bound(5) for i in range(2 * patterns.GAMMA_CHUNK + 5)]
+        assert gammas(5, (witnesses[g] for g in degrees)) == degrees
 
     def test_empty_input(self):
-        assert gammas([]) == []
-        assert gammas(iter(())) == []
+        assert gammas(3, []) == []
+        assert gammas(3, iter(())) == []
+
+    def test_masks_outside_the_dimension_are_rejected(self):
+        # 0 is no support, and bit n would read a pseudo-index's entry
+        for bad in (0, 1 << 3, -1):
+            with pytest.raises(ValueError, match="outside"):
+                gammas(3, [[[1], [2], [4]], [[1], [bad], [4]]])
+        with pytest.raises(ValueError):
+            gammas(3, [[[1], [2]]])  # a row short
+        with pytest.raises(ValueError):
+            gammas(0, [])
 
     def test_cycles_stop_the_batch_early(self, monkeypatch):
         # two non-primitive tensors cycling at periods 2 and 3: the batch
@@ -424,7 +487,7 @@ class TestBatchGammas:
         monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
         swap = make_pattern(2, 40, [(u, (u % 2 + 1,)) for u in (1, 2)] + [(u, (1,)) for u in range(3, 41)])
         rot = make_pattern(2, 40, [(u, (u % 3 + 1,)) for u in (1, 2, 3)] + [(u, (1,)) for u in range(4, 41)])
-        assert gammas([swap, rot]) == [None, None]
+        assert gammas(40, [row_masks(swap), row_masks(rot)]) == [None, None]
         assert len(calls) <= 8 < default_bound(40)
 
 
