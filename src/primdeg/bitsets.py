@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
@@ -219,12 +218,6 @@ class SupportFamily:
         if not 0 <= union_mask < (1 << dim):
             raise ValueError(f"mask {union_mask:#x} out of range for dim {dim}")
         return cls(dim, tuple(1 << i for i in range(dim) if union_mask >> i & 1))
-
-    @cached_property
-    def indices(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The 0-based members of ``singles`` and of each mask in ``multis``:
-        the view the bit-sliced step reads, built once per family."""
-        return bit_indices(self.singles), tuple(bit_indices(m) for m in self.multis)
 
     @property
     def sets(self) -> tuple[IndexSet, ...]:

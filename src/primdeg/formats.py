@@ -126,9 +126,11 @@ def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
             raise ParseError(no, f"unexpected text outside {{...}} groups: {rest!r}")
         masks = row_masks[u] = []
         for group in _SET_RE.findall(rest):
-            parts = [p.strip() for p in group.split(",") if p.strip()]
-            if not parts:
+            if not group.strip():
                 raise ParseError(no, "empty set {} is not a valid support")
+            parts = [p.strip() for p in group.split(",")]
+            if not all(parts):
+                raise ParseError(no, f"empty member in {{{group}}}")
             try:
                 members = [int(p) for p in parts]
             except ValueError:

@@ -18,34 +18,37 @@ revisits an earlier state (a certificate that [n] is unreachable), or runs out
 of its step budget. For a primitive tensor every column reaches [n] within
 (n-1)^2 + 1 steps, which is the default budget.
 
-:func:`column_trace` follows one start column. :func:`analyze` follows all of
-them at once, bit-sliced: row u keeps a mask R_u over start columns, with bit
-j set iff u is in column j's state. One step sets R_u to the OR of the R_i of
+:func:`column_trace` follows one start column. Everything else goes through
+one sliced run, which follows many start columns of one or more tensors of
+dimension n at once. Bit t*n + j-1 of a mask R_u is a lane: it says row u is
+in column j's state of tensor t. One step sets R_u to the OR of the R_i of
 row u's singleton supports and, for each larger support, the AND of its
-members' R_i. Column j has reached [n] when bit j survives the AND of all R_u.
-A column that cycles is certified without tracing it alone: Brent's cycle
-detection compares the masks with a snapshot taken at steps 1, 2, 4, 8, ...,
-and the steps since the snapshot at the first match are the column's exact
-period; a second pass compares S_i with S_{i+period} to find where the cycle
-starts. Both certificates equal the ones ``column_trace`` gives.
+members' R_i. A lane has reached [n] when its bit survives the AND of all
+R_u. Lanes are resolved in groups: a group ends when all its lanes have
+reached [n], or when one of its lanes that is not full matches a snapshot of
+Brent's cycle detection, taken at steps 1, 2, 4, 8, ... (that column cycles,
+so [n] is out of its reach, and the steps since the snapshot are its exact
+period), or when the budget runs out.
 
-:func:`gammas` runs the same step over many tensors of one dimension n at
-once, for callers that need only gamma. It reads each tensor as its n rows of
-support masks, so callers that draw or enumerate patterns build no
-:class:`PatternTensor`. The masks need not be minimized: duplicates merge in
-the lane table, and as the step is monotone a superset of another support
-never changes it. Bit t*n + j-1 of R_u is a lane: it says u is in column j's
-state of tensor t. A support that every tensor in the batch holds in row u
-enters as it is. A support that only some hold gets one extra member, a
-pseudo-index c past the n rows whose R_c is the lane mask of those tensors;
-R_c is appended unchanged after every step, so the AND keeps that support on
-its own tensors' lanes. ``analyze`` is the one-tensor case, with no
-pseudo-index. A tensor's gamma is the first step at which all n of its lanes
-survive the AND of the R_u. It is None once one of its lanes that is not full
-matches a Brent snapshot (its column cycles, so [n] is out of reach), or when
-the default budget runs out. Every lane mask is an int over the whole batch,
-so building one costs time quadratic in its size; ``gammas`` therefore runs
-its input in chunks of ``GAMMA_CHUNK`` tensors.
+:func:`analyze` is a batch of one tensor whose groups are its single
+columns. A second pass compares S_i with S_{i+period} to find where each
+cycle starts, and columns still open when a lowered budget runs out are
+traced alone by ``column_trace``, so every certificate equals the one
+``column_trace`` gives.
+
+:func:`gammas` runs batches whose groups are whole tensors, for callers that
+need only gamma: a tensor's gamma is the step at which all n of its lanes
+reached [n], and None if one of them cycled or the default budget ran out.
+It reads each tensor as its n rows of support masks, so callers that draw or
+enumerate patterns build no :class:`PatternTensor`. The masks need not be
+minimized: duplicates merge in the lane table, and as the step is monotone a
+superset of another support never changes it. A support that every tensor
+in the batch holds in row u enters as it is. A support that only some hold
+gets one extra member, a pseudo-index c past the n rows whose R_c is the
+lane mask of those tensors; R_c is appended unchanged after every step, so
+the AND keeps that support on its own tensors' lanes. Every lane mask is an
+int over the whole batch, so building one costs time quadratic in its size;
+``gammas`` therefore runs its input in chunks of ``GAMMA_CHUNK`` tensors.
 
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
@@ -65,6 +68,10 @@ from .bitsets import IndexSet, SupportFamily, _check_dim, bit_indices, transpose
 # Tensors per sliced run of :func:`gammas`. Larger chunks step a little faster
 # but hold more tensors in memory at once.
 GAMMA_CHUNK = 128
+
+# The rows the sliced step reads: each row's singleton indices and its
+# multi-index supports.
+LaneRows = list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]
 
 
 @dataclass(frozen=True)
@@ -96,11 +103,6 @@ class PatternTensor:
                     f"row {u} holds a support of size {size}, "
                     f"limit is order-1 = {self.order - 1}"
                 )
-
-    def row(self, u: int) -> SupportFamily:
-        if not 1 <= u <= self.dim:
-            raise ValueError(f"row {u} out of range 1..{self.dim}")
-        return self.rows[u - 1]
 
 
 def make_pattern(
@@ -306,12 +308,10 @@ class PrimitivityReport:
         )
 
 
-def _sliced_step(
-    rows: Sequence[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]], R: list[int]
-) -> list[int]:
-    """One step of every column at once: bit j of ``R[u]`` says u is in column
-    j+1's state. ``rows[u]`` is ``tensor.rows[u].indices`` in :func:`analyze`;
-    :func:`gammas` passes lane rows whose pseudo-indices read past the n rows."""
+def _sliced_step(rows: LaneRows, R: list[int]) -> list[int]:
+    """One step of every lane at once: ``R[u]`` is row u's lane mask. Each of
+    ``rows`` is a pair of singleton indices and multi-index supports, as
+    :func:`_lane_rows` builds them; pseudo-indices read past the n rows."""
     out = []
     for singles, multis in rows:
         acc = 0
@@ -326,44 +326,96 @@ def _sliced_step(
     return out
 
 
+def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRows, list[int]]:
+    """The lane rows of tensors given as row masks, lane t*n + j-1 being column
+    j of ``batch[t]``, and the ``R`` entries of their pseudo-indices."""
+    col = (1 << n) - 1
+    every = (1 << n * len(batch)) - 1
+    held: list[dict[int, int]] = [{} for _ in range(n)]  # row -> support -> lanes
+    for t, tensor in enumerate(batch):
+        lanes = col << t * n
+        for h, masks in zip(held, tensor, strict=True):
+            for m in masks:
+                h[m] = h.get(m, 0) | lanes
+    pseudo: dict[int, int] = {}  # lane mask -> its pseudo-index, n and up
+    rows: LaneRows = []
+    for u, h in enumerate(held, start=1):
+        if bad := [m for m in h if not 0 < m <= col]:
+            raise ValueError(f"row {u} holds mask {bad[0]:#x}, outside 1..2^{n}-1")
+        singles, multis = [], []
+        for m, lanes in h.items():
+            if lanes != every:
+                multis.append(bit_indices(m) + (pseudo.setdefault(lanes, n + len(pseudo)),))
+            elif m & (m - 1):
+                multis.append(bit_indices(m))
+            else:
+                singles.append(m.bit_length() - 1)
+        rows.append((tuple(singles), tuple(multis)))
+    return rows, list(pseudo)
+
+
+def _sliced_run(
+    rows: LaneRows, consts: list[int], n: int, tensors: int, width: int, bound: int
+) -> tuple[list[int | None], dict[int, int], int]:
+    """Step the lanes of ``tensors`` tensors until each group of ``width``
+    lanes is resolved: all its lanes reach [n], one of them matches a Brent
+    snapshot, or the budget ``bound`` runs out.
+
+    Returns the step at which each group reached [n] (None if it did not),
+    the lanes that matched a snapshot keyed by period, and the lanes of the
+    groups still open at the budget.
+    """
+    every = (1 << n * tensors) - 1
+    group = (1 << width) - 1
+    firsts = every // group  # each group's first lane
+    tops = firsts << (width - 1)  # each group's last lane
+    low = every ^ tops  # the other lanes
+    ends: list[int | None] = [None] * (n * tensors // width)
+    periods: dict[int, int] = {}  # period -> lanes that cycle with it
+    live = every
+    R = _sliced_step(rows, [every // ((1 << n) - 1) << u for u in range(n)] + consts)
+    snap, snap_step, k = None, 0, 1
+    while True:
+        full = reduce(and_, R)
+        # SWAR: a group's other lanes plus one carry into its last lane
+        # exactly when they are all full
+        done = ((full & low) + firsts) & full & tops & live
+        if done:
+            for b in bit_indices(done):
+                ends[b // width] = k
+        if snap is not None:
+            cycled = live & ~full & ~reduce(or_, map(xor, R, snap))
+            if cycled:
+                periods[k - snap_step] = periods.get(k - snap_step, 0) | cycled
+                # the last lane of every group with a lane that cycled
+                done |= (((cycled & low) + low) | cycled) & tops
+        live &= ~((done >> (width - 1)) * group)
+        if not live or k == bound:
+            return ends, periods, live
+        if k & (k - 1) == 0:
+            snap, snap_step = R, k
+        R, k = _sliced_step(rows, R + consts), k + 1
+
+
 def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityReport:
     """Decide primitivity by tracing every column at once; gamma = max over columns.
 
     Each outcome equals ``column_trace(tensor, j, max_steps).outcome``. The
-    module docstring describes the bit-sliced loop and its cycle
-    certificates; columns still open when the budget runs out are traced
-    alone by ``column_trace``.
+    module docstring describes the sliced run, a batch of one tensor whose
+    every column is its own group, and its cycle certificates; columns still
+    open when the budget runs out are traced alone by ``column_trace``.
     """
     n = tensor.dim
     bound = default_bound(n) if max_steps is None else max_steps
     if bound < 1:
         raise ValueError(f"max_steps must be >= 1, got {bound}")
-    rows = [fam.indices for fam in tensor.rows]
-    outcomes: list[Outcome | None] = [None] * n
-    gammas: list[int | None] = [None] * n
-    open_cols = (1 << n) - 1
-    periods: dict[int, int] = {}  # period -> columns that cycle with it
-    first = R = _sliced_step(rows, [1 << u for u in range(n)])
-    snap, snap_step, k = None, 0, 1
-    while True:
-        reached = open_cols & reduce(and_, R)
-        if reached:
-            outcome = Reached(k)
-            for j in bit_indices(reached):
-                outcomes[j], gammas[j] = outcome, k
-            open_cols ^= reached
-        if snap is not None:
-            repeated = open_cols & ~reduce(or_, map(xor, R, snap))
-            if repeated:
-                periods[k - snap_step] = periods.get(k - snap_step, 0) | repeated
-                open_cols ^= repeated
-        if not open_cols or k == bound:
-            break
-        if k & (k - 1) == 0:
-            snap, snap_step = R, k
-        R, k = _sliced_step(rows, R), k + 1
+    rows, _ = _lane_rows(n, [[fam.masks for fam in tensor.rows]])
+    ends, periods, open_cols = _sliced_run(rows, [], n, tensors=1, width=1, bound=bound)
+    outcomes: list[Outcome | None] = [None if k is None else Reached(k) for k in ends]
     for j in bit_indices(open_cols):
         outcomes[j] = column_trace(tensor, j + 1, bound).outcome
+    if periods:
+        first = _sliced_step(rows, [1 << u for u in range(n)])
     for period, cols in periods.items():
         # S_i against S_{i+period}: the first i where column j agrees is where
         # its cycle starts, so its first repeat comes at i + period.
@@ -381,11 +433,11 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
                 if not cols:
                     break
             early, late, i = _sliced_step(rows, early), _sliced_step(rows, late), i + 1
-    primitive = None not in gammas
+    primitive = None not in ends
     return PrimitivityReport(
         primitive=primitive,
-        gamma=max(gammas) if primitive else None,  # type: ignore[type-var]
-        gamma_by_column=tuple(gammas),
+        gamma=max(ends) if primitive else None,  # type: ignore[type-var]
+        gamma_by_column=tuple(ends),
         outcomes=tuple(outcomes),  # type: ignore[arg-type]
         bound=default_bound(n),
         max_steps=bound,
@@ -395,71 +447,20 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
 
 def gammas(n: int, tensors: Iterable[Sequence[Iterable[int]]]) -> list[int | None]:
     """``analyze(t).gamma`` for every dimension-n tensor t in ``tensors``,
-    from one sliced run per chunk of :data:`GAMMA_CHUNK` (see the module
-    docstring). ``tensor[u-1]`` holds the support masks of row u, raw or
-    minimized (``[f.masks for f in t.rows]`` for a :class:`PatternTensor`);
-    a mask outside 1..2^n-1 raises ValueError. The input is drawn one chunk
-    at a time, so it may be a lazy iterable of any length.
+    from one sliced run per chunk of :data:`GAMMA_CHUNK` whose groups are the
+    tensors (see the module docstring). ``tensor[u-1]`` holds the support
+    masks of row u, raw or minimized (``[f.masks for f in t.rows]`` for a
+    :class:`PatternTensor`); a mask outside 1..2^n-1 raises ValueError. The
+    input is drawn one chunk at a time, so it may be a lazy iterable of any
+    length.
     """
     _check_dim(n)
     out: list[int | None] = []
     it = iter(tensors)
     while chunk := list(islice(it, GAMMA_CHUNK)):
-        out += _batch_gammas(chunk, n)
+        rows, consts = _lane_rows(n, chunk)
+        out += _sliced_run(rows, consts, n, tensors=len(chunk), width=n, bound=default_bound(n))[0]
     return out
-
-
-def _batch_gammas(batch: list[Sequence[Iterable[int]]], n: int) -> list[int | None]:
-    """Gammas of tensors given as row masks; lane t*n + j-1 is column j of ``batch[t]``."""
-    bound = default_bound(n)
-    col = (1 << n) - 1
-    every = (1 << n * len(batch)) - 1
-    ones = every // col  # bit t*n for every tensor t
-    tops = ones << (n - 1)  # each tensor's last lane
-    low = every ^ tops  # the other lanes
-    held: list[dict[int, int]] = [{} for _ in range(n)]  # row -> support -> lanes
-    for t, tensor in enumerate(batch):
-        lanes = col << t * n
-        for h, masks in zip(held, tensor, strict=True):
-            for m in masks:
-                h[m] = h.get(m, 0) | lanes
-    pseudo: dict[int, int] = {}  # lane mask -> its pseudo-index, n and up
-    rows = []
-    for u, h in enumerate(held, start=1):
-        if bad := [m for m in h if not 0 < m <= col]:
-            raise ValueError(f"row {u} holds mask {bad[0]:#x}, outside 1..2^{n}-1")
-        # every support goes in as a multi-index one; a support that not every
-        # tensor holds also takes the pseudo-index of its tensors' lanes
-        supports = [
-            bit_indices(m) + (() if lanes == every else (pseudo.setdefault(lanes, n + len(pseudo)),))
-            for m, lanes in h.items()
-        ]
-        rows.append(((), tuple(supports)))
-    consts = list(pseudo)  # R[c] for the pseudo-indices, appended after every step
-
-    def any_lane(x: int) -> int:
-        # the last lane of every tensor with a lane set in x (SWAR zero test)
-        return (((x & low) + low) | x) & tops
-
-    out: list[int | None] = [None] * len(batch)
-    live = every
-    R = _sliced_step(rows, [ones << u for u in range(n)] + consts)
-    snap: list[int] | None = None
-    k = 1
-    while True:
-        full = reduce(and_, R)
-        done = tops & ~any_lane(every & ~full) & live
-        for b in bit_indices(done):
-            out[b // n] = k
-        if snap is not None:
-            cycled = live & ~full & ~reduce(or_, map(xor, R, snap))
-            done |= any_lane(cycled)
-        live &= ~((done >> (n - 1)) * col)
-        if not live or k == bound:
-            return out
-        if k & (k - 1) == 0:
-            snap = R
-        R, k = _sliced_step(rows, R + consts), k + 1
 
 
 @dataclass(frozen=True)

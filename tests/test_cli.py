@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import primdeg
-from primdeg import VerificationError, parse_document, render_document, wielandt_tensor
+from primdeg import VerificationError, make_pattern, parse_document, render_document, wielandt_tensor
 from primdeg.bitsets import minimize_masks
 from primdeg.cli import _random_rows, main, random_pattern
 from primdeg.formats import render_pattern
@@ -398,6 +398,26 @@ class TestGoldenOutput:
             hashlib.sha256(out.encode()).hexdigest()
             == "1d15288dd26169683da5b7e0d614b7544a68db352b41f319a9e966971c6730c9"
         )
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            # every column cycles within the default budget
+            ([], "234f1930fd4565b1db05f449a35bd6f19d326dd115ac4ebe803aecc9aeab4f98"),
+            # 11 columns cycle within 4 steps; 6 and 8 are traced alone and exhausted
+            (["--max-k", "4"], "5fdda8b0edd2560abfa0e295601988031c507cc99ade6a2146c5c53205b27d08"),
+        ],
+    )
+    def test_analyze_tails_and_periods(self, capsys, tmp_path, monkeypatch, extra, digest):
+        # periods 1, 2 and 3 behind tails of lengths 1-3: the cycle-start pass
+        # and the column_trace fallback, recorded before analyze and gammas
+        # shared one sliced run
+        arcs = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 4), (8, 6), (6, 7), (7, 1), (10, 9), (9, 4), (13, 12)]
+        monkeypatch.chdir(tmp_path)
+        Path("tails.txt").write_text(render_pattern(make_pattern(2, 13, [(u, (i,)) for i, u in arcs])))
+        code, out, _ = run(capsys, ["analyze", "tails.txt", "--per-column", "--format", "json-lines"] + extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_exponent_set(self, capsys):
         code, out, _ = run(capsys, ["exponent-set", "--m", "5", "--n", "5"])

@@ -164,6 +164,14 @@ class TestParseErrors:
         self.check(base + "row 1: {1,2,4}\n", 4, "out of range")
         self.check(base + "row 1: {1,2,3}\n", 4, "larger than order-1")
         self.check(base + "row 1: {a}\n", 4, "non-integer")
+        for bad in ("{1,,2}", "{,1}", "{2,}", "{ , }", "{1, ,2}"):
+            self.check(base + f"row 1: {{1}}\nrow 2: {{3}} {bad}\n", 5, "empty member")
+
+    def test_analyze_exits_one_on_an_empty_member(self, tmp_path, capsys):
+        path = tmp_path / "doc.txt"
+        path.write_text("tensor-pattern v1\norder 3\ndim 2\nrow 1: {1,,2}\nrow 2: {1}\n")
+        assert main(["analyze", str(path)]) == 1
+        assert "line 4: empty member in {1,,2}" in capsys.readouterr().err
 
     def test_duplicate_row(self):
         base = "tensor-pattern v1\norder 3\ndim 2\n"
@@ -338,9 +346,9 @@ def damaged_documents(draw):
         op = rng.choice(["insert", "replace", "delete", "line", "member", "member"])
         closes = [k for k in range(start, len(damaged)) if damaged[k] == "}"]
         if op == "member" and closes:
-            # one more member, maybe out of range, or an empty set after it
+            # one more member, maybe out of range or empty, or an empty set after it
             k = rng.choice(closes)
-            extra = rng.choice([f",{rng.randint(0, 9)}", f",{rng.randint(1, 4)}", "} {"])
+            extra = rng.choice([f",{rng.randint(0, 9)}", f",{rng.randint(1, 4)}", ",", "} {"])
             damaged = damaged[:k] + extra + damaged[k:]
         elif op == "insert":
             damaged = damaged[:i] + c + damaged[i:]

@@ -369,14 +369,24 @@ def row_masks(t):
     return [f.masks for f in t.rows]
 
 
+def traced_gamma(t):
+    """gamma from one ``column_trace`` per column, outside the sliced run: the
+    last step at which a column reached [n], or None if one did not."""
+    outcomes = [column_trace(t, j).outcome for j in range(1, t.dim + 1)]
+    steps = [o.step if isinstance(o, Reached) else None for o in outcomes]
+    return None if None in steps else max(steps)
+
+
 def assert_gammas_match_analyze(tensors):
     """gammas, one call per dimension on the tensors' row masks, against one
-    analyze per tensor, in input order."""
+    analyze per tensor and the per-column traces, in input order."""
     got = {}
     for n in {t.dim for t in tensors}:
         where = [i for i, t in enumerate(tensors) if t.dim == n]
         got.update(zip(where, gammas(n, [row_masks(tensors[i]) for i in where])))
-    assert [got[i] for i in range(len(tensors))] == [analyze(t).gamma for t in tensors]
+    expected = [traced_gamma(t) for t in tensors]
+    assert [got[i] for i in range(len(tensors))] == expected
+    assert [analyze(t).gamma for t in tensors] == expected
 
 
 @st.composite
@@ -416,13 +426,16 @@ def entries_of(rows, order):
 
 
 class TestBatchGammas:
-    """The batch engine against one ``analyze`` per tensor."""
+    """The batch engine against one ``analyze`` per tensor, and both against
+    gammas read from ``column_trace``, which does not use the sliced run."""
 
     @given(raw_mask_batches())
     def test_raw_row_masks(self, drawn):
         dim, batch = drawn
-        expected = [analyze(make_pattern(order, dim, entries_of(rows, order))).gamma for order, rows in batch]
+        tensors = [make_pattern(order, dim, entries_of(rows, order)) for order, rows in batch]
+        expected = [traced_gamma(t) for t in tensors]
         assert gammas(dim, [rows for _, rows in batch]) == expected
+        assert [analyze(t).gamma for t in tensors] == expected
 
     @settings(max_examples=200)
     @given(st.lists(sparse_row_pattern_inputs(), min_size=1, max_size=40))
