@@ -13,6 +13,8 @@ Two families cover the range for order >= dimension >= 3:
 
 Every builder re-verifies the degree it claims with the analysis machinery and
 raises VerificationError on disagreement rather than returning a wrong witness.
+:func:`degree_witness` and :func:`exponent_set` build the Wielandt lift and walk
+column n-1 once, and verify their witnesses in one ascending ``gammas`` batch.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 from .bitsets import IndexSet, bit_indices
 from .digraphs import PatternMatrix, matrix_gamma, monomial_lift, wielandt_matrix
 from .errors import VerificationError
-from .patterns import PatternTensor, analyze, column_states, default_bound, gammas
+# ``analyze`` is unused here; bench/tracing.py wraps it by this name.
+from .patterns import PatternTensor, analyze, column_states, default_bound, gammas  # noqa: F401
 
 
 def wielandt_tensor(order: int, dim: int) -> PatternTensor:
@@ -49,8 +52,7 @@ def wielandt_frontier_tensor(order: int, dim: int, k: int) -> PatternTensor:
         raise ValueError(f"k must be in 1..{k_max} for dim {dim}, got {k}")
     base = wielandt_tensor(order, dim)
     extra = column_states(base, dim - 1, k)[-1]
-    rows = tuple(fam.add(extra) for fam in base.rows)
-    return PatternTensor(order, dim, rows)
+    return PatternTensor(order, dim, tuple(fam.add(extra) for fam in base.rows))
 
 
 def small_exponent_matrix(dim: int, target: int) -> PatternMatrix:
@@ -96,29 +98,13 @@ def degree_witness(order: int, dim: int, degree: int) -> tuple[PatternTensor, Fa
 
     Degrees up to dim come from small-exponent matrix lifts; larger ones from
     the frontier family with k = degree - dim. Requires order >= dim >= 3 and
-    1 <= degree <= (dim-1)^2 + 1. The built tensor is re-analyzed and a
-    disagreement raises VerificationError.
+    1 <= degree <= (dim-1)^2 + 1. The built tensor's degree is recomputed
+    and a disagreement raises VerificationError.
     """
-    if dim < 3:
-        raise ValueError(f"dim must be >= 3, got {dim}")
-    if order < dim:
-        raise ValueError(f"order must be >= dim, got order {order} < dim {dim}")
-    top = default_bound(dim)
-    if not 1 <= degree <= top:
-        raise ValueError(f"degree must be in 1..{top} for dim {dim}, got {degree}")
-    if degree <= dim:
-        tensor = monomial_lift(small_exponent_matrix(dim, degree), order)
-        spec = FamilySpec("monomial-lift", order, dim, t=degree)
-    else:
-        tensor = wielandt_frontier_tensor(order, dim, degree - dim)
-        spec = FamilySpec("wielandt-frontier", order, dim, k=degree - dim, t=degree)
-    got = analyze(tensor).gamma
-    if got != degree:
-        raise VerificationError(
-            f"degree_witness(order={order}, dim={dim}, degree={degree}) self-check "
-            f"failed: analyzed degree is {got}"
-        )
-    return tensor, spec
+    witnesses, failures = _witnesses(order, dim, range(degree, degree + 1))
+    if failures:
+        raise VerificationError(failures[0][1])
+    return witnesses[0].tensor, witnesses[0].spec
 
 
 @dataclass(frozen=True)
@@ -156,27 +142,53 @@ def exponent_set(order: int, dim: int) -> ExponentSetResult:
     Per-degree verification failures are recorded in ``failures`` instead of
     aborting the sweep, so a discrepancy names the degree that broke.
     """
+    witnesses, failures = _witnesses(order, dim, range(1, default_bound(dim) + 1))
+    return ExponentSetResult(order, dim, tuple(witnesses), tuple(failures))
+
+
+def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness], list[tuple[int, str]]]:
+    """Build a witness for each of the ascending ``degrees``, verify them all
+    with one ``gammas`` call, and return the verified ones and the failures by
+    degree: a construction's VerificationError, or a gamma other than the degree."""
     if dim < 3:
         raise ValueError(f"dim must be >= 3, got {dim}")
     if order < dim:
         raise ValueError(f"order must be >= dim, got order {order} < dim {dim}")
-    witnesses = []
-    failures = []
-    for degree in range(1, default_bound(dim) + 1):
+    top = default_bound(dim)
+    if bad := [d for d in degrees if not 1 <= d <= top]:
+        raise ValueError(f"degree must be in 1..{top} for dim {dim}, got {bad[0]}")
+    base = wielandt_tensor(order, dim)
+    # one walk of column dim-1 gives the extra support of every frontier witness
+    extras = column_states(base, dim - 1, max(degrees[-1] - dim, 0))
+    built: list[DegreeWitness] = []
+    failures: list[tuple[int, str]] = []
+    for degree in degrees:
+        if (k := degree - dim) > 0:
+            spec = FamilySpec("wielandt-frontier", order, dim, k=k, t=degree)
+            rows = tuple(fam.add(extras[k - 1]) for fam in base.rows)
+            built.append(DegreeWitness(degree, spec, PatternTensor(order, dim, rows)))
+            continue
         try:
-            tensor, spec = degree_witness(order, dim, degree)
+            matrix = small_exponent_matrix(dim, degree)
         except VerificationError as e:
             failures.append((degree, str(e)))
             continue
-        witnesses.append(DegreeWitness(degree, spec, tensor))
-    return ExponentSetResult(order, dim, tuple(witnesses), tuple(failures))
+        spec = FamilySpec("monomial-lift", order, dim, t=degree)
+        built.append(DegreeWitness(degree, spec, monomial_lift(matrix, order)))
+    witnesses = []
+    for w, got in zip(built, gammas(dim, ([fam.masks for fam in w.tensor.rows] for w in built))):
+        if got == w.degree:
+            witnesses.append(w)
+        else:
+            claim = f"degree_witness(order={order}, dim={dim}, degree={w.degree})"
+            failures.append((w.degree, f"{claim} self-check failed: analyzed degree is {got}"))
+    return witnesses, sorted(failures)
 
 
 def brute_force_matrix_exponent_set(dim: int) -> set[int]:
     """Exponents attained by zero-one matrices of the given dimension, by
     running all 2**(dim*dim) patterns through the batch engine as rows of
-    singleton masks. Intentionally
-    capped at dim <= 4 (65536 patterns)."""
+    singleton masks. Intentionally capped at dim <= 4 (65536 patterns)."""
     if not 1 <= dim <= 4:
         raise ValueError(f"dim must be in 1..4, got {dim}")
     row_mask = (1 << dim) - 1

@@ -33,6 +33,8 @@ SPARSE_HEADER = "tensor-sparse v1"
 MATRIX_HEADER = "matrix v1"
 
 _SET_RE = re.compile(r"\{([^{}]*)\}")
+# An index or a count: ASCII digits with no sign, underscore or leading zero.
+_INT_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ def _keyed_int(lines: list[tuple[int, str]], pos: int, key: str) -> int:
     if pos >= len(lines):
         raise ParseError(lines[-1][0] if lines else 1, f"missing '{key} N' line")
     no, line = lines[pos]
-    m = re.fullmatch(rf"{key}\s+(\d+)", line)
+    m = re.fullmatch(rf"{key}\s+({_INT_RE.pattern})", line)
     if not m:
         raise ParseError(no, f"expected '{key} N', got {line!r}")
     return int(m.group(1))
@@ -113,7 +115,7 @@ def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
     dim = _keyed_dim(lines, 2)
     row_masks: dict[int, list[int]] = {}
     for no, line in lines[3:]:
-        m = re.fullmatch(r"row\s+(\d+):(.*)", line)
+        m = re.fullmatch(rf"row\s+({_INT_RE.pattern}):(.*)", line)
         if not m:
             raise ParseError(no, f"expected 'row U: ...', got {line!r}")
         u = int(m.group(1))
@@ -131,10 +133,9 @@ def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
             parts = [p.strip() for p in group.split(",")]
             if not all(parts):
                 raise ParseError(no, f"empty member in {{{group}}}")
-            try:
-                members = [int(p) for p in parts]
-            except ValueError:
-                raise ParseError(no, f"non-integer member in {{{group}}}") from None
+            if not all(map(_INT_RE.fullmatch, parts)):
+                raise ParseError(no, f"non-integer member in {{{group}}}")
+            members = [int(p) for p in parts]
             mask = 0
             for i in members:
                 if not 1 <= i <= dim:
@@ -158,6 +159,8 @@ def _parse_sparse(lines: list[tuple[int, str]]) -> SparseTensor:
         if len(parts) != order + 2:
             raise ParseError(no, f"expected {order} indices and a value, got {len(parts) - 1} fields")
         try:
+            if not all(map(_INT_RE.fullmatch, parts[1:-1])) or "_" in parts[-1] or not parts[-1].isascii():
+                raise ValueError
             idx = tuple(int(p) for p in parts[1:-1])
             value = float(parts[-1])
         except ValueError:

@@ -23,12 +23,15 @@ one sliced run, which follows many start columns of one or more tensors of
 dimension n at once. Bit t*n + j-1 of a mask R_u is a lane: it says row u is
 in column j's state of tensor t. One step sets R_u to the OR of the R_i of
 row u's singleton supports and, for each larger support, the AND of its
-members' R_i. A lane has reached [n] when its bit survives the AND of all
-R_u. Lanes are resolved in groups: a group ends when all its lanes have
-reached [n], or when one of its lanes that is not full matches a snapshot of
-Brent's cycle detection, taken at steps 1, 2, 4, 8, ... (that column cycles,
-so [n] is out of its reach, and the steps since the snapshot are its exact
-period), or when the budget runs out.
+members' R_i. A larger support that several rows hold, such as the extra
+support of a frontier witness, is met once at the start of the step into
+one more R entry, which those rows read like a singleton; a support held by
+one row is met inline. A lane has reached [n] when its bit
+survives the AND of all R_u. Lanes are resolved in groups: a group ends when
+all its lanes have reached [n], or when one of its lanes that is not full
+matches a snapshot of Brent's cycle detection, taken at steps 1, 2, 4, 8,
+... (that column cycles, so [n] is out of its reach, and the steps since the
+snapshot are its exact period), or when the budget runs out.
 
 :func:`analyze` is a batch of one tensor whose groups are its single
 columns. A second pass compares S_i with S_{i+period} to find where each
@@ -46,7 +49,8 @@ superset of another support never changes it. A support that every tensor
 in the batch holds in row u enters as it is. A support that only some hold
 gets one extra member, a pseudo-index c past the n rows whose R_c is the
 lane mask of those tensors; R_c is appended unchanged after every step, so
-the AND keeps that support on its own tensors' lanes. Every lane mask is an
+the AND keeps that support on its own tensors' lanes, and two rows share
+such a support when they share its pseudo-index too. Every lane mask is an
 int over the whole batch, so building one costs time quadratic in its size;
 ``gammas`` therefore runs its input in chunks of ``GAMMA_CHUNK`` tensors.
 
@@ -57,6 +61,7 @@ through this engine as order-2 tensors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
@@ -69,9 +74,9 @@ from .bitsets import IndexSet, SupportFamily, _check_dim, bit_indices, transpose
 # but hold more tensors in memory at once.
 GAMMA_CHUNK = 128
 
-# The rows the sliced step reads: each row's singleton indices and its
-# multi-index supports.
-LaneRows = list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]
+# What the sliced step reads: the multi-index supports that several rows
+# share, then each row's singleton indices and its own multi-index supports.
+LaneRows = tuple[tuple[tuple[int, ...], ...], list[tuple[list[int], list[tuple[int, ...]]]]]
 
 
 @dataclass(frozen=True)
@@ -309,11 +314,14 @@ class PrimitivityReport:
 
 
 def _sliced_step(rows: LaneRows, R: list[int]) -> list[int]:
-    """One step of every lane at once: ``R[u]`` is row u's lane mask. Each of
-    ``rows`` is a pair of singleton indices and multi-index supports, as
-    :func:`_lane_rows` builds them; pseudo-indices read past the n rows."""
+    """One step of every lane at once: ``R[u]`` is row u's lane mask. ``rows``
+    is built by :func:`_lane_rows`; pseudo-indices read past the n rows, and
+    the meets of the shared supports, computed first, past those."""
+    shared, table = rows
+    if shared:
+        R = R + [reduce(and_, [R[i] for i in m]) for m in shared]
     out = []
-    for singles, multis in rows:
+    for singles, multis in table:
         acc = 0
         for i in singles:
             acc |= R[i]
@@ -338,7 +346,7 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
             for m in masks:
                 h[m] = h.get(m, 0) | lanes
     pseudo: dict[int, int] = {}  # lane mask -> its pseudo-index, n and up
-    rows: LaneRows = []
+    rows: list[tuple[list[int], list[tuple[int, ...]]]] = []
     for u, h in enumerate(held, start=1):
         if bad := [m for m in h if not 0 < m <= col]:
             raise ValueError(f"row {u} holds mask {bad[0]:#x}, outside 1..2^{n}-1")
@@ -350,8 +358,15 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
                 multis.append(bit_indices(m))
             else:
                 singles.append(m.bit_length() - 1)
-        rows.append((tuple(singles), tuple(multis)))
-    return rows, list(pseudo)
+        rows.append((singles, multis))
+    # a support several rows hold is met once per step, and read like a singleton
+    counts = Counter(m for _, multis in rows for m in multis)
+    shared = {m: n + len(pseudo) + i for i, m in enumerate(m for m, c in counts.items() if c > 1)}
+    if shared:
+        for singles, multis in rows:
+            singles += [shared[m] for m in multis if m in shared]
+            multis[:] = [m for m in multis if m not in shared]
+    return (tuple(shared), rows), list(pseudo)
 
 
 def _sliced_run(

@@ -134,6 +134,27 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "text, line",
         [
+            ("tensor-pattern v1\norder 3\ndim 3\nrow 1: {+2}\n", 4),
+            ("tensor-pattern v1\norder 3\ndim 3\nrow 1: {0_2}\n", 4),
+            ("tensor-pattern v1\norder 3\ndim 3\nrow 1: {02}\n", 4),
+            ("tensor-pattern v1\norder 3\ndim 3\nrow ١: {2}\n", 4),
+            ("tensor-pattern v1\norder 03\ndim 3\n", 2),
+            ("tensor-sparse v1\norder 2\ndim 2\nentry 1 +2 1_0\n", 4),
+            ("tensor-sparse v1\norder 2\ndim 2\nentry 1 2 ١\n", 4),
+        ],
+        ids=["sign", "underscore", "leading-zero", "arabic-indic-row", "header-leading-zero", "sparse", "sparse-value"],
+    )
+    def test_loose_integers_rejected(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1
+        assert out == ""
+        assert f"error: line {line}:" in err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
             ("tensor-sparse v1\norder 1\ndim 2\nentry 1 1.0\n", 2),
             ("tensor-pattern v1\norder 3\ndim 200\n", 3),
             ("tensor-pattern v1\norder 3\ndim 200\nrow 1: {2}\n", 3),
@@ -425,6 +446,36 @@ class TestGoldenOutput:
         assert (
             hashlib.sha256(out.encode()).hexdigest()
             == "b8acec8e2450ba9b5253666496837ee9d199047b873bcb63a254999f40aae95b"
+        )
+
+    def test_exponent_set_at_the_benchmark_size(self, capsys):
+        # recorded while every witness was still verified by its own analyze
+        code, out, _ = run(capsys, ["exponent-set", "--m", "16", "--n", "16", "--max-n", "16"])
+        assert code == 0
+        assert out.splitlines()[-1] == "achieved == expected (1..226)"
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "99f018a19253f74af2efbc7b6ba451950526025b3b779f3facca4eb67319a616"
+        )
+
+    def test_exponent_set_json_lines_with_witness_files(self, capsys, tmp_path):
+        # stdout, and a sha256sum-style listing of the 26 witness files,
+        # recorded while every witness was still verified by its own analyze
+        wdir = tmp_path / "w"
+        argv = ["exponent-set", "--m", "6", "--n", "6", "--format", "json-lines", "--emit-witnesses", str(wdir)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "be06f364aa21c851403daf91e3a6f641a157da73f7f0bfff1eacaf8c44412d4b"
+        )
+        listing = "".join(
+            f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n" for f in sorted(wdir.iterdir())
+        )
+        assert listing.count("\n") == 26
+        assert (
+            hashlib.sha256(listing.encode()).hexdigest()
+            == "59d01a3d22670dfff1f8e1ed10558c14598ce6faca04e7ec91d58f7748dcd602"
         )
 
     @pytest.mark.parametrize(

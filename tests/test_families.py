@@ -22,6 +22,7 @@ from primdeg import (
     wielandt_matrix,
     wielandt_tensor,
 )
+from primdeg import families
 from primdeg.families import _monomial_pattern_from_bits
 from primdeg.patterns import gammas
 
@@ -158,6 +159,66 @@ class TestExponentSet:
         result = exponent_set(3, 3)
         degrees = [w.degree for w in result.witnesses]
         assert degrees == sorted(set(degrees))
+
+    @pytest.mark.parametrize("order, dim", [(3, 3), (4, 4), (7, 4), (5, 5), (6, 6)])
+    def test_equals_one_degree_witness_per_degree(self, order, dim):
+        result = exponent_set(order, dim)
+        assert result.complete and not result.failures
+        expected = [(d, *degree_witness(order, dim, d)) for d in range(1, (dim - 1) ** 2 + 2)]
+        assert [(w.degree, w.tensor, w.spec) for w in result.witnesses] == expected
+
+    def test_a_wrong_frontier_witness_is_recorded_against_its_degree(self, monkeypatch):
+        # column n-1's k-th state swapped for its (k+1)-th: the degree n+k
+        # witness has degree n+k+1, every other one is untouched
+        order, dim, k = 5, 5, 4
+        real = families.column_states
+
+        def swapped(tensor, column, steps):
+            states = real(tensor, column, steps + 1)
+            return states[: k - 1] + (states[k],) + states[k:steps] if steps >= k else states[:steps]
+
+        monkeypatch.setattr(families, "column_states", swapped)
+        with pytest.raises(VerificationError) as info:
+            degree_witness(order, dim, dim + k)
+        assert str(info.value) == (
+            "degree_witness(order=5, dim=5, degree=9) self-check failed: analyzed degree is 10"
+        )
+        result = exponent_set(order, dim)
+        assert result.failures == ((dim + k, str(info.value)),)
+        assert result.achieved == result.expected - {dim + k}
+        assert not result.complete
+
+    def test_a_wrong_matrix_lift_is_recorded_against_its_degree(self, monkeypatch):
+        # the degree-2 lift built from the Wielandt matrix has degree 17
+        real = families.small_exponent_matrix
+        monkeypatch.setattr(
+            families, "small_exponent_matrix", lambda dim, t: wielandt_matrix(dim) if t == 2 else real(dim, t)
+        )
+        with pytest.raises(VerificationError) as info:
+            degree_witness(5, 5, 2)
+        assert str(info.value).endswith("self-check failed: analyzed degree is 17")
+        result = exponent_set(5, 5)
+        assert result.failures == ((2, str(info.value)),)
+        assert result.achieved == result.expected - {2}
+
+    def test_a_small_exponent_matrix_failure_keeps_its_degree(self, monkeypatch):
+        # matrix_gamma misreads exponent 3 as 4, so small_exponent_matrix
+        # raises at build time for target 3; with every frontier witness also
+        # given S_1 as its extra support (degree 5), failures stay in degree order
+        real = families.matrix_gamma
+        monkeypatch.setattr(families, "matrix_gamma", lambda m: 4 if real(m) == 3 else real(m))
+        real_states = families.column_states
+        monkeypatch.setattr(
+            families, "column_states", lambda t, c, steps: real_states(t, c, steps)[:1] * steps
+        )
+        result = exponent_set(4, 4)
+        message = "small_exponent_matrix(dim=4, target=3) self-check failed: exponent is 4"
+        assert result.failures[0] == (3, message)
+        assert [d for d, _ in result.failures] == [3, 6, 7, 8, 9, 10]
+        assert result.failures[1][1].endswith("degree=6) self-check failed: analyzed degree is 5")
+        assert result.achieved == {1, 2, 4, 5}
+        with pytest.raises(VerificationError, match=r"^small_exponent_matrix\(dim=4, target=3\)"):
+            degree_witness(4, 4, 3)
 
 
 class TestBruteForce:

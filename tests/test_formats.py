@@ -173,6 +173,64 @@ class TestParseErrors:
         assert main(["analyze", str(path)]) == 1
         assert "line 4: empty member in {1,,2}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, line, fragment",
+        [
+            # members: a sign, an underscore, a leading zero, a non-ASCII digit
+            ("row 1: {+2}\n", 4, "non-integer member in {+2}"),
+            ("row 1: {0_2}\n", 4, "non-integer member in {0_2}"),
+            ("row 1: {02}\n", 4, "non-integer member in {02}"),
+            ("row 1: {1,-2}\n", 4, "non-integer member in {1,-2}"),
+            ("row 1: {\u0662}\n", 4, "non-integer member"),
+            ("row 1: {\uff12}\n", 4, "non-integer member"),
+            # row numbers
+            ("row \u0661: {2}\n", 4, "expected 'row U: ...'"),
+            ("row +1: {2}\n", 4, "expected 'row U: ...'"),
+            ("row 01: {2}\n", 4, "expected 'row U: ...'"),
+            ("row 1_0: {2}\n", 4, "expected 'row U: ...'"),
+        ],
+    )
+    def test_integers_are_plain_ascii_digits(self, text, line, fragment):
+        self.check("tensor-pattern v1\norder 3\ndim 3\n" + text, line, fragment)
+
+    @pytest.mark.parametrize(
+        "text, line, fragment",
+        [
+            ("tensor-pattern v1\norder +3\ndim 3\n", 2, "expected 'order N'"),
+            ("tensor-pattern v1\norder 03\ndim 3\n", 2, "expected 'order N'"),
+            ("tensor-sparse v1\norder 3\ndim 0_3\n", 3, "expected 'dim N'"),
+            ("tensor-pattern v1\norder 3\ndim \u0663\n", 3, "expected 'dim N'"),
+            ("matrix v1\ndim 02\n0 1\n1 0\n", 2, "expected 'dim N'"),
+            # a bare 0 still reads, so it gets its range message
+            ("tensor-pattern v1\norder 0\ndim 3\n", 2, "order must be >= 2, got 0"),
+            ("matrix v1\ndim 0\n", 2, "dim must be >= 1, got 0"),
+        ],
+    )
+    def test_header_counts_are_plain_ascii_digits(self, text, line, fragment):
+        self.check(text, line, fragment)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "entry 1 +2 1_0",
+            "entry 1 2 1_0",
+            "entry 1 02 1.0",
+            "entry 1 2_0 1.0",
+            "entry \u0661 2 1.0",
+            "entry 1 2 \u0661",
+            "entry 1 2 1.\u0665",
+            "entry 1 2 \uff11",
+        ],
+    )
+    def test_sparse_fields_are_plain_ascii(self, entry):
+        self.check("tensor-sparse v1\norder 2\ndim 2\nentry 1 1 2.0\n" + entry + "\n", 5, "malformed entry")
+
+    def test_plain_numbers_still_read(self):
+        doc = parse_document("tensor-sparse v1\norder 2\ndim 10\nentry 1 10 +2\nentry 10 1 1e-3\nentry 2 2 0\n")
+        assert doc.payload.entries == (((1, 10), 2.0), ((10, 1), 0.001))
+        t = parse_document("tensor-pattern v1\norder 3\ndim 10\nrow 10: {10} {1,9}\n").payload
+        assert t.rows[9].masks == (0b100000001, 1 << 9)
+
     def test_duplicate_row(self):
         base = "tensor-pattern v1\norder 3\ndim 2\n"
         self.check(base + "row 1: {2}\nrow 1: {1}\n", 5, "twice")

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import raw_states, raw_step
 from primdeg import patterns
+from primdeg.bitsets import bit_indices
 from primdeg.patterns import gammas
 from primdeg import (
     Cycled,
@@ -502,6 +503,141 @@ class TestBatchGammas:
         rot = make_pattern(2, 40, [(u, (u % 3 + 1,)) for u in (1, 2, 3)] + [(u, (1,)) for u in range(4, 41)])
         assert gammas(40, [row_masks(swap), row_masks(rot)]) == [None, None]
         assert len(calls) <= 8 < default_bound(40)
+
+
+def cell_of(members, order):
+    return tuple(members + members[-1:] * (order - 1 - len(members)))
+
+
+@st.composite
+def growing_base(draw, dim, order):
+    """Cells of an n-cycle with a few chords, the odd arc dropped (so rows may
+    be empty), and a few random cells; its column states tend to grow."""
+    perm = draw(st.permutations(range(1, dim + 1)))
+    arcs = [(perm[i - 1], perm[i]) for i in range(dim)]
+    arcs += [(draw(st.integers(1, dim)), draw(st.integers(1, dim))) for _ in range(draw(st.integers(0, 3)))]
+    entries = [(u, cell_of([i], order)) for i, u in arcs if draw(st.integers(0, 7))]
+    for _ in range(draw(st.integers(0, 3))):
+        entries.append((draw(st.integers(1, dim)), tuple(draw(st.integers(1, dim)) for _ in range(order - 1))))
+    return entries
+
+
+@st.composite
+def support_from_an_orbit(draw, entries, dim, order):
+    """2..order-1 members taken from a state of the base's orbits that has
+    two or more, so the support fires; any members if no state has two."""
+    base = make_pattern(order, dim, entries)
+    states = column_states(base, draw(st.integers(1, dim)), draw(st.integers(1, 2 * dim)))
+    big = [s.members for s in states if len(s.members) >= 2]
+    pool = list(draw(st.sampled_from(big))) if big else list(range(1, dim + 1))
+    size = draw(st.integers(2, min(order - 1, len(pool))))
+    return draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
+
+
+@st.composite
+def planted_support_inputs(draw, max_dim=9, max_order=6):
+    """A tensor of order 3-6 and dim 2-9 with one multi-index support planted
+    in 2..n rows, and the support's mask. The rows are chosen, where two or
+    more allow it, among those whose singletons do not absorb the support."""
+    dim = draw(st.integers(2, max_dim))
+    order = draw(st.integers(3, max_order))
+    entries = draw(growing_base(dim, order))
+    members = draw(support_from_an_orbit(entries, dim, order))
+    free = [u for u in range(1, dim + 1) if not any(v == u and set(c) <= set(members) for v, c in entries)]
+    rows = free if len(free) >= 2 else range(1, dim + 1)
+    holders = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=len(rows), unique=True))
+    entries += [(u, draw(st.permutations(cell_of(members, order)))) for u in holders]
+    return (order, dim, entries), sum(1 << (i - 1) for i in members)
+
+
+@st.composite
+def planted_support_batches(draw, max_dim=9, max_tensors=8):
+    """Tensors of order 3-6 and one dim 2-9 as raw row masks, where some of
+    them, not all when there are two or more, hold one support in the same
+    2..n rows, so those rows share it with its pseudo-index. The support
+    comes from an orbit of the first tensor that holds it."""
+    dim = draw(st.integers(2, max_dim))
+    order = draw(st.integers(3, 6))
+    count = draw(st.integers(1, max_tensors))
+    holding = draw(st.lists(st.booleans(), min_size=count, max_size=count).filter(
+        lambda h: any(h) and (count == 1 or not all(h))))
+    bases = [draw(growing_base(dim, order)) for _ in range(count)]
+    members = draw(support_from_an_orbit(bases[holding.index(True)], dim, order))
+    planted = sum(1 << (i - 1) for i in members)
+    holder_rows = draw(st.lists(st.integers(0, dim - 1), min_size=2, max_size=dim, unique=True))
+    batch = []
+    for holds, entries in zip(holding, bases):
+        rows = [[] for _ in range(dim)]
+        for u, c in entries:
+            m = sum(1 << (i - 1) for i in set(c))
+            if m != planted:  # only the holders' rows hold it
+                rows[u - 1].append(m)
+        if holds:
+            for u in holder_rows:
+                rows[u].insert(draw(st.integers(0, len(rows[u]))), planted)
+        batch.append((order, rows))
+    return dim, batch
+
+
+class TestSharedSupports:
+    """A multi-index support that several rows hold is met once per step into
+    one more ``R`` entry; both engines must still agree with ``column_trace``."""
+
+    @given(planted_support_inputs())
+    def test_analyze_matches_reference_at_every_budget(self, drawn):
+        raw, planted = drawn
+        t = make_pattern(*raw)
+        if sum(planted in fam.masks for fam in t.rows) >= 2:  # not dominated away
+            (shared, _), _ = patterns._lane_rows(t.dim, [row_masks(t)])
+            assert bit_indices(planted) in shared
+        for max_steps in (None, *range(1, default_bound(t.dim) + 2)):
+            assert_matches_per_column_reference(t, max_steps)
+
+    @settings(max_examples=200)
+    @given(planted_support_batches())
+    def test_gammas_when_only_some_tensors_hold_it(self, drawn):
+        dim, batch = drawn
+        (shared, _), _ = patterns._lane_rows(dim, [rows for _, rows in batch])
+        assert shared
+        tensors = [make_pattern(order, dim, entries_of(rows, order)) for order, rows in batch]
+        assert gammas(dim, [rows for _, rows in batch]) == [traced_gamma(t) for t in tensors]
+
+    def test_tails_and_periods_through_a_shared_pair(self):
+        # {2,4} in every row: column 1 reaches [n] through it, the others
+        # cycle with periods 1 and 2 behind tails of one and two steps
+        entries = [(2, (1, 1)), (2, (6, 6)), (3, (4, 4)), (3, (6, 6)), (4, (1, 1)), (4, (5, 5)), (5, (4, 4))]
+        t = make_pattern(3, 6, entries + [(u, (2, 4)) for u in range(1, 7)])
+        (shared, _), _ = patterns._lane_rows(6, [row_masks(t)])
+        assert shared == ((1, 3),)
+        r = assert_matches_per_column_reference(t, None)
+        assert r.outcomes == (
+            Reached(2), Cycled(2, 1), Cycled(2, 1), Cycled(3, 2), Cycled(3, 2), Cycled(3, 1)
+        )
+        for max_steps in range(1, 5):
+            assert_matches_per_column_reference(t, max_steps)
+
+    def test_frontier_witness_support_is_met_once(self):
+        # the extra support {1,6} of the degree-7 witness stays in the four
+        # rows whose singletons do not absorb it; in a batch with the Wielandt
+        # lift, which lacks it, those rows share it with its pseudo-index
+        n = 6
+        w = degree_witness(n, n, 7)[0]
+        held = [u for u, fam in enumerate(w.rows) if 0b100001 in fam.masks]
+        assert held == [2, 3, 4, 5]
+        batch = [row_masks(w), row_masks(wielandt_tensor(n, n))]
+        (shared, rows), consts = patterns._lane_rows(n, batch)
+        assert shared == ((0, 5, n),) and consts == [(1 << n) - 1]
+        assert [u for u, (singles, _) in enumerate(rows) if n + 1 in singles] == held
+        assert not any(multis for _, multis in rows)
+        assert gammas(n, batch) == [7, 26]
+        assert analyze(w).gamma == traced_gamma(w) == 7
+
+    def test_step_leaves_its_input_alone(self):
+        t = degree_witness(5, 5, 12)[0]
+        rows, _ = patterns._lane_rows(5, [row_masks(t)])
+        R = [1 << u for u in range(5)]
+        patterns._sliced_step(rows, R)
+        assert R == [1 << u for u in range(5)]
 
 
 class TestNecessaryConditions:
