@@ -53,7 +53,6 @@ from .patterns import (
     default_bound,
     gamma_j,
     make_pattern,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +77,6 @@ __all__ = [
     "ParseError",
     "VerificationError",
     "make_pattern",
-    "step",
     "column_states",
     "column_trace",
     "gamma_j",

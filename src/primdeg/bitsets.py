@@ -34,8 +34,7 @@ def _check_dim(dim: int) -> None:
 class IndexSet:
     """An immutable subset of {1, ..., dim}, stored as a bitmask.
 
-    Bit i-1 of ``mask`` is set exactly when index i is a member. Operations
-    between sets require equal ``dim``.
+    Bit i-1 of ``mask`` is set exactly when index i is a member.
     """
 
     mask: int
@@ -89,20 +88,6 @@ class IndexSet:
 
     def __len__(self) -> int:
         return bin(self.mask).count("1")
-
-    def _require_same_dim(self, other: "IndexSet") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        self._require_same_dim(other)
-        return IndexSet(self.mask | other.mask, self.dim)
-
-    __or__ = union
-
-    def issubset(self, other: "IndexSet") -> bool:
-        self._require_same_dim(other)
-        return self.mask & other.mask == self.mask
 
     def __repr__(self) -> str:
         inner = ",".join(str(i) for i in self.members)
@@ -207,10 +192,6 @@ class SupportFamily:
     @classmethod
     def from_masks(cls, dim: int, masks: Iterable[int]) -> "SupportFamily":
         return cls(dim, minimize_masks(masks))
-
-    @classmethod
-    def empty(cls, dim: int) -> "SupportFamily":
-        return cls(dim, ())
 
     @classmethod
     def of_singletons(cls, dim: int, union_mask: int) -> "SupportFamily":

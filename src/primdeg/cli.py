@@ -333,7 +333,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         gamma = analyze(payload).gamma
     elif args.kind == "ak":
         payload = wielandt_frontier_tensor(need("m"), n, need("k"))
-        gamma = analyze(payload).gamma
+        gamma = n + args.k  # the degree wielandt_frontier_tensor verified
     else:  # bt: degree_witness returns only a tensor whose degree it verified
         payload, spec = degree_witness(need("m"), n, need("t"))
         gamma = spec.t
@@ -357,6 +357,8 @@ def cmd_exponent_set(args: argparse.Namespace) -> int:
     report = RunReport()
     params = {"order": args.m, "dim": args.n}
     report.add(record="meta", command="exponent-set", sha256=_digest_params(params), **params)
+    if args.emit_witnesses:
+        os.makedirs(args.emit_witnesses, exist_ok=True)
     for w in result.witnesses:
         report.add(
             record="degree",
@@ -367,7 +369,6 @@ def cmd_exponent_set(args: argparse.Namespace) -> int:
             status="ok",
         )
         if args.emit_witnesses:
-            os.makedirs(args.emit_witnesses, exist_ok=True)
             save_document(
                 os.path.join(args.emit_witnesses, f"witness-t{w.degree:03d}.txt"), w.tensor
             )

@@ -34,12 +34,11 @@ from .patterns import PatternTensor, make_pattern
 DENSE_CELL_CAP = int(os.environ.get("PRIMDEG_DENSE_CELL_CAP", str(1 << 20)))
 
 
-def _check_cells(order: int, dim: int, cap: int | None = None) -> None:
-    limit = DENSE_CELL_CAP if cap is None else cap
-    if dim**order > limit:
+def _check_cells(order: int, dim: int) -> None:
+    if dim**order > DENSE_CELL_CAP:
         raise CapExceededError(
             f"dense tensor with order {order}, dim {dim} has {dim**order} cells, "
-            f"cap is {limit} (set PRIMDEG_DENSE_CELL_CAP to raise it)"
+            f"cap is {DENSE_CELL_CAP} (set PRIMDEG_DENSE_CELL_CAP to raise it)"
         )
 
 
@@ -230,27 +229,6 @@ def majorization_recursion(a: DenseTensor, steps: int) -> list[PatternMatrix]:
         ]
         out.append(PatternMatrix.from_entries(n, entries))
     return out
-
-
-def power_map(a: DenseTensor, x: np.ndarray) -> np.ndarray:
-    """One step of the normalized iteration: the (order-1)-th root of a(x).
-
-    Real arithmetic; positivity of the result matches the boolean route as long
-    as nothing overflows, which desk-scale demonstrations do not.
-    """
-    if a.order < 2:
-        raise ValueError(f"order must be >= 2, got {a.order}")
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (a.dim,):
-        raise ValueError(f"x must have shape ({a.dim},), got {arr.shape}")
-    if np.any(arr < 0):
-        raise ValueError("x must be nonnegative")
-    if not np.any(arr > 0):
-        raise ValueError("x must be nonzero")
-    r = a.values
-    for _ in range(a.order - 1):
-        r = np.tensordot(r, arr, axes=([1], [0]))
-    return r ** (1.0 / (a.order - 1))
 
 
 def densify(tensor: PatternTensor) -> DenseTensor:

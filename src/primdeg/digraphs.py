@@ -115,14 +115,14 @@ def exact_length_frontier(d: PatternMatrix, start: int, length: int) -> IndexSet
     return column_states(monomial_lift(d.reversed_digraph(), 2), start, length)[-1]
 
 
-def matrix_gamma(matrix: PatternMatrix, max_steps: int | None = None) -> int | None:
+def matrix_gamma(matrix: PatternMatrix) -> int | None:
     """Primitive exponent of a zero-one matrix, or None when it is not primitive.
 
     This is the least k with every entry of the k-th boolean power positive.
     It is computed by running the order-2 tensor view of the matrix through the
     column-trace engine, so matrices and monomial tensors share one code path.
     """
-    return analyze(monomial_lift(matrix, 2), max_steps=max_steps).gamma
+    return analyze(monomial_lift(matrix, 2)).gamma
 
 
 def wielandt_matrix(dim: int) -> PatternMatrix:

@@ -41,7 +41,8 @@ def wielandt_frontier_tensor(order: int, dim: int, k: int) -> PatternTensor:
     must fit in a support of size order-1) and 1 <= k <= dim^2 - 3*dim + 2
     (beyond that the state is no longer a proper subset). The result keeps the
     Wielandt majorization pattern and has primitive degree dim + k, attained by
-    the last column.
+    the last column. :func:`degree_witness` builds it and verifies that degree,
+    raising VerificationError on disagreement.
     """
     if dim < 3:
         raise ValueError(f"dim must be >= 3, got {dim}")
@@ -50,9 +51,7 @@ def wielandt_frontier_tensor(order: int, dim: int, k: int) -> PatternTensor:
     k_max = dim * dim - 3 * dim + 2
     if not 1 <= k <= k_max:
         raise ValueError(f"k must be in 1..{k_max} for dim {dim}, got {k}")
-    base = wielandt_tensor(order, dim)
-    extra = column_states(base, dim - 1, k)[-1]
-    return PatternTensor(order, dim, tuple(fam.add(extra) for fam in base.rows))
+    return degree_witness(order, dim, dim + k)[0]
 
 
 def small_exponent_matrix(dim: int, target: int) -> PatternMatrix:

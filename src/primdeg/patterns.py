@@ -144,6 +144,7 @@ def make_pattern(
 
 
 def _step_mask(tensor: PatternTensor, state: int) -> int:
+    """One step on masks: the rows with a support contained in ``state``."""
     out = 0
     bit = 1
     for fam in tensor.rows:
@@ -169,16 +170,6 @@ def _orbit(tensor: PatternTensor, column: int) -> Iterator[int]:
     while True:
         state = _step_mask(tensor, state)
         yield state
-
-
-def step(tensor: PatternTensor, state: IndexSet) -> IndexSet:
-    """One fixpoint step: rows whose family has some support contained in ``state``.
-
-    Monotone in ``state`` and insensitive to antichain minimization of the rows.
-    """
-    if state.dim != tensor.dim:
-        raise ValueError(f"dimension mismatch: state dim {state.dim} vs tensor dim {tensor.dim}")
-    return IndexSet(_step_mask(tensor, state.mask), tensor.dim)
 
 
 def column_states(tensor: PatternTensor, column: int, steps: int) -> tuple[IndexSet, ...]:
@@ -279,9 +270,9 @@ def column_trace(tensor: PatternTensor, column: int, max_steps: int | None = Non
     return ColumnTrace(column, tuple(masks), tensor.dim, outcome)
 
 
-def gamma_j(tensor: PatternTensor, column: int, max_steps: int | None = None) -> int | None:
+def gamma_j(tensor: PatternTensor, column: int) -> int | None:
     """Column degree: least k with S_k = [n], or None if the trace did not reach it."""
-    outcome = column_trace(tensor, column, max_steps).outcome
+    outcome = column_trace(tensor, column).outcome
     return outcome.step if isinstance(outcome, Reached) else None
 
 

@@ -213,6 +213,15 @@ class TestConstruct:
         assert code == 0
         assert "gamma=8" in out
 
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 2), (5, 1), (5, 7), (5, 12), (6, 20)])
+    def test_ak_is_bt_at_n_plus_k(self, capsys, n, k):
+        m = ["--m", str(n), "--n", str(n)]
+        ak = run(capsys, ["construct", "ak", *m, "--k", str(k)])
+        bt = run(capsys, ["construct", "bt", *m, "--t", str(n + k)])
+        assert ak[0] == bt[0] == 0
+        assert ak[1] == bt[1]
+        assert ak[2].splitlines()[0] == bt[2].splitlines()[0] == f"gamma={n + k}"
+
     def test_bt_document(self, capsys, tmp_path):
         out_path = tmp_path / "bt.txt"
         code, out, _ = run(
@@ -439,6 +448,32 @@ class TestGoldenOutput:
         code, out, _ = run(capsys, ["analyze", "tails.txt", "--per-column", "--format", "json-lines"] + extra)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_construct_ak(self, capsys):
+        # stdout of k = 1..12 at (5, 5), joined, recorded while the frontier
+        # builder built its own tensor and the CLI analyzed it
+        outs = []
+        for k in range(1, 13):
+            code, out, _ = run(capsys, ["construct", "ak", "--m", "5", "--n", "5", "--k", str(k)])
+            assert code == 0
+            outs.append(out)
+        assert (
+            hashlib.sha256("".join(outs).encode()).hexdigest()
+            == "e378252e253f00beaf9fa0fbc2b765bb828fa59424a13cd8f5b75fcb4b8e18fe"
+        )
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--m", "5", "--n", "2", "--k", "1"], "error: dim must be >= 3, got 2"),
+            (["--m", "4", "--n", "5", "--k", "1"], "error: order must be >= dim, got order 4 < dim 5"),
+            (["--m", "5", "--n", "5", "--k", "13"], "error: k must be in 1..12 for dim 5, got 13"),
+        ],
+    )
+    def test_construct_ak_errors(self, capsys, args, error):
+        code, out, err = run(capsys, ["construct", "ak", *args])
+        assert code == 1 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [error]
 
     def test_exponent_set(self, capsys):
         code, out, _ = run(capsys, ["exponent-set", "--m", "5", "--n", "5"])

@@ -19,7 +19,6 @@ from primdeg.dense import (
     general_product,
     majorization_of,
     majorization_recursion,
-    power_map,
     power_patterns,
     support_of,
     to_pattern,
@@ -210,36 +209,6 @@ class TestApplyToBasis:
     def test_support_of_rejects_bad_input(self):
         with pytest.raises(ValueError):
             support_of(np.zeros((2, 2)))
-
-
-class TestPowerMap:
-    def test_matrix_case_is_matvec(self):
-        a = DenseTensor.from_array(np.array([[1.0, 2.0], [0.0, 4.0]]))
-        x = np.array([1.0, 1.0])
-        assert np.allclose(power_map(a, x), np.array([3.0, 4.0]))
-
-    def test_cubic_case_takes_square_root(self):
-        vals = np.zeros((2, 2, 2))
-        vals[0, 0, 0] = 4.0
-        vals[1, 1, 1] = 9.0
-        a = DenseTensor(3, 2, vals)
-        out = power_map(a, np.array([1.0, 1.0]))
-        assert np.allclose(out, np.array([2.0, 3.0]))
-
-    def test_homogeneity_degree_one(self):
-        rng = random.Random(18)
-        a = rand_dense(rng, 3, 3, high=4)
-        x = np.array([1.0, 2.0, 0.5])
-        base = power_map(a, x)
-        scaled = power_map(a, 3.0 * x)
-        assert np.allclose(scaled, 3.0 * base)
-
-    def test_rejects_negative_and_wrong_shape(self):
-        a = DenseTensor.zeros(3, 2)
-        with pytest.raises(ValueError):
-            power_map(a, np.array([-1.0, 1.0]))
-        with pytest.raises(ValueError):
-            power_map(a, np.array([1.0, 1.0, 1.0]))
 
 
 class TestDensifyAndBack:

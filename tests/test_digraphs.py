@@ -9,9 +9,11 @@ from oracle_utils import frontier_by_bool_powers, gamma_by_bool_powers, matrix_t
 from primdeg import (
     IndexSet,
     PatternMatrix,
+    analyze,
     exact_length_frontier,
     frobenius_representable,
     matrix_gamma,
+    monomial_lift,
     walk_decomposition,
     wielandt_matrix,
 )
@@ -141,8 +143,9 @@ class TestMatrixGamma:
         assert matrix_gamma(m) is None
 
     def test_budget_passthrough(self):
-        assert matrix_gamma(wielandt_matrix(5), max_steps=16) is None
-        assert matrix_gamma(wielandt_matrix(5), max_steps=17) == 17
+        # matrix_gamma is analyze on the order-2 lift, which takes the budget
+        assert analyze(monomial_lift(wielandt_matrix(5), 2), max_steps=16).gamma is None
+        assert analyze(monomial_lift(wielandt_matrix(5), 2), max_steps=17).gamma == 17
 
     def test_agrees_with_boolean_powers(self):
         rng = random.Random(7)

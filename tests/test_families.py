@@ -97,6 +97,22 @@ class TestFrontierFamily:
         assert ours[:k] == theirs[:k]
         assert ours[k].is_full and not theirs[k].is_full
 
+    @pytest.mark.parametrize("order, dim", [(3, 3), (5, 5), (7, 4)])
+    def test_is_the_verified_degree_witness(self, order, dim):
+        for k in range(1, dim * dim - 3 * dim + 3):
+            assert wielandt_frontier_tensor(order, dim, k) == degree_witness(order, dim, dim + k)[0]
+
+    def test_a_wrong_gamma_raises(self, monkeypatch):
+        # the builder verifies the degree it claims, so a misreading engine
+        # makes it raise instead of returning the tensor
+        real = families.gammas
+        monkeypatch.setattr(families, "gammas", lambda n, tensors: [g + 1 for g in real(n, tensors)])
+        with pytest.raises(VerificationError) as info:
+            wielandt_frontier_tensor(5, 5, 3)
+        assert str(info.value) == (
+            "degree_witness(order=5, dim=5, degree=8) self-check failed: analyzed degree is 9"
+        )
+
 
 class TestSmallExponentMatrix:
     def test_structure(self):
