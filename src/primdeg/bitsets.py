@@ -56,15 +56,6 @@ class IndexSet:
         return cls(mask, dim)
 
     @classmethod
-    def empty(cls, dim: int) -> "IndexSet":
-        return cls(0, dim)
-
-    @classmethod
-    def full(cls, dim: int) -> "IndexSet":
-        _check_dim(dim)
-        return cls((1 << dim) - 1, dim)
-
-    @classmethod
     def singleton(cls, i: int, dim: int) -> "IndexSet":
         return cls.from_members((i,), dim)
 

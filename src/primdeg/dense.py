@@ -122,7 +122,8 @@ def general_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     out_order = (a.order - 1) * (b.order - 1) + 1
     _check_cells(out_order, a.dim)
-    r = _product_array(a.values, b.values, a.order, a.dim)
+    with np.errstate(over="ignore"):  # reported below as OverflowError
+        r = _product_array(a.values, b.values, a.order, a.dim)
     r = r.reshape((a.dim,) * out_order)
     if not np.all(np.isfinite(r)):
         raise OverflowError("general product overflowed float64; use the pattern route")

@@ -61,12 +61,6 @@ class PatternMatrix:
     def to_rows01(self) -> list[list[int]]:
         return [[1 if j in r else 0 for j in range(1, self.dim + 1)] for r in self.rows]
 
-    def entry(self, i: int, j: int) -> bool:
-        """Whether entry (i, j) is positive, i.e. the digraph has the arc i -> j."""
-        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
-            raise ValueError(f"position ({i},{j}) out of range 1..{self.dim}")
-        return j in self.rows[i - 1]
-
     def reversed_digraph(self) -> "PatternMatrix":
         """The transpose: an arc j -> i for every positive entry (i, j).
 

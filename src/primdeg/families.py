@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitsets import IndexSet, bit_indices
+from .bitsets import IndexSet, SupportFamily, bit_indices
 from .digraphs import PatternMatrix, matrix_gamma, monomial_lift, wielandt_matrix
 from .errors import VerificationError
 # ``analyze`` is unused here; bench/tracing.py wraps it by this name.
@@ -164,7 +164,11 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     for degree in degrees:
         if (k := degree - dim) > 0:
             spec = FamilySpec("wielandt-frontier", order, dim, k=k, t=degree)
-            rows = tuple(fam.add(extras[k - 1]) for fam in base.rows)
+            e = extras[k - 1].mask  # base rows hold only singletons; one in E_k absorbs it
+            rows = tuple(
+                fam if fam.singles & e else SupportFamily(dim, tuple(sorted(fam.masks + (e,))))
+                for fam in base.rows
+            )
             built.append(DegreeWitness(degree, spec, PatternTensor(order, dim, rows)))
             continue
         try:

@@ -24,20 +24,23 @@ dimension n at once. Bit t*n + j-1 of a mask R_u is a lane: it says row u is
 in column j's state of tensor t. One step sets R_u to the OR of the R_i of
 row u's singleton supports and, for each larger support, the AND of its
 members' R_i. A larger support that several rows hold, such as the extra
-support of a frontier witness, is met once at the start of the step into
-one more R entry, which those rows read like a singleton; a support held by
-one row is met inline. A lane has reached [n] when its bit
-survives the AND of all R_u. Lanes are resolved in groups: a group ends when
-all its lanes have reached [n], or when one of its lanes that is not full
-matches a snapshot of Brent's cycle detection, taken at steps 1, 2, 4, 8,
-... (that column cycles, so [n] is out of its reach, and the steps since the
-snapshot are its exact period), or when the budget runs out.
+support of a frontier witness, is met once at the start of the step into one
+more R entry, which those rows read like a singleton; a support held by one
+row is met inline. A lane has reached [n] when its bit survives the AND of
+all R_u. Lanes are resolved in groups: a group ends when all its lanes have
+reached [n], or when one of its lanes that is not full matches a snapshot of
+Brent's cycle detection, taken at steps 1, 2, 4, 8, ... (that column cycles,
+so [n] is out of its reach, and the steps since the snapshot are its exact
+period), or when the budget runs out. Both tests read rows only until no open
+lane is left to test; lanes close by whole groups, so results are exact.
 
 :func:`analyze` is a batch of one tensor whose groups are its single
-columns. A second pass compares S_i with S_{i+period} to find where each
-cycle starts, and columns still open when a lowered budget runs out are
-traced alone by ``column_trace``, so every certificate equals the one
-``column_trace`` gives.
+columns. After ``COMPILE_AFTER`` steps, its run or its second pass if longer,
+it swaps :func:`_sliced_step` for :func:`_compile_step`, the table as one
+generated function, so long runs cost about their bit operations. The pass
+compares S_i with S_{i+period} to find where each cycle starts, and columns
+still open when a lowered budget runs out are traced alone by
+``column_trace``, so every certificate equals the one ``column_trace`` gives.
 
 :func:`gammas` runs batches whose groups are whole tensors, for callers that
 need only gamma: a tensor's gamma is the step at which all n of its lanes
@@ -52,7 +55,8 @@ lane mask of those tensors; R_c is appended unchanged after every step, so
 the AND keeps that support on its own tensors' lanes, and two rows share
 such a support when they share its pseudo-index too. Every lane mask is an
 int over the whole batch, so building one costs time quadratic in its size;
-``gammas`` therefore runs its input in chunks of ``GAMMA_CHUNK`` tensors.
+``gammas`` therefore runs its input in chunks of ``GAMMA_CHUNK`` tensors; it
+does not compile, as that costs dozens of steps and scan chunks take 2 or 3.
 
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
@@ -65,14 +69,21 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
-from operator import and_, or_, xor
-from typing import Iterable, Iterator, Sequence
+from operator import and_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitsets import IndexSet, SupportFamily, _check_dim, bit_indices, transpose_masks
 
 # Tensors per sliced run of :func:`gammas`. Larger chunks step a little faster
 # but hold more tensors in memory at once.
 GAMMA_CHUNK = 128
+
+# Steps before an analyze run compiles its step, which costs 75-90 Wielandt-lift
+# steps at n = 30..128; matrix_gamma's runs of up to 16 steps stay below it.
+COMPILE_AFTER = 64
+# Terms, and members of an inline meet, per generated statement: compile()
+# recurses once per operator of a chain like a|b|c and fails near 3,000.
+_BLOCK = 64
 
 # What the sliced step reads: the multi-index supports that several rows
 # share, then each row's singleton indices and its own multi-index supports.
@@ -325,6 +336,35 @@ def _sliced_step(rows: LaneRows, R: list[int]) -> list[int]:
     return out
 
 
+def _compile_step(rows: LaneRows) -> Callable[[list[int]], list[int]]:
+    """:func:`_sliced_step` for one tensor's table as straight-line code: the
+    meets of shared supports and of those over ``_BLOCK`` first, then the rows."""
+    shared, table = rows
+    n = len(table)
+    meets = [*shared, *(m for _, multis in table for m in multis if len(m) > _BLOCK)]
+    name = {m: f"r{n + i}" for i, m in enumerate(meets)}
+    sets = [(name[m], "&", [f"r{i}" for i in m]) for m in meets]
+    for u, (singles, multis) in enumerate(table):
+        terms = [f"r{i}" for i in singles] + [name.get(m) or "&".join(f"r{i}" for i in m) for m in multis]
+        sets.append((f"o{u}", "|", terms or ["0"]))
+    body = [f"{''.join(f'r{i},' for i in range(n))} = R"]
+    for var, op, terms in sets:
+        body += [f"{var} {op if k else ''}= {op.join(terms[k:k + _BLOCK])}" for k in range(0, len(terms), _BLOCK)]
+    body.append(f"return [{','.join(f'o{u}' for u in range(n))}]")
+    scope: dict = {}
+    exec("def step(R):\n " + "\n ".join(body), scope)
+    return scope["step"]
+
+
+def _same(lanes: int, R: list[int], S: list[int]) -> int:
+    """The lanes of ``lanes`` where R and S agree, read until none is left."""
+    for r, s in zip(R, S):
+        if not lanes:
+            break
+        lanes &= ~(r ^ s)
+    return lanes
+
+
 def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRows, list[int]]:
     """The lane rows of tensors given as row masks, lane t*n + j-1 being column
     j of ``batch[t]``, and the ``R`` entries of their pseudo-indices."""
@@ -362,14 +402,16 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
 
 def _sliced_run(
     rows: LaneRows, consts: list[int], n: int, tensors: int, width: int, bound: int
-) -> tuple[list[int | None], dict[int, int], int]:
+) -> tuple[list[int | None], dict[int, int], int, Callable[[list[int]], list[int]]]:
     """Step the lanes of ``tensors`` tensors until each group of ``width``
     lanes is resolved: all its lanes reach [n], one of them matches a Brent
     snapshot, or the budget ``bound`` runs out.
 
-    Returns the step at which each group reached [n] (None if it did not),
-    the lanes that matched a snapshot keyed by period, and the lanes of the
-    groups still open at the budget.
+    A run of one-lane groups (:func:`analyze`'s) compiles its step after
+    ``COMPILE_AFTER`` steps, or at its end for a longer cycle-start pass. It
+    returns the step at which each group reached [n] (None if it did not),
+    the lanes that matched a snapshot keyed by period, the lanes of the
+    groups still open at the budget, and the step for that pass.
     """
     every = (1 << n * tensors) - 1
     group = (1 << width) - 1
@@ -379,28 +421,37 @@ def _sliced_run(
     ends: list[int | None] = [None] * (n * tensors // width)
     periods: dict[int, int] = {}  # period -> lanes that cycle with it
     live = every
-    R = _sliced_step(rows, [every // ((1 << n) - 1) << u for u in range(n)] + consts)
+    step = lambda R: _sliced_step(rows, R + consts)  # noqa: E731
+    R = step([every // ((1 << n) - 1) << u for u in range(n)])
     snap, snap_step, k = None, 0, 1
     while True:
-        full = reduce(and_, R)
+        full = live
+        for r in R:
+            if not full:
+                break
+            full &= r
         # SWAR: a group's other lanes plus one carry into its last lane
         # exactly when they are all full
-        done = ((full & low) + firsts) & full & tops & live
+        done = ((full & low) + firsts) & full & tops
         if done:
             for b in bit_indices(done):
                 ends[b // width] = k
         if snap is not None:
-            cycled = live & ~full & ~reduce(or_, map(xor, R, snap))
+            cycled = _same(live & ~full, R, snap)
             if cycled:
                 periods[k - snap_step] = periods.get(k - snap_step, 0) | cycled
                 # the last lane of every group with a lane that cycled
                 done |= (((cycled & low) + low) | cycled) & tops
         live &= ~((done >> (width - 1)) * group)
         if not live or k == bound:
-            return ends, periods, live
+            if width == 1 and k <= COMPILE_AFTER < sum(periods):  # the pass takes more
+                step = _compile_step(rows)
+            return ends, periods, live, step
         if k & (k - 1) == 0:
             snap, snap_step = R, k
-        R, k = _sliced_step(rows, R + consts), k + 1
+        if k == COMPILE_AFTER and width == 1:
+            step = _compile_step(rows)
+        R, k = step(R), k + 1
 
 
 def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityReport:
@@ -416,29 +467,28 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     if bound < 1:
         raise ValueError(f"max_steps must be >= 1, got {bound}")
     rows, _ = _lane_rows(n, [[fam.masks for fam in tensor.rows]])
-    ends, periods, open_cols = _sliced_run(rows, [], n, tensors=1, width=1, bound=bound)
+    ends, periods, open_cols, step = _sliced_run(rows, [], n, tensors=1, width=1, bound=bound)
     outcomes: list[Outcome | None] = [None if k is None else Reached(k) for k in ends]
     for j in bit_indices(open_cols):
         outcomes[j] = column_trace(tensor, j + 1, bound).outcome
     if periods:
-        first = _sliced_step(rows, [1 << u for u in range(n)])
+        first = step([1 << u for u in range(n)])
     for period, cols in periods.items():
         # S_i against S_{i+period}: the first i where column j agrees is where
         # its cycle starts, so its first repeat comes at i + period.
         early = late = first
         for _ in range(period):
-            late = _sliced_step(rows, late)
+            late = step(late)
         i = 1
         while True:
-            same = cols & ~reduce(or_, map(xor, early, late))
-            if same:
+            if same := _same(cols, early, late):
                 outcome = Cycled(first_repeat_at=i + period, period=period)
                 for j in bit_indices(same):
                     outcomes[j] = outcome
                 cols ^= same
                 if not cols:
                     break
-            early, late, i = _sliced_step(rows, early), _sliced_step(rows, late), i + 1
+            early, late, i = step(early), step(late), i + 1
     primitive = None not in ends
     return PrimitivityReport(
         primitive=primitive,

@@ -34,10 +34,10 @@ class TestIndexSet:
         assert list(s) == [1, 3, 5]
 
     def test_factories(self):
-        assert IndexSet.empty(4).members == ()
-        assert IndexSet.empty(4).is_empty
-        assert IndexSet.full(4).members == (1, 2, 3, 4)
-        assert IndexSet.full(4).is_full
+        assert IndexSet(0, 4).members == ()
+        assert IndexSet(0, 4).is_empty
+        assert IndexSet((1 << 4) - 1, 4).members == (1, 2, 3, 4)
+        assert IndexSet((1 << 4) - 1, 4).is_full
         assert IndexSet.singleton(2, 4).mask == 0b10
 
     def test_union_and_subset(self):
@@ -65,9 +65,9 @@ class TestIndexSet:
             IndexSet(0, 0)
 
     def test_dimension_cap(self):
-        IndexSet.empty(MAX_DIM)
+        IndexSet(0, MAX_DIM)
         with pytest.raises(CapExceededError):
-            IndexSet.empty(MAX_DIM + 1)
+            IndexSet(0, MAX_DIM + 1)
 
 
 class TestMinimize:

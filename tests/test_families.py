@@ -102,6 +102,17 @@ class TestFrontierFamily:
         for k in range(1, dim * dim - 3 * dim + 3):
             assert wielandt_frontier_tensor(order, dim, k) == degree_witness(order, dim, dim + k)[0]
 
+    @pytest.mark.parametrize("n", [5, 6, 16])
+    def test_rows_equal_adding_the_state_to_each_row(self, n):
+        # the witnesses are built without re-minimizing; SupportFamily.add
+        # gives the same rows for every k
+        base = wielandt_tensor(n, n)
+        extras = column_states(base, n - 1, n * n - 3 * n + 2)
+        frontier = [w for w in exponent_set(n, n).witnesses if w.spec.kind == "wielandt-frontier"]
+        assert [w.spec.k for w in frontier] == list(range(1, len(extras) + 1))
+        for w in frontier:
+            assert w.tensor.rows == tuple(fam.add(extras[w.spec.k - 1]) for fam in base.rows)
+
     def test_a_wrong_gamma_raises(self, monkeypatch):
         # the builder verifies the degree it claims, so a misreading engine
         # makes it raise instead of returning the tensor

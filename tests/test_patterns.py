@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -344,6 +346,11 @@ class TestBitSlicedAnalyze:
             raise AssertionError("column_trace called")
 
         monkeypatch.setattr(patterns, "column_trace", no_trace)
+        # the run resolves by step 55 and the cycle-start pass takes at least
+        # 100 steps, so the run compiles its step once, as it ends
+        compiled = []
+        real = patterns._compile_step
+        monkeypatch.setattr(patterns, "_compile_step", lambda rows: compiled.append(1) or real(rows))
         entries, base = [], 0
         for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             entries += [(base + (a + 1) % length + 1, (base + a + 1,) * 2) for a in range(length)]
@@ -352,6 +359,7 @@ class TestBitSlicedAnalyze:
         r = analyze(make_pattern(3, 100, entries))
         lengths = [length for length in (2, 3, 5, 7, 11, 13, 17, 19, 23) for _ in range(length)]
         assert r.outcomes == tuple(Cycled(first_repeat_at=p + 1, period=p) for p in lengths)
+        assert compiled == [1]
 
     def test_wielandt_lift_at_the_dimension_cap(self):
         n = 128
@@ -461,6 +469,11 @@ class TestBatchGammas:
         assert gammas(3, [row_masks(rot)]) == [None]
         assert len(calls) == default_bound(3)
         assert analyze(rot).gamma is None
+
+    def test_batches_step_on_the_table(self, monkeypatch):
+        # gammas never compiles, even for one tensor running past the swap
+        monkeypatch.setattr(patterns, "_compile_step", None)
+        assert gammas(30, [row_masks(wielandt_tensor(3, 30))]) == [default_bound(30)]
 
     def test_one_tensor_batches(self):
         assert gammas(30, [row_masks(wielandt_tensor(3, 30))]) == [default_bound(30)]
@@ -633,7 +646,91 @@ class TestSharedSupports:
         rows, _ = patterns._lane_rows(5, [row_masks(t)])
         R = [1 << u for u in range(5)]
         patterns._sliced_step(rows, R)
+        patterns._compile_step(rows)(R)
         assert R == [1 << u for u in range(5)]
+
+
+def assert_compiled_step_matches(t, R):
+    """The compiled step of a tensor's one-tensor table against the table
+    step, on lane masks ``R``."""
+    rows, consts = patterns._lane_rows(t.dim, [row_masks(t)])
+    assert consts == []
+    assert patterns._compile_step(rows)(R) == patterns._sliced_step(rows, R)
+
+
+def lane_masks(data, dim):
+    return data.draw(st.lists(st.integers(0, (1 << dim) - 1), min_size=dim, max_size=dim))
+
+
+def support_lanes(t):
+    """Lane masks whose lane l holds the l-th support of the tensor as its
+    state, so that every term of every row fires alone in some lane."""
+    supports = [m for fam in t.rows for m in fam.masks]
+    return [sum(1 << lane for lane, m in enumerate(supports) if m >> u & 1) for u in range(t.dim)]
+
+
+class TestCompiledStep:
+    """``_compile_step``, which long ``analyze`` runs swap to, against the
+    table-driven ``_sliced_step``, and such runs against ``column_trace``."""
+
+    @given(sparse_row_pattern_inputs(), st.data())
+    def test_matches_the_table_step(self, raw, data):
+        # orders 2-6, dims 1-9, empty rows
+        t = make_pattern(*raw)
+        assert_compiled_step_matches(t, lane_masks(data, t.dim))
+
+    @given(planted_support_inputs(), st.data())
+    def test_matches_the_table_step_with_shared_supports(self, drawn, data):
+        t = make_pattern(*drawn[0])
+        assert_compiled_step_matches(t, lane_masks(data, t.dim))
+
+    def test_long_meets_and_rows(self):
+        # supports of 70 and 99 members are met in statements of their own,
+        # and row 1's 200 pairs span several statements
+        n, rng = 100, random.Random(5)
+        entries = [(u, cell_of(rng.sample(range(1, n + 1), 70), n)) for u in range(1, n + 1, 3)]
+        entries += [(u, cell_of([v for v in range(1, n + 1) if v != u], n)) for u in range(2, n + 1, 3)]
+        entries += [(1, cell_of(rng.sample(range(1, n + 1), 2), n)) for _ in range(200)]
+        t = make_pattern(n, n, entries)
+        assert max(len(fam.multis) for fam in t.rows) > 100
+        assert_compiled_step_matches(t, support_lanes(t))
+        for _ in range(5):
+            assert_compiled_step_matches(t, [rng.getrandbits(n) for _ in range(n)])
+
+    def test_cycles_after_the_swap_match_at_every_budget(self, monkeypatch):
+        # column 1 feeds a 5-cycle and a 7-cycle, so its states repeat with
+        # period 35; Brent's snapshot of step 32 comes back at step 67, after
+        # the swap, and the cycle-start pass runs on the compiled step
+        compiled = []
+        real = patterns._compile_step
+        monkeypatch.setattr(patterns, "_compile_step", lambda rows: compiled.append(1) or real(rows))
+        arcs = [(1, 2), (1, 7), (14, 1)]
+        arcs += [(2 + a, 2 + (a + 1) % 5) for a in range(5)] + [(7 + a, 7 + (a + 1) % 7) for a in range(7)]
+        t = make_pattern(2, 14, [(u, (i,)) for i, u in arcs])
+        r = assert_matches_per_column_reference(t, None)
+        assert compiled and patterns.COMPILE_AFTER < 67
+        assert r.outcomes[0] == Cycled(first_repeat_at=36, period=35)
+        for max_steps in range(1, default_bound(14) + 2):
+            assert_matches_per_column_reference(t, max_steps)
+
+    def test_wielandt_lift_across_the_swap(self):
+        # budgets around the swap and around the first column to reach [n]
+        t = wielandt_tensor(3, 30)
+        swap, first = patterns.COMPILE_AFTER, default_bound(30) - 29
+        for max_steps in (None, 1, swap - 1, swap, swap + 1, first - 1, first, default_bound(30) - 1):
+            assert_matches_per_column_reference(t, max_steps)
+
+    def test_a_row_of_every_pair_at_the_cap(self):
+        # row 1 of the Wielandt lift at n = 128 also holds the 7,875 pairs
+        # without 127 or 128; a single OR over them would not compile
+        n = 128
+        base = wielandt_tensor(3, n)
+        pairs = [1 << a | 1 << b for a in range(n - 2) for b in range(a + 1, n - 2)]
+        row1 = SupportFamily(n, tuple(sorted(base.rows[0].masks + tuple(pairs))))
+        t = PatternTensor(3, n, (row1,) + base.rows[1:])
+        assert_compiled_step_matches(t, support_lanes(t))
+        r = analyze(t)
+        assert r.primitive and r.gamma == 255
 
 
 class TestNecessaryConditions:
