@@ -85,9 +85,15 @@ class IndexSet:
         return f"IndexSet({{{inner}}}, dim={self.dim})"
 
 
-def _size_key(mask: int) -> tuple[int, int]:
-    """The order :func:`minimize_masks` scans in, so subsets come before supersets."""
-    return bin(mask).count("1"), mask
+def _holds(by_size: dict[int, list[int]], m: int, size: int) -> bool:
+    """Whether m, of popcount ``size``, holds a member of ``by_size`` (masks by
+    popcount): one with fewer bits, or any if m < 0 (it has infinitely many)."""
+    for s, ks in by_size.items():
+        if s < size or m < 0:
+            for k in ks:
+                if k & m == k:
+                    return True
+    return False
 
 
 def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
@@ -96,25 +102,27 @@ def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     Supersets of a kept mask are dropped; duplicates collapse. The result is
     sorted ascending by mask value, which is the canonical storage order.
     """
-    kept: list[int] = []
-    for cand in sorted(set(masks), key=_size_key):
+    kept: dict[int, list[int]] = {}  # popcount -> the masks kept with it
+    for cand in sorted(set(masks), key=lambda m: (m.bit_count(), m)):  # subsets first
         if cand == 0:
             raise ValueError("empty set is not a valid support")
-        if not any(k & cand == k for k in kept):
-            kept.append(cand)
-    return tuple(sorted(kept))
+        size = cand.bit_count()
+        if not _holds(kept, cand, size):
+            kept.setdefault(size, []).append(cand)
+    return tuple(sorted([m for ks in kept.values() for m in ks]))
 
 
 def _is_minimized(masks: tuple[int, ...]) -> bool:
     """``masks == minimize_masks(masks)`` for masks without 0, without
-    re-minimizing: strictly ascending, and no member a subset of one that
-    :func:`minimize_masks` scans after it."""
-    for i, m in enumerate(masks):
-        if i and masks[i - 1] >= m:
+    re-minimizing positive ones: strictly ascending, none holding an earlier one."""
+    if masks and masks[0] < 0:
+        return masks == minimize_masks(masks)
+    seen: dict[int, list[int]] = {}  # popcount -> the members before m
+    for prev, m in zip((0,) + masks, masks):
+        size = m.bit_count()
+        if m <= prev or _holds(seen, m, size):
             return False
-        for k in masks:
-            if k & m == k and k != m and _size_key(k) < _size_key(m):
-                return False
+        seen.setdefault(size, []).append(m)
     return True
 
 

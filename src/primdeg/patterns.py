@@ -35,12 +35,13 @@ period), or when the budget runs out. Both tests read rows only until no open
 lane is left to test; lanes close by whole groups, so results are exact.
 
 :func:`analyze` is a batch of one tensor whose groups are its single
-columns. After ``COMPILE_AFTER`` steps, its run or its second pass if longer,
-it swaps :func:`_sliced_step` for :func:`_compile_step`, the table as one
-generated function, so long runs cost about their bit operations. The pass
-compares S_i with S_{i+period} to find where each cycle starts, and columns
-still open when a lowered budget runs out are traced alone by
-``column_trace``, so every certificate equals the one ``column_trace`` gives.
+columns. Its run keeps its states until, after ``COMPILE_AFTER`` steps, it
+swaps :func:`_sliced_step` for :func:`_compile_step`, the table as one
+generated function, so long runs cost about their bit operations. One pass
+over S_1, S_2, ... then finds each cycle's start; it steps past the kept
+states only after a compiled run. Columns still open when a lowered budget
+runs out are traced alone by ``column_trace``, so every certificate equals
+the one ``column_trace`` gives.
 
 :func:`gammas` runs batches whose groups are whole tensors, for callers that
 need only gamma: a tensor's gamma is the step at which all n of its lanes
@@ -65,7 +66,7 @@ through this engine as order-2 tensors.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
@@ -402,16 +403,16 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
 
 def _sliced_run(
     rows: LaneRows, consts: list[int], n: int, tensors: int, width: int, bound: int
-) -> tuple[list[int | None], dict[int, int], int, Callable[[list[int]], list[int]]]:
+) -> tuple[list[int | None], dict[int, int], int, list[list[int]], Callable[[list[int]], list[int]]]:
     """Step the lanes of ``tensors`` tensors until each group of ``width``
     lanes is resolved: all its lanes reach [n], one of them matches a Brent
     snapshot, or the budget ``bound`` runs out.
 
-    A run of one-lane groups (:func:`analyze`'s) compiles its step after
-    ``COMPILE_AFTER`` steps, or at its end for a longer cycle-start pass. It
-    returns the step at which each group reached [n] (None if it did not),
-    the lanes that matched a snapshot keyed by period, the lanes of the
-    groups still open at the budget, and the step for that pass.
+    A run of one-lane groups (:func:`analyze`'s) keeps its states S_1, S_2,
+    ... until it compiles its step, after ``COMPILE_AFTER`` steps. It returns
+    the step at which each group reached [n] (None if it did not), the lanes
+    that matched a snapshot keyed by period, the lanes of the groups still
+    open at the budget, the kept states, and the step it ended on.
     """
     every = (1 << n * tensors) - 1
     group = (1 << width) - 1
@@ -420,11 +421,14 @@ def _sliced_run(
     low = every ^ tops  # the other lanes
     ends: list[int | None] = [None] * (n * tensors // width)
     periods: dict[int, int] = {}  # period -> lanes that cycle with it
+    kept: list[list[int]] = []
     live = every
     step = lambda R: _sliced_step(rows, R + consts)  # noqa: E731
     R = step([every // ((1 << n) - 1) << u for u in range(n)])
     snap, snap_step, k = None, 0, 1
     while True:
+        if width == 1 and k <= COMPILE_AFTER:
+            kept.append(R)
         full = live
         for r in R:
             if not full:
@@ -444,9 +448,7 @@ def _sliced_run(
                 done |= (((cycled & low) + low) | cycled) & tops
         live &= ~((done >> (width - 1)) * group)
         if not live or k == bound:
-            if width == 1 and k <= COMPILE_AFTER < sum(periods):  # the pass takes more
-                step = _compile_step(rows)
-            return ends, periods, live, step
+            return ends, periods, live, kept, step
         if k & (k - 1) == 0:
             snap, snap_step = R, k
         if k == COMPILE_AFTER and width == 1:
@@ -467,28 +469,25 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     if bound < 1:
         raise ValueError(f"max_steps must be >= 1, got {bound}")
     rows, _ = _lane_rows(n, [[fam.masks for fam in tensor.rows]])
-    ends, periods, open_cols, step = _sliced_run(rows, [], n, tensors=1, width=1, bound=bound)
+    ends, periods, open_cols, kept, step = _sliced_run(rows, [], n, tensors=1, width=1, bound=bound)
     outcomes: list[Outcome | None] = [None if k is None else Reached(k) for k in ends]
     for j in bit_indices(open_cols):
         outcomes[j] = column_trace(tensor, j + 1, bound).outcome
-    if periods:
-        first = step([1 << u for u in range(n)])
-    for period, cols in periods.items():
-        # S_i against S_{i+period}: the first i where column j agrees is where
-        # its cycle starts, so its first repeat comes at i + period.
-        early = late = first
-        for _ in range(period):
-            late = step(late)
-        i = 1
-        while True:
-            if same := _same(cols, early, late):
-                outcome = Cycled(first_repeat_at=i + period, period=period)
+    # The first k where column j's S_k equals its S_{k-period} is its first
+    # repeat; a snapshot match at step k bounds it by k, so an uncompiled run
+    # kept every state this reads.
+    window: deque[list[int]] = deque(maxlen=max(periods, default=0) + 1)
+    k = 0
+    while any(periods.values()):
+        R = kept[k] if k < len(kept) else step(R)
+        k += 1
+        window.append(R)
+        for period, cols in periods.items():
+            if k > period and (same := _same(cols, R, window[-1 - period])):
+                outcome = Cycled(first_repeat_at=k, period=period)
                 for j in bit_indices(same):
                     outcomes[j] = outcome
-                cols ^= same
-                if not cols:
-                    break
-            early, late, i = step(early), step(late), i + 1
+                periods[period] = cols ^ same
     primitive = None not in ends
     return PrimitivityReport(
         primitive=primitive,

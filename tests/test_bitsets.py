@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primdeg import CapExceededError, IndexSet, SupportFamily
-from primdeg.bitsets import MAX_DIM, _check_dim, minimize_masks
+from primdeg.bitsets import MAX_DIM, _check_dim, _is_minimized, minimize_masks
 
 
 def outcome(fn, *args):
@@ -23,6 +23,40 @@ def minimizing_validator(dim, masks):
     for m in masks:
         if not 0 < m < 1 << dim:
             raise ValueError(f"mask {m:#x} out of range for dim {dim}")
+
+
+def scan_reference(masks):
+    """minimize_masks as a plain scan: each candidate, smallest first, against
+    every mask kept before it."""
+    kept = []
+    for cand in sorted(set(masks), key=lambda m: (bin(m).count("1"), m)):
+        if cand == 0:
+            raise ValueError("empty set is not a valid support")
+        if not any(k & cand == k for k in kept):
+            kept.append(cand)
+    return tuple(sorted(kept))
+
+
+def minimal_by_definition(masks):
+    """The members of a collection of positive masks with no other member inside."""
+    distinct = set(masks)
+    return tuple(sorted(m for m in distinct if not any(k != m and k & m == k for k in distinct)))
+
+
+@st.composite
+def mask_collections(draw, max_dim=10):
+    """Positive masks over [dim] of every size, nested chains (each link adds
+    bits to the one before) and duplicates, in any order."""
+    dim = draw(st.integers(1, max_dim))
+    sized = st.sets(st.integers(0, dim - 1), min_size=1).map(lambda bits: sum(1 << b for b in bits))
+    masks = draw(st.lists(sized, max_size=12))
+    for link in draw(st.lists(sized, max_size=3)):
+        for extra in draw(st.lists(sized, max_size=4)):
+            link |= extra
+            masks.append(link)
+    if masks:
+        masks += draw(st.lists(st.sampled_from(masks), max_size=4))
+    return draw(st.permutations(masks))
 
 
 class TestIndexSet:
@@ -87,6 +121,24 @@ class TestMinimize:
         for a in out:
             for b in out:
                 assert a == b or (a & b != a and a & b != b)
+
+    @given(mask_collections())
+    def test_matches_brute_force(self, masks):
+        out = minimize_masks(masks)
+        assert out == minimal_by_definition(masks) == scan_reference(masks)
+        assert _is_minimized(out)
+        for t in (tuple(masks), tuple(sorted(set(masks)))):
+            ascending = all(a < b for a, b in zip(t, t[1:]))
+            assert _is_minimized(t) == (ascending and t == minimal_by_definition(t))
+
+    @given(st.lists(st.integers(-20, 20).filter(bool), max_size=8), st.booleans())
+    def test_negative_ints_scan_as_before(self, masks, canonical_order):
+        # a negative int holds infinitely many bits, so it is checked against
+        # every mask scanned before it, whatever its popcount
+        t = tuple(sorted(set(masks))) if canonical_order else tuple(masks)
+        assert minimize_masks(masks) == scan_reference(masks)
+        ascending = all(a < b for a, b in zip(t, t[1:]))
+        assert _is_minimized(t) == (ascending and t == scan_reference(t))
 
     @given(st.lists(st.integers(1, 31), max_size=8))
     def test_idempotent_and_order_free(self, masks):

@@ -346,11 +346,12 @@ class TestBitSlicedAnalyze:
             raise AssertionError("column_trace called")
 
         monkeypatch.setattr(patterns, "column_trace", no_trace)
-        # the run resolves by step 55 and the cycle-start pass takes at least
-        # 100 steps, so the run compiles its step once, as it ends
-        compiled = []
-        real = patterns._compile_step
+        # the run resolves by step 55, before it would compile, and the
+        # cycle-start pass reads the states the run kept: 55 steps in all
+        compiled, steps = [], []
+        real, table_step = patterns._compile_step, patterns._sliced_step
         monkeypatch.setattr(patterns, "_compile_step", lambda rows: compiled.append(1) or real(rows))
+        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: steps.append(1) or table_step(rows, R))
         entries, base = [], 0
         for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             entries += [(base + (a + 1) % length + 1, (base + a + 1,) * 2) for a in range(length)]
@@ -359,7 +360,7 @@ class TestBitSlicedAnalyze:
         r = analyze(make_pattern(3, 100, entries))
         lengths = [length for length in (2, 3, 5, 7, 11, 13, 17, 19, 23) for _ in range(length)]
         assert r.outcomes == tuple(Cycled(first_repeat_at=p + 1, period=p) for p in lengths)
-        assert compiled == [1]
+        assert compiled == [] and len(steps) == 55
 
     def test_wielandt_lift_at_the_dimension_cap(self):
         n = 128
@@ -711,6 +712,41 @@ class TestCompiledStep:
         assert compiled and patterns.COMPILE_AFTER < 67
         assert r.outcomes[0] == Cycled(first_repeat_at=36, period=35)
         for max_steps in range(1, default_bound(14) + 2):
+            assert_matches_per_column_reference(t, max_steps)
+
+    # (compiles, table steps, compiled steps) of analyze at the default budget
+    @pytest.mark.parametrize("tail, counts", [(5, (0, 62, 0)), (8, (1, 64, 31))])
+    def test_cycle_starts_across_the_kept_states(self, monkeypatch, tail, counts):
+        # Arcs i -> u: a Wielandt digraph on 1..6 (cycles of lengths 6 and 5),
+        # cycles of lengths 2, 3 and 5 on 7..16, vertex 17 feeding vertex 6
+        # and the three cycles, and the path 17 + tail -> ... -> 18 -> 17.
+        # Column 17 + s enters a cycle of period 30 at S_{27+s}, so its first
+        # repeat is 57 + s. With tail 5 that is 62 at most:
+        # Brent's snapshot of step 32 matches at step 62 and the run ends
+        # uncompiled. With tail 8 the first repeats 63, 64 and 65 match the
+        # snapshot of step 64 at step 94, so the run compiles, keeps S_1..S_64,
+        # and the pass steps once more, to S_65.
+        arcs = [(a, a + 1) for a in range(1, 6)] + [(6, 1), (5, 1), (17, 6)]
+        base = 6
+        for length in (2, 3, 5):
+            arcs += [(base + a + 1, base + (a + 1) % length + 1) for a in range(length)] + [(17, base + 1)]
+            base += length
+        arcs += [(v + 1, v) for v in range(17, 17 + tail)]
+        t = make_pattern(2, 17 + tail, [(u, (i,)) for i, u in arcs])
+        compiles, table, compiled = [], [], []
+        real, table_step = patterns._compile_step, patterns._sliced_step
+
+        def compile_step(rows):
+            compiles.append(1)
+            step = real(rows)
+            return lambda R: compiled.append(1) or step(R)
+
+        monkeypatch.setattr(patterns, "_compile_step", compile_step)
+        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: table.append(1) or table_step(rows, R))
+        r = assert_matches_per_column_reference(t, None)
+        assert r.outcomes[16:] == tuple(Cycled(first_repeat_at=57 + s, period=30) for s in range(tail + 1))
+        assert (len(compiles), len(table), len(compiled)) == counts
+        for max_steps in range(1, default_bound(t.dim) + 2):
             assert_matches_per_column_reference(t, max_steps)
 
     def test_wielandt_lift_across_the_swap(self):
