@@ -13,8 +13,8 @@ Two families cover the range for order >= dimension >= 3:
 
 Every builder re-verifies the degree it claims with the analysis machinery and
 raises VerificationError on disagreement rather than returning a wrong witness.
-:func:`degree_witness` and :func:`exponent_set` build the Wielandt lift and walk
-column n-1 once, and verify their witnesses in one ascending ``gammas`` batch.
+:func:`degree_witness` and :func:`exponent_set` walk column n-1 of the Wielandt lift
+once, verify their lifts with ``gammas``, and the rest with ``extra_support_gammas``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .bitsets import IndexSet, SupportFamily, bit_indices
 from .digraphs import PatternMatrix, matrix_gamma, monomial_lift, wielandt_matrix
 from .errors import VerificationError
 # ``analyze`` is unused here; bench/tracing.py wraps it by this name.
-from .patterns import PatternTensor, analyze, column_states, default_bound, gammas  # noqa: F401
+from .patterns import PatternTensor, analyze, column_states, default_bound, extra_support_gammas, gammas  # noqa: F401
 
 
 def wielandt_tensor(order: int, dim: int) -> PatternTensor:
@@ -146,9 +146,9 @@ def exponent_set(order: int, dim: int) -> ExponentSetResult:
 
 
 def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness], list[tuple[int, str]]]:
-    """Build a witness for each of the ascending ``degrees``, verify them all
-    with one ``gammas`` call, and return the verified ones and the failures by
-    degree: a construction's VerificationError, or a gamma other than the degree."""
+    """Build a witness for each of the ascending ``degrees``, verify them (the frontier
+    ones off the base and extras their rows hold), and return the verified ones and the
+    failures by degree: a construction's VerificationError, or a gamma other than the degree."""
     if dim < 3:
         raise ValueError(f"dim must be >= 3, got {dim}")
     if order < dim:
@@ -158,18 +158,19 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
         raise ValueError(f"degree must be in 1..{top} for dim {dim}, got {bad[0]}")
     base = wielandt_tensor(order, dim)
     # one walk of column dim-1 gives the extra support of every frontier witness
-    extras = column_states(base, dim - 1, max(degrees[-1] - dim, 0))
-    built: list[DegreeWitness] = []
+    extras = [s.mask for s in column_states(base, dim - 1, max(degrees[-1] - dim, 0))]
+    lifts: list[DegreeWitness] = []
+    fronts: list[DegreeWitness] = []
     failures: list[tuple[int, str]] = []
     for degree in degrees:
         if (k := degree - dim) > 0:
             spec = FamilySpec("wielandt-frontier", order, dim, k=k, t=degree)
-            e = extras[k - 1].mask  # base rows hold only singletons; one in E_k absorbs it
+            e = extras[k - 1]  # base rows hold only singletons; one in E_k absorbs it
             rows = tuple(
                 fam if fam.singles & e else SupportFamily(dim, tuple(sorted(fam.masks + (e,))))
                 for fam in base.rows
             )
-            built.append(DegreeWitness(degree, spec, PatternTensor(order, dim, rows)))
+            fronts.append(DegreeWitness(degree, spec, PatternTensor(order, dim, rows)))
             continue
         try:
             matrix = small_exponent_matrix(dim, degree)
@@ -177,9 +178,11 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
             failures.append((degree, str(e)))
             continue
         spec = FamilySpec("monomial-lift", order, dim, t=degree)
-        built.append(DegreeWitness(degree, spec, monomial_lift(matrix, order)))
+        lifts.append(DegreeWitness(degree, spec, monomial_lift(matrix, order)))
+    verdicts = gammas(dim, ([fam.masks for fam in w.tensor.rows] for w in lifts))
+    verdicts += extra_support_gammas(dim, [fam.masks for fam in base.rows], [extras[w.spec.k - 1] for w in fronts])
     witnesses = []
-    for w, got in zip(built, gammas(dim, ([fam.masks for fam in w.tensor.rows] for w in built))):
+    for w, got in zip(lifts + fronts, verdicts):
         if got == w.degree:
             witnesses.append(w)
         else:

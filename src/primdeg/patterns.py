@@ -59,6 +59,11 @@ int over the whole batch, so building one costs time quadratic in its size;
 ``gammas`` therefore runs its input in chunks of ``GAMMA_CHUNK`` tensors; it
 does not compile, as that costs dozens of steps and scan chunks take 2 or 3.
 
+:func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
+to every row, whose step is the base's plus [n] when S contains E. One run of the
+base serves every E: a lane is [n] from the step after its base state first
+holds E, or from the base's own reach.
+
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
 through this engine as order-2 tensors.
@@ -70,13 +75,13 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitsets import IndexSet, SupportFamily, _check_dim, bit_indices, transpose_masks
 
-# Tensors per sliced run of :func:`gammas`. Larger chunks step a little faster
-# but hold more tensors in memory at once.
+# Tensors per sliced run of :func:`gammas`, and extras per lane int of
+# :func:`extra_support_gammas`; larger chunks step faster but hold more at once.
 GAMMA_CHUNK = 128
 
 # Steps before an analyze run compiles its step, which costs 75-90 Wielandt-lift
@@ -515,6 +520,38 @@ def gammas(n: int, tensors: Iterable[Sequence[Iterable[int]]]) -> list[int | Non
     while chunk := list(islice(it, GAMMA_CHUNK)):
         rows, consts = _lane_rows(n, chunk)
         out += _sliced_run(rows, consts, n, tensors=len(chunk), width=n, bound=default_bound(n))[0]
+    return out
+
+
+def extra_support_gammas(n: int, base: Sequence[Iterable[int]], extras: Sequence[int]) -> list[int | None]:
+    """``gammas(n, ([[*row, e] for row in base] for e in extras))``, from one run of ``base``."""
+    _check_dim(n)
+    col = (1 << n) - 1
+    if bad := [e for e in extras if not 0 < e <= col]:
+        raise ValueError(f"extra support {bad[0]:#x} is outside 1..2^{n}-1")
+    rows, _ = _lane_rows(n, [base])  # one tensor has no pseudo-indices
+    out: list[int | None] = [None] * len(extras)
+    chunks = []  # first extra c, lanes, first lanes, blocks whose extra holds i for each i, open last lanes, hit
+    for c in range(0, len(extras), GAMMA_CHUNK):
+        chunk = extras[c:c + GAMMA_CHUNK]
+        every = (1 << n * len(chunk)) - 1
+        holds = [sum(col << w * n for w, e in enumerate(chunk) if e >> i & 1) for i in range(n)]
+        chunks.append([c, every, every // col, holds, every // col << n - 1, 0])
+    R, t = [1 << u for u in range(n)], 0  # S_0 = {j} in lane j-1
+    while chunks and t < default_bound(n):
+        # S_{t-1}'s lanes lacking i, in every block w (extra c+w's columns) of chunks[0], the widest open one
+        lacks = [(i, (col ^ r) * chunks[0][2]) for i, r in enumerate(R) if r != col]
+        R, t = _sliced_step(rows, R), t + 1
+        full = reduce(and_, R)
+        for ch in chunks:
+            c, every, firsts, holds, live, hit = ch
+            # a lane is [n] from S_t on if its S_{t-1} held its block's extra or its S_t is [n]
+            ch[5] = hit = hit | every ^ reduce(or_, [m & holds[i] for i, m in lacks], 0) | full * firsts
+            done = ((hit & (every ^ firsts << n - 1)) + firsts) & hit & live  # SWAR, as in _sliced_run
+            for b in bit_indices(done):
+                out[c + b // n] = t
+            ch[4] = live ^ done
+        chunks = [ch for ch in chunks if ch[4]]
     return out
 
 

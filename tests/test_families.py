@@ -115,13 +115,26 @@ class TestFrontierFamily:
 
     def test_a_wrong_gamma_raises(self, monkeypatch):
         # the builder verifies the degree it claims, so a misreading engine
-        # makes it raise instead of returning the tensor
-        real = families.gammas
-        monkeypatch.setattr(families, "gammas", lambda n, tensors: [g + 1 for g in real(n, tensors)])
+        # makes it raise instead of returning the tensor; frontier witnesses
+        # are verified by extra_support_gammas
+        real = families.extra_support_gammas
+        monkeypatch.setattr(
+            families, "extra_support_gammas", lambda n, base, extras: [g + 1 for g in real(n, base, extras)]
+        )
         with pytest.raises(VerificationError) as info:
             wielandt_frontier_tensor(5, 5, 3)
         assert str(info.value) == (
             "degree_witness(order=5, dim=5, degree=8) self-check failed: analyzed degree is 9"
+        )
+
+    def test_a_wrong_gamma_raises_for_a_lift_degree(self, monkeypatch):
+        # degrees up to dim are monomial lifts, verified by gammas
+        real = families.gammas
+        monkeypatch.setattr(families, "gammas", lambda n, tensors: [g + 1 for g in real(n, tensors)])
+        with pytest.raises(VerificationError) as info:
+            degree_witness(5, 5, 3)
+        assert str(info.value) == (
+            "degree_witness(order=5, dim=5, degree=3) self-check failed: analyzed degree is 4"
         )
 
 
@@ -181,6 +194,15 @@ class TestExponentSet:
             assert result.achieved == frozenset(range(1, (dim - 1) ** 2 + 2))
             for w in result.witnesses:
                 assert analyze(w.tensor).gamma == w.degree
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 16])
+    def test_every_witness_degree_equals_gammas_on_its_tensor(self, n):
+        # the frontier witnesses are verified off one run of the Wielandt
+        # lift; gammas on each built tensor is the independent route
+        result = exponent_set(n, n)
+        assert result.complete
+        tensors = ([f.masks for f in w.tensor.rows] for w in result.witnesses)
+        assert gammas(n, tensors) == [w.degree for w in result.witnesses]
 
     def test_witnesses_sorted_and_unique(self):
         result = exponent_set(3, 3)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracle_utils import raw_states, raw_step
 from primdeg import patterns
 from primdeg.bitsets import bit_indices
-from primdeg.patterns import gammas
+from primdeg.patterns import extra_support_gammas, gammas
 from primdeg import (
     Cycled,
     Exhausted,
@@ -649,6 +649,99 @@ class TestSharedSupports:
         patterns._sliced_step(rows, R)
         patterns._compile_step(rows)(R)
         assert R == [1 << u for u in range(5)]
+
+
+@st.composite
+def extra_support_inputs(draw, max_dim=9, max_order=6):
+    """A base of order 2-6 and dim 1-9 as raw row masks, empty rows allowed,
+    and the extras to add to every one of its rows: supports drawn from its
+    states, random ones, singletons, ones that never fire, repeats, and at
+    times more than ``GAMMA_CHUNK`` of them."""
+    dim = draw(st.integers(1, max_dim))
+    order = draw(st.integers(2, max_order))
+
+    def trim(m):
+        while m.bit_count() >= order:
+            m &= m - 1  # drop the lowest member
+        return m
+
+    base = [[] for _ in range(dim)]
+    if draw(st.booleans()):
+        for u, cell in draw(growing_base(dim, order)):
+            base[u - 1].append(sum(1 << (i - 1) for i in set(cell)))
+    else:
+        for row in base:
+            row += [trim(draw(st.integers(1, (1 << dim) - 1))) for _ in range(draw(st.integers(0, 3)))]
+    states = [1 << draw(st.integers(0, dim - 1))]
+    for _ in range(draw(st.integers(0, 2 * dim))):
+        s = states[-1]
+        states.append(sum(1 << u for u, row in enumerate(base) if any(m & s == m for m in row)))
+    pool = [trim(s) for s in states if s]
+    pool += [trim(draw(st.integers(1, (1 << dim) - 1))), 1 << draw(st.integers(0, dim - 1))]
+    empty = [u for u, row in enumerate(base) if not row]
+    if empty and dim >= 2 and order >= 3:
+        # an empty row is in no S_t with t >= 1, and S_0 is a singleton
+        u = draw(st.sampled_from(empty))
+        pool.append(1 << u | 1 << (u + 1) % dim)
+    extras = draw(st.lists(st.sampled_from(pool), max_size=12))
+    if extras and not draw(st.integers(0, 7)):
+        extras = draw(st.permutations(extras * (patterns.GAMMA_CHUNK // len(extras) + 1)))
+    return dim, base, extras
+
+
+class TestExtraSupportGammas:
+    """One run of a base, read by containment tests, against ``gammas`` on
+    the tensors with the extra support added to every row."""
+
+    @settings(max_examples=300)
+    @given(extra_support_inputs())
+    def test_matches_gammas_on_the_built_tensors(self, drawn):
+        dim, base, extras = drawn
+        expected = gammas(dim, ([[*row, e] for row in base] for e in extras))
+        assert extra_support_gammas(dim, base, extras) == expected
+
+    def test_one_base_run_for_every_chunk(self, monkeypatch):
+        # the degree 6, 7 and 8 frontier witnesses at n = 5, in three
+        # chunks, resolve in the 8 steps of one run of the Wielandt lift
+        calls = []
+        real_step = patterns._sliced_step
+        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
+        n = 5
+        base = wielandt_tensor(n, n)
+        states = [s.mask for s in column_states(base, n - 1, 3)]
+        ks = [1 + i % 3 for i in range(2 * patterns.GAMMA_CHUNK + 5)]
+        got = extra_support_gammas(n, row_masks(base), [states[k - 1] for k in ks])
+        assert got == [n + k for k in ks]
+        assert len(calls) == n + 3
+
+    def test_an_open_block_runs_to_the_bound(self, monkeypatch):
+        # {1,2} never fires on the 3-cycle, whose columns never reach [n]
+        calls = []
+        real_step = patterns._sliced_step
+        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
+        assert extra_support_gammas(3, [[2], [4], [1]], [3]) == [None]
+        assert len(calls) == default_bound(3)
+
+    def test_extras_that_fire_at_once_or_never(self):
+        # {j} is S_0 of column j, so a singleton extra fires before the first
+        # step: on the 3-cycle u <- u+1, {1} fills column 1 at step 1 and the
+        # others one step after the cycle brings them to 1; {1,2} never fires
+        assert extra_support_gammas(1, [[]], [1]) == [1]
+        assert extra_support_gammas(3, [[2], [4], [1]], [1, 3]) == [3, None]
+        # row 1 holds nothing but {1,2}, so no S_t with t >= 1 holds 1
+        assert extra_support_gammas(3, [[], [1], [2]], [3]) == [None]
+
+    def test_empty_and_bad_input(self):
+        assert extra_support_gammas(3, [[1], [2], [4]], []) == []
+        for bad in (0, 1 << 3, -1):
+            with pytest.raises(ValueError, match="outside"):
+                extra_support_gammas(3, [[1], [2], [4]], [1, bad])
+        with pytest.raises(ValueError, match="outside"):
+            extra_support_gammas(3, [[1], [8], [4]], [1])
+        with pytest.raises(ValueError):
+            extra_support_gammas(3, [[1], [2]], [1])  # a row short
+        with pytest.raises(ValueError):
+            extra_support_gammas(0, [], [])
 
 
 def assert_compiled_step_matches(t, R):
