@@ -134,12 +134,8 @@ def _text_line(r: dict) -> str:
     raise ValueError(f"unknown record kind {kind!r}")
 
 
-def _digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _digest_params(params: dict) -> str:
-    return _digest_bytes(json.dumps(params, sort_keys=True).encode())
+    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +257,9 @@ def run_oracle_check(
             right = general_product(a, general_product(b, c))
             if left.values.shape != right.values.shape or (left.values != right.values).any():
                 problems.append("associativity failed on random triple")
-        if problems:
-            mismatches.extend((trial, p) for p in problems)
-    return OracleCheckResult(
-        order=order,
-        dim=dim,
-        trials=trials,
-        agreements=trials - len({t for t, _ in mismatches}),
-        mismatches=mismatches,
-        associativity_triples=assoc,
-        explicit_power_trials=explicit,
-    )
+        mismatches.extend((trial, p) for p in problems)
+    agreements = trials - len({t for t, _ in mismatches})
+    return OracleCheckResult(order, dim, trials, agreements, mismatches, assoc, explicit)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +272,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     doc = parse_document(data.decode("utf-8"))
     tensor = doc.as_pattern_tensor()
     report = RunReport()
-    report.add(record="meta", command="analyze", input=args.path, sha256=_digest_bytes(data))
+    report.add(record="meta", command="analyze", input=args.path, sha256=hashlib.sha256(data).hexdigest())
     report.add(record="document", kind=doc.kind, order=tensor.order, dim=tensor.dim)
     violations = check_necessary_conditions(tensor)
     report.add(

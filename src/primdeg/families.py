@@ -14,7 +14,8 @@ Two families cover the range for order >= dimension >= 3:
 Every builder re-verifies the degree it claims with the analysis machinery and
 raises VerificationError on disagreement rather than returning a wrong witness.
 :func:`degree_witness` and :func:`exponent_set` walk column n-1 of the Wielandt lift
-once, verify their lifts with ``gammas``, and the rest with ``extra_support_gammas``.
+once, verify their lifts with ``gammas`` on the matrix rows, and the rest with
+``extra_support_gammas``; a witness tensor is built only when it is read.
 """
 
 from __future__ import annotations
@@ -108,9 +109,25 @@ def degree_witness(order: int, dim: int, degree: int) -> tuple[PatternTensor, Fa
 
 @dataclass(frozen=True)
 class DegreeWitness:
+    """A verified degree and the recipe of its witness: the small-exponent matrix
+    of a lift, or the Wielandt lift and the extra support E_k of a frontier
+    witness. Verification reads only the recipe; :attr:`tensor` builds the
+    tensor each time it is read."""
+
     degree: int
     spec: FamilySpec
-    tensor: PatternTensor
+    recipe: PatternMatrix | tuple[PatternTensor, int]
+
+    @property
+    def tensor(self) -> PatternTensor:
+        if isinstance(self.recipe, PatternMatrix):
+            return monomial_lift(self.recipe, self.spec.order)
+        base, e = self.recipe  # base rows hold only singletons; one in E_k absorbs it
+        rows = tuple(
+            fam if fam.singles & e else SupportFamily(base.dim, tuple(sorted(fam.masks + (e,))))
+            for fam in base.rows
+        )
+        return PatternTensor(base.order, base.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -136,7 +153,8 @@ class ExponentSetResult:
 
 
 def exponent_set(order: int, dim: int) -> ExponentSetResult:
-    """Construct and machine-verify a witness for every degree 1..(dim-1)^2+1.
+    """Machine-verify a witness for every degree 1..(dim-1)^2+1 off its recipe; a
+    witness tensor is built only when its ``tensor`` is read, never to verify it.
 
     Per-degree verification failures are recorded in ``failures`` instead of
     aborting the sweep, so a discrepancy names the degree that broke.
@@ -146,9 +164,9 @@ def exponent_set(order: int, dim: int) -> ExponentSetResult:
 
 
 def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness], list[tuple[int, str]]]:
-    """Build a witness for each of the ascending ``degrees``, verify them (the frontier
-    ones off the base and extras their rows hold), and return the verified ones and the
-    failures by degree: a construction's VerificationError, or a gamma other than the degree."""
+    """Verify a witness for each of the ascending ``degrees`` off its recipe, building no
+    tensor (lifts off their matrix rows, frontier ones off the base and E_k). Return the verified
+    ones and the failures by degree: a VerificationError, or a gamma other than the degree."""
     if dim < 3:
         raise ValueError(f"dim must be >= 3, got {dim}")
     if order < dim:
@@ -157,30 +175,24 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     if bad := [d for d in degrees if not 1 <= d <= top]:
         raise ValueError(f"degree must be in 1..{top} for dim {dim}, got {bad[0]}")
     base = wielandt_tensor(order, dim)
-    # one walk of column dim-1 gives the extra support of every frontier witness
+    # one walk of column dim-1 gives the extra support E_k of every frontier witness
     extras = [s.mask for s in column_states(base, dim - 1, max(degrees[-1] - dim, 0))]
     lifts: list[DegreeWitness] = []
-    fronts: list[DegreeWitness] = []
     failures: list[tuple[int, str]] = []
-    for degree in degrees:
-        if (k := degree - dim) > 0:
-            spec = FamilySpec("wielandt-frontier", order, dim, k=k, t=degree)
-            e = extras[k - 1]  # base rows hold only singletons; one in E_k absorbs it
-            rows = tuple(
-                fam if fam.singles & e else SupportFamily(dim, tuple(sorted(fam.masks + (e,))))
-                for fam in base.rows
-            )
-            fronts.append(DegreeWitness(degree, spec, PatternTensor(order, dim, rows)))
-            continue
+    for degree in (d for d in degrees if d <= dim):
         try:
             matrix = small_exponent_matrix(dim, degree)
         except VerificationError as e:
             failures.append((degree, str(e)))
             continue
-        spec = FamilySpec("monomial-lift", order, dim, t=degree)
-        lifts.append(DegreeWitness(degree, spec, monomial_lift(matrix, order)))
-    verdicts = gammas(dim, ([fam.masks for fam in w.tensor.rows] for w in lifts))
-    verdicts += extra_support_gammas(dim, [fam.masks for fam in base.rows], [extras[w.spec.k - 1] for w in fronts])
+        lifts.append(DegreeWitness(degree, FamilySpec("monomial-lift", order, dim, t=degree), matrix))
+    fronts = [
+        DegreeWitness(d, FamilySpec("wielandt-frontier", order, dim, k=d - dim, t=d), (base, extras[d - dim - 1]))
+        for d in degrees if d > dim
+    ]
+    # a lift's row u holds one singleton per entry of matrix row u
+    verdicts = gammas(dim, ([[1 << i for i in bit_indices(r.mask)] for r in w.recipe.rows] for w in lifts))
+    verdicts += extra_support_gammas(dim, [fam.masks for fam in base.rows], [w.recipe[1] for w in fronts])
     witnesses = []
     for w, got in zip(lifts + fronts, verdicts):
         if got == w.degree:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import primdeg
-from primdeg import VerificationError, make_pattern, parse_document, render_document, wielandt_tensor
+from primdeg import VerificationError, degree_witness, make_pattern, parse_document, render_document, wielandt_tensor
 from primdeg.bitsets import minimize_masks
 from primdeg.cli import _random_rows, main, random_pattern
 from primdeg.formats import render_pattern
@@ -285,6 +285,17 @@ class TestExponentSet:
         for i, f in enumerate(files, 1):
             doc = parse_document(f.read_text())
             assert analyze(doc.as_pattern_tensor()).gamma == i
+
+    def test_witness_files_render_the_degree_witnesses(self, capsys, tmp_path):
+        # the files are written from tensors built on read; each is the
+        # canonical document of degree_witness for its degree
+        wdir = tmp_path / "w"
+        code, _, _ = run(capsys, ["exponent-set", "--m", "5", "--n", "5", "--emit-witnesses", str(wdir)])
+        assert code == 0
+        files = sorted(wdir.iterdir())
+        assert [f.name for f in files] == [f"witness-t{t:03d}.txt" for t in range(1, 18)]
+        for t, f in enumerate(files, 1):
+            assert f.read_bytes() == render_document(degree_witness(5, 5, t)[0]).encode()
 
     def test_json_lines_summary(self, capsys):
         code, out, _ = run(

@@ -6,6 +6,7 @@ import pytest
 from oracle_utils import gamma_by_bool_powers, matrix_to_array
 from primdeg import (
     IndexSet,
+    PatternTensor,
     VerificationError,
     analyze,
     brute_force_matrix_exponent_set,
@@ -104,8 +105,8 @@ class TestFrontierFamily:
 
     @pytest.mark.parametrize("n", [5, 6, 16])
     def test_rows_equal_adding_the_state_to_each_row(self, n):
-        # the witnesses are built without re-minimizing; SupportFamily.add
-        # gives the same rows for every k
+        # a witness tensor is built on read without re-minimizing;
+        # SupportFamily.add gives the same rows for every k
         base = wielandt_tensor(n, n)
         extras = column_states(base, n - 1, n * n - 3 * n + 2)
         frontier = [w for w in exponent_set(n, n).witnesses if w.spec.kind == "wielandt-frontier"]
@@ -203,6 +204,23 @@ class TestExponentSet:
         assert result.complete
         tensors = ([f.masks for f in w.tensor.rows] for w in result.witnesses)
         assert gammas(n, tensors) == [w.degree for w in result.witnesses]
+
+    def test_no_witness_tensor_is_built_until_one_is_read(self, monkeypatch):
+        # the sweep verifies recipes: its one monomial_lift and its one order-8
+        # PatternTensor are the Wielandt base (matrix_gamma's self-checks
+        # build order-2 views of the small-exponent matrices)
+        lifts, built = [], []
+        real_lift, real_post = families.monomial_lift, PatternTensor.__post_init__
+        monkeypatch.setattr(families, "monomial_lift", lambda m, order: lifts.append(order) or real_lift(m, order))
+        monkeypatch.setattr(PatternTensor, "__post_init__", lambda t: built.append(t.order) or real_post(t))
+        result = exponent_set(8, 8)
+        assert result.complete and len(result.witnesses) == 50
+        assert lifts == [8]
+        assert built.count(8) == 1
+        for w in result.witnesses:
+            first, second = w.tensor, w.tensor
+            assert first is not second
+            assert first == second == degree_witness(8, 8, w.degree)[0]
 
     def test_witnesses_sorted_and_unique(self):
         result = exponent_set(3, 3)
