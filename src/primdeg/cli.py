@@ -347,6 +347,7 @@ def cmd_exponent_set(args: argparse.Namespace) -> int:
     report.add(record="meta", command="exponent-set", sha256=_digest_params(params), **params)
     if args.emit_witnesses:
         os.makedirs(args.emit_witnesses, exist_ok=True)
+        width = max(3, len(str(default_bound(args.n))))  # so names sort in degree order
     for w in result.witnesses:
         report.add(
             record="degree",
@@ -357,9 +358,7 @@ def cmd_exponent_set(args: argparse.Namespace) -> int:
             status="ok",
         )
         if args.emit_witnesses:
-            save_document(
-                os.path.join(args.emit_witnesses, f"witness-t{w.degree:03d}.txt"), w.tensor
-            )
+            save_document(os.path.join(args.emit_witnesses, f"witness-t{w.degree:0{width}d}.txt"), w.tensor)
     for t, message in result.failures:
         report.add(record="degree", t=t, kind="-", k=None, status="fail", message=message)
     missing = sorted(result.expected - result.achieved)

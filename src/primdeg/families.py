@@ -11,11 +11,12 @@ Two families cover the range for order >= dimension >= 3:
   step, so column n-1 resolves at k+1 and the last column, which trails it by
   n-1 steps, resolves at n+k; no other column is slower.
 
-Every builder re-verifies the degree it claims with the analysis machinery and
-raises VerificationError on disagreement rather than returning a wrong witness.
-:func:`degree_witness` and :func:`exponent_set` walk column n-1 of the Wielandt lift
-once, verify their lifts with ``gammas`` on the matrix rows, and the rest with
-``extra_support_gammas``; a witness tensor is built only when it is read.
+Every builder verifies the degree it claims once and raises VerificationError
+on disagreement rather than returning a wrong witness. :func:`small_exponent_matrix`
+checks its matrix with ``matrix_gamma``. :func:`degree_witness` and :func:`exponent_set`
+build the lifts' matrices from the same rows unchecked, verify them all in one
+``gammas`` call, and the frontier witnesses off one walk of column n-1 of the
+Wielandt lift with ``extra_support_gammas``; a witness tensor is built only when read.
 """
 
 from __future__ import annotations
@@ -62,17 +63,14 @@ def small_exponent_matrix(dim: int, target: int) -> PatternMatrix:
     target-1, and columns target+1..dim are all-positive. In the reversed
     digraph vertex 1 and the high vertices see everything at once while
     2..target sit on a descending chain, so the slowest column needs exactly
-    ``target`` steps. The exponent is re-verified before returning.
+    ``target`` steps. The exponent is verified with ``matrix_gamma`` before
+    returning (the sweep verifies the same rows in its ``gammas`` call instead).
     """
     if dim < 3:
         raise ValueError(f"dim must be >= 3, got {dim}")
     if not 1 <= target <= dim:
         raise ValueError(f"target must be in 1..{dim}, got {target}")
-    entries = [(i, 1) for i in range(1, dim + 1)]
-    entries += [(i, i + 1) for i in range(1, target)]
-    for j in range(target + 1, dim + 1):
-        entries += [(i, j) for i in range(1, dim + 1)]
-    matrix = PatternMatrix.from_entries(dim, entries)
+    matrix = _small_exponent_rows(dim, target)
     got = matrix_gamma(matrix)
     if got != target:
         raise VerificationError(
@@ -80,6 +78,14 @@ def small_exponent_matrix(dim: int, target: int) -> PatternMatrix:
             f"exponent is {got}"
         )
     return matrix
+
+
+def _small_exponent_rows(dim: int, target: int) -> PatternMatrix:
+    """The unverified small-exponent matrix: row i holds bit 0, bit i when
+    i < target, and bits target..dim-1."""
+    high = (1 << dim) - (1 << target)
+    rows = (1 | high | (1 << i if i < target else 0) for i in range(1, dim + 1))
+    return PatternMatrix(dim, tuple(IndexSet(r, dim) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,7 @@ def exponent_set(order: int, dim: int) -> ExponentSetResult:
 def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness], list[tuple[int, str]]]:
     """Verify a witness for each of the ascending ``degrees`` off its recipe, building no
     tensor (lifts off their matrix rows, frontier ones off the base and E_k). Return the verified
-    ones and the failures by degree: a VerificationError, or a gamma other than the degree."""
+    ones and, in degree order, the failures: those whose gamma is not their degree."""
     if dim < 3:
         raise ValueError(f"dim must be >= 3, got {dim}")
     if order < dim:
@@ -177,15 +183,10 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     base = wielandt_tensor(order, dim)
     # one walk of column dim-1 gives the extra support E_k of every frontier witness
     extras = [s.mask for s in column_states(base, dim - 1, max(degrees[-1] - dim, 0))]
-    lifts: list[DegreeWitness] = []
-    failures: list[tuple[int, str]] = []
-    for degree in (d for d in degrees if d <= dim):
-        try:
-            matrix = small_exponent_matrix(dim, degree)
-        except VerificationError as e:
-            failures.append((degree, str(e)))
-            continue
-        lifts.append(DegreeWitness(degree, FamilySpec("monomial-lift", order, dim, t=degree), matrix))
+    lifts = [
+        DegreeWitness(d, FamilySpec("monomial-lift", order, dim, t=d), _small_exponent_rows(dim, d))
+        for d in degrees if d <= dim
+    ]
     fronts = [
         DegreeWitness(d, FamilySpec("wielandt-frontier", order, dim, k=d - dim, t=d), (base, extras[d - dim - 1]))
         for d in degrees if d > dim
@@ -193,14 +194,14 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     # a lift's row u holds one singleton per entry of matrix row u
     verdicts = gammas(dim, ([[1 << i for i in bit_indices(r.mask)] for r in w.recipe.rows] for w in lifts))
     verdicts += extra_support_gammas(dim, [fam.masks for fam in base.rows], [w.recipe[1] for w in fronts])
-    witnesses = []
+    witnesses, failures = [], []
     for w, got in zip(lifts + fronts, verdicts):
         if got == w.degree:
             witnesses.append(w)
         else:
             claim = f"degree_witness(order={order}, dim={dim}, degree={w.degree})"
             failures.append((w.degree, f"{claim} self-check failed: analyzed degree is {got}"))
-    return witnesses, sorted(failures)
+    return witnesses, failures
 
 
 def brute_force_matrix_exponent_set(dim: int) -> set[int]:

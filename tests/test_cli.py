@@ -237,6 +237,15 @@ class TestConstruct:
         assert out.startswith("matrix v1\ndim 4\n")
         assert "gamma=3" in err
 
+    def test_small_matrix_with_a_wrong_exponent_exits_2(self, capsys, monkeypatch):
+        from primdeg import families
+
+        monkeypatch.setattr(families, "matrix_gamma", lambda m: 4)
+        code, out, err = run(capsys, ["construct", "small-matrix", "--n", "4", "--t", "3"])
+        assert code == 2
+        assert out == ""
+        assert "small_exponent_matrix(dim=4, target=3) self-check failed: exponent is 4" in err
+
     def test_missing_parameter_message(self, capsys):
         code, _, err = run(capsys, ["construct", "ak", "--n", "5", "--m", "5"])
         assert code == 1
@@ -296,6 +305,15 @@ class TestExponentSet:
         assert [f.name for f in files] == [f"witness-t{t:03d}.txt" for t in range(1, 18)]
         for t, f in enumerate(files, 1):
             assert f.read_bytes() == render_document(degree_witness(5, 5, t)[0]).encode()
+
+    def test_witness_file_names_sort_in_degree_order_past_three_digits(self, capsys, tmp_path):
+        # n = 33 reaches degree 1025, so names are padded to four digits
+        wdir = tmp_path / "w"
+        argv = ["exponent-set", "--m", "33", "--n", "33", "--max-n", "33", "--emit-witnesses", str(wdir)]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        names = sorted(f.name for f in wdir.iterdir())
+        assert names == [f"witness-t{t:04d}.txt" for t in range(1, 1026)]
 
     def test_json_lines_summary(self, capsys):
         code, out, _ = run(

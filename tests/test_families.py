@@ -23,7 +23,7 @@ from primdeg import (
     wielandt_matrix,
     wielandt_tensor,
 )
-from primdeg import families
+from primdeg import digraphs, families
 from primdeg.families import _monomial_pattern_from_bits
 from primdeg.patterns import gammas
 
@@ -156,6 +156,14 @@ class TestSmallExponentMatrix:
                 arr = matrix_to_array(m)
                 assert gamma_by_bool_powers(arr, (dim - 1) ** 2 + 1) == t
 
+    def test_a_wrong_exponent_raises(self, monkeypatch):
+        # the public builder keeps its own matrix_gamma check
+        real = families.matrix_gamma
+        monkeypatch.setattr(families, "matrix_gamma", lambda m: 4 if real(m) == 3 else real(m))
+        with pytest.raises(VerificationError) as info:
+            small_exponent_matrix(4, 3)
+        assert str(info.value) == "small_exponent_matrix(dim=4, target=3) self-check failed: exponent is 4"
+
     def test_target_validated(self):
         with pytest.raises(ValueError):
             small_exponent_matrix(4, 0)
@@ -205,10 +213,42 @@ class TestExponentSet:
         tensors = ([f.masks for f in w.tensor.rows] for w in result.witnesses)
         assert gammas(n, tensors) == [w.degree for w in result.witnesses]
 
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_every_lift_recipe_is_the_verified_small_exponent_matrix(self, n):
+        # the sweep verifies its lifts only through gammas; matrix_gamma on
+        # each recipe and the self-checked public builder are the other route
+        lifts = [w for w in exponent_set(n, n).witnesses if w.spec.kind == "monomial-lift"]
+        assert [w.degree for w in lifts] == list(range(1, n + 1))
+        for w in lifts:
+            assert matrix_gamma(w.recipe) == w.degree
+            assert w.recipe.rows == small_exponent_matrix(n, w.degree).rows
+
+    def test_each_lift_is_verified_once_in_the_batched_gammas_call(self, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("matrix_gamma", "gammas", "monomial_lift"):
+            count(families, name)
+        count(digraphs, "analyze")  # the name matrix_gamma calls
+        assert exponent_set(16, 16).complete
+        # the one monomial_lift is the Wielandt base
+        assert calls == {"gammas": 1, "monomial_lift": 1}
+        calls.clear()
+        assert degree_witness(16, 16, 9)[1].t == 9
+        # the second monomial_lift builds the returned tensor
+        assert calls == {"gammas": 1, "monomial_lift": 2}
+
     def test_no_witness_tensor_is_built_until_one_is_read(self, monkeypatch):
         # the sweep verifies recipes: its one monomial_lift and its one order-8
-        # PatternTensor are the Wielandt base (matrix_gamma's self-checks
-        # build order-2 views of the small-exponent matrices)
+        # PatternTensor are the Wielandt base
         lifts, built = [], []
         real_lift, real_post = families.monomial_lift, PatternTensor.__post_init__
         monkeypatch.setattr(families, "monomial_lift", lambda m, order: lifts.append(order) or real_lift(m, order))
@@ -257,9 +297,9 @@ class TestExponentSet:
 
     def test_a_wrong_matrix_lift_is_recorded_against_its_degree(self, monkeypatch):
         # the degree-2 lift built from the Wielandt matrix has degree 17
-        real = families.small_exponent_matrix
+        real = families._small_exponent_rows
         monkeypatch.setattr(
-            families, "small_exponent_matrix", lambda dim, t: wielandt_matrix(dim) if t == 2 else real(dim, t)
+            families, "_small_exponent_rows", lambda dim, t: wielandt_matrix(dim) if t == 2 else real(dim, t)
         )
         with pytest.raises(VerificationError) as info:
             degree_witness(5, 5, 2)
@@ -269,22 +309,22 @@ class TestExponentSet:
         assert result.achieved == result.expected - {2}
 
     def test_a_small_exponent_matrix_failure_keeps_its_degree(self, monkeypatch):
-        # matrix_gamma misreads exponent 3 as 4, so small_exponent_matrix
-        # raises at build time for target 3; with every frontier witness also
-        # given S_1 as its extra support (degree 5), failures stay in degree order
-        real = families.matrix_gamma
-        monkeypatch.setattr(families, "matrix_gamma", lambda m: 4 if real(m) == 3 else real(m))
+        # gammas misreads the degree-3 lift as 4, so the sweep records it
+        # against degree 3; with every frontier witness also given S_1 as
+        # its extra support (degree 5), failures stay in degree order
+        real = families.gammas
+        monkeypatch.setattr(families, "gammas", lambda n, tensors: [4 if g == 3 else g for g in real(n, tensors)])
         real_states = families.column_states
         monkeypatch.setattr(
             families, "column_states", lambda t, c, steps: real_states(t, c, steps)[:1] * steps
         )
         result = exponent_set(4, 4)
-        message = "small_exponent_matrix(dim=4, target=3) self-check failed: exponent is 4"
+        message = "degree_witness(order=4, dim=4, degree=3) self-check failed: analyzed degree is 4"
         assert result.failures[0] == (3, message)
         assert [d for d, _ in result.failures] == [3, 6, 7, 8, 9, 10]
         assert result.failures[1][1].endswith("degree=6) self-check failed: analyzed degree is 5")
         assert result.achieved == {1, 2, 4, 5}
-        with pytest.raises(VerificationError, match=r"^small_exponent_matrix\(dim=4, target=3\)"):
+        with pytest.raises(VerificationError, match=r"^degree_witness\(order=4, dim=4, degree=3\)"):
             degree_witness(4, 4, 3)
 
 
