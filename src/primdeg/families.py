@@ -14,9 +14,10 @@ Two families cover the range for order >= dimension >= 3:
 Every builder verifies the degree it claims once and raises VerificationError
 on disagreement rather than returning a wrong witness. :func:`small_exponent_matrix`
 checks its matrix with ``matrix_gamma``. :func:`degree_witness` and :func:`exponent_set`
-build the lifts' matrices from the same rows unchecked, verify them all in one
-``gammas`` call, and the frontier witnesses off one walk of column n-1 of the
-Wielandt lift with ``extra_support_gammas``; a witness tensor is built only when read.
+build the lifts' matrices from the same rows unchecked and verify them all in one
+``gammas`` call. They verify every frontier witness with ``extra_support_gammas``,
+whose one walk of the Wielandt lift's column orbits steps each state once: the
+orbits lie on one chain of (n-1)^2+1 states. A witness tensor is built only when read.
 """
 
 from __future__ import annotations
@@ -191,9 +192,9 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
         DegreeWitness(d, FamilySpec("wielandt-frontier", order, dim, k=d - dim, t=d), (base, extras[d - dim - 1]))
         for d in degrees if d > dim
     ]
-    # a lift's row u holds one singleton per entry of matrix row u
-    verdicts = gammas(dim, ([[1 << i for i in bit_indices(r.mask)] for r in w.recipe.rows] for w in lifts))
-    verdicts += extra_support_gammas(dim, [fam.masks for fam in base.rows], [w.recipe[1] for w in fronts])
+    ones = [1 << i for i in range(dim)]  # a lift's row u: one singleton per entry of matrix row u
+    verdicts = gammas(dim, ([[o for o in ones if o & r.mask] for r in w.recipe.rows] for w in lifts))
+    verdicts += extra_support_gammas(base, [w.recipe[1] for w in fronts])
     witnesses, failures = [], []
     for w, got in zip(lifts + fronts, verdicts):
         if got == w.degree:

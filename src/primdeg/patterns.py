@@ -18,21 +18,21 @@ revisits an earlier state (a certificate that [n] is unreachable), or runs out
 of its step budget. For a primitive tensor every column reaches [n] within
 (n-1)^2 + 1 steps, which is the default budget.
 
-:func:`column_trace` follows one start column. Everything else goes through
-one sliced run, which follows many start columns of one or more tensors of
-dimension n at once. Bit t*n + j-1 of a mask R_u is a lane: it says row u is
-in column j's state of tensor t. One step sets R_u to the OR of the R_i of
-row u's singleton supports and, for each larger support, the AND of its
-members' R_i. A larger support that several rows hold, such as the extra
-support of a frontier witness, is met once at the start of the step into one
-more R entry, which those rows read like a singleton; a support held by one
-row is met inline. A lane has reached [n] when its bit survives the AND of
-all R_u. Lanes are resolved in groups: a group ends when all its lanes have
-reached [n], or when one of its lanes that is not full matches a snapshot of
-Brent's cycle detection, taken at steps 1, 2, 4, 8, ... (that column cycles,
-so [n] is out of its reach, and the steps since the snapshot are its exact
-period), or when the budget runs out. Both tests read rows only until no open
-lane is left to test; lanes close by whole groups, so results are exact.
+:func:`column_trace` follows one start column. :func:`analyze` and
+:func:`gammas` go through one sliced run, which follows many start columns of
+one or more tensors of dimension n at once. Bit t*n + j-1 of a mask R_u is a
+lane: it says row u is in column j's state of tensor t. One step sets R_u to
+the OR of the R_i of row u's singleton supports and, for each larger support,
+the AND of its members' R_i. A larger support that several rows hold is met
+once at the start of the step into one more R entry, which those rows read
+like a singleton; a support held by one row is met inline. A lane has reached
+[n] when its bit survives the AND of all R_u. Lanes are resolved in groups: a
+group ends when all its lanes have reached [n], or when one of its lanes that
+is not full matches a snapshot of Brent's cycle detection, taken at steps 1,
+2, 4, 8, ... (that column cycles, so [n] is out of its reach, and the steps
+since the snapshot are its exact period), or when the budget runs out. Both
+tests read rows only until no open lane is left to test; lanes close by whole
+groups, so results are exact.
 
 :func:`analyze` is a batch of one tensor whose groups are its single
 columns. Its run keeps its states until, after ``COMPILE_AFTER`` steps, it
@@ -60,9 +60,12 @@ int over the whole batch, so building one costs time quadratic in its size;
 does not compile, as that costs dozens of steps and scan chunks take 2 or 3.
 
 :func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
-to every row, whose step is the base's plus [n] when S contains E. One run of the
-base serves every E: a lane is [n] from the step after its base state first
-holds E, or from the base's own reach.
+to every row: a column is [n] from the step after its base state first holds
+E, or from the base's own reach. One walk of the base's n column orbits serves
+every E. It steps each distinct state once with :func:`_step_mask`, keeping
+its successor and the E it holds as one int, so time and memory scale with the
+number of distinct base states: (n-1)^2+1 for the Wielandt lift, at most n
+times the budget.
 
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
@@ -75,13 +78,12 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
-from operator import and_, or_
+from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitsets import IndexSet, SupportFamily, _check_dim, bit_indices, transpose_masks
 
-# Tensors per sliced run of :func:`gammas`, and extras per lane int of
-# :func:`extra_support_gammas`; larger chunks step faster but hold more at once.
+# Tensors per sliced run of :func:`gammas`; larger chunks step faster but hold more.
 GAMMA_CHUNK = 128
 
 # Steps before an analyze run compiles its step, which costs 75-90 Wielandt-lift
@@ -523,35 +525,32 @@ def gammas(n: int, tensors: Iterable[Sequence[Iterable[int]]]) -> list[int | Non
     return out
 
 
-def extra_support_gammas(n: int, base: Sequence[Iterable[int]], extras: Sequence[int]) -> list[int | None]:
-    """``gammas(n, ([[*row, e] for row in base] for e in extras))``, from one run of ``base``."""
-    _check_dim(n)
-    col = (1 << n) - 1
-    if bad := [e for e in extras if not 0 < e <= col]:
+def extra_support_gammas(base: PatternTensor, extras: Sequence[int]) -> list[int | None]:
+    """``gammas(n, ([[*fam.masks, e] for fam in base.rows] for e in extras))``,
+    from one walk of the base's n column orbits (see the module docstring)."""
+    n, full = base.dim, (1 << base.dim) - 1
+    if bad := [e for e in extras if not 0 < e <= full]:
         raise ValueError(f"extra support {bad[0]:#x} is outside 1..2^{n}-1")
-    rows, _ = _lane_rows(n, [base])  # one tensor has no pseudo-indices
+    every = (1 << len(extras)) - 1
+    lacks = [every] * n  # bit w of lacks[i]: extras[w] does not hold i
+    for w, e in enumerate(extras):
+        for i in bit_indices(e):
+            lacks[i] ^= 1 << w
+    memo: dict[int, tuple[int, int]] = {}  # state -> (its successor, the witnesses a column hits leaving it)
+    states, hits = [1 << j for j in range(n)], [0] * n  # each column's S_{t-1} and the witnesses it hit
     out: list[int | None] = [None] * len(extras)
-    chunks = []  # first extra c, lanes, first lanes, blocks whose extra holds i for each i, open last lanes, hit
-    for c in range(0, len(extras), GAMMA_CHUNK):
-        chunk = extras[c:c + GAMMA_CHUNK]
-        every = (1 << n * len(chunk)) - 1
-        holds = [sum(col << w * n for w, e in enumerate(chunk) if e >> i & 1) for i in range(n)]
-        chunks.append([c, every, every // col, holds, every // col << n - 1, 0])
-    R, t = [1 << u for u in range(n)], 0  # S_0 = {j} in lane j-1
-    while chunks and t < default_bound(n):
-        # S_{t-1}'s lanes lacking i, in every block w (extra c+w's columns) of chunks[0], the widest open one
-        lacks = [(i, (col ^ r) * chunks[0][2]) for i, r in enumerate(R) if r != col]
-        R, t = _sliced_step(rows, R), t + 1
-        full = reduce(and_, R)
-        for ch in chunks:
-            c, every, firsts, holds, live, hit = ch
-            # a lane is [n] from S_t on if its S_{t-1} held its block's extra or its S_t is [n]
-            ch[5] = hit = hit | every ^ reduce(or_, [m & holds[i] for i, m in lacks], 0) | full * firsts
-            done = ((hit & (every ^ firsts << n - 1)) + firsts) & hit & live  # SWAR, as in _sliced_run
-            for b in bit_indices(done):
-                out[c + b // n] = t
-            ch[4] = live ^ done
-        chunks = [ch for ch in chunks if ch[4]]
+    done = t = 0
+    while done != every and t < default_bound(n):
+        t += 1
+        for s in {s for s in states if s not in memo}:
+            nxt = _step_mask(base, s)  # a column that reaches [n] hits every witness
+            memo[s] = nxt, every if nxt == full else reduce(and_, [lacks[i] for i in bit_indices(full ^ s)], every)
+        hits = [hit | memo[s][1] for s, hit in zip(states, hits)]
+        states = [memo[s][0] for s in states]
+        new = reduce(and_, hits, every) & ~done  # hit by every column, so resolved
+        for w in bit_indices(new):
+            out[w] = t
+        done |= new
     return out
 
 

@@ -120,7 +120,7 @@ class TestFrontierFamily:
         # are verified by extra_support_gammas
         real = families.extra_support_gammas
         monkeypatch.setattr(
-            families, "extra_support_gammas", lambda n, base, extras: [g + 1 for g in real(n, base, extras)]
+            families, "extra_support_gammas", lambda base, extras: [g + 1 for g in real(base, extras)]
         )
         with pytest.raises(VerificationError) as info:
             wielandt_frontier_tensor(5, 5, 3)

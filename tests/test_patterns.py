@@ -652,12 +652,17 @@ class TestSharedSupports:
 
 
 @st.composite
-def extra_support_inputs(draw, max_dim=9, max_order=6):
+def extra_support_inputs(draw, max_dim=9, max_order=6, unshared=False):
     """A base of order 2-6 and dim 1-9 as raw row masks, empty rows allowed,
     and the extras to add to every one of its rows: supports drawn from its
     states, random ones, singletons, ones that never fire, repeats, and at
-    times more than ``GAMMA_CHUNK`` of them."""
-    dim = draw(st.integers(1, max_dim))
+    times more than ``GAMMA_CHUNK`` of them.
+
+    With ``unshared`` the base is up to three disjoint cycles of 1-4 indices,
+    each index holding itself and its successor, plus a few random supports.
+    Until one of those fires, column j's state is the arc of its cycle that
+    ends at j, one index longer each step, so no two columns share a state
+    before their cycle fills and the walk's memo saves almost nothing."""
     order = draw(st.integers(2, max_order))
 
     def trim(m):
@@ -665,13 +670,26 @@ def extra_support_inputs(draw, max_dim=9, max_order=6):
             m &= m - 1  # drop the lowest member
         return m
 
-    base = [[] for _ in range(dim)]
-    if draw(st.booleans()):
-        for u, cell in draw(growing_base(dim, order)):
-            base[u - 1].append(sum(1 << (i - 1) for i in set(cell)))
+    if unshared:
+        lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        dim = sum(lengths)
+        perm = draw(st.permutations(range(dim)))
+        base = [[] for _ in range(dim)]
+        for k, length in enumerate(lengths):
+            cycle = perm[sum(lengths[:k]):sum(lengths[:k + 1])]
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                base[u] += [1 << u, 1 << v]
+        for _ in range(draw(st.integers(0, 2))):
+            base[draw(st.integers(0, dim - 1))].append(trim(draw(st.integers(1, (1 << dim) - 1))))
     else:
-        for row in base:
-            row += [trim(draw(st.integers(1, (1 << dim) - 1))) for _ in range(draw(st.integers(0, 3)))]
+        dim = draw(st.integers(1, max_dim))
+        base = [[] for _ in range(dim)]
+        if draw(st.booleans()):
+            for u, cell in draw(growing_base(dim, order)):
+                base[u - 1].append(sum(1 << (i - 1) for i in set(cell)))
+        else:
+            for row in base:
+                row += [trim(draw(st.integers(1, (1 << dim) - 1))) for _ in range(draw(st.integers(0, 3)))]
     states = [1 << draw(st.integers(0, dim - 1))]
     for _ in range(draw(st.integers(0, 2 * dim))):
         s = states[-1]
@@ -686,62 +704,96 @@ def extra_support_inputs(draw, max_dim=9, max_order=6):
     extras = draw(st.lists(st.sampled_from(pool), max_size=12))
     if extras and not draw(st.integers(0, 7)):
         extras = draw(st.permutations(extras * (patterns.GAMMA_CHUNK // len(extras) + 1)))
-    return dim, base, extras
+    return order, dim, base, extras
+
+
+def tensor_of(order, dim, rows):
+    """The PatternTensor whose row u holds the supports ``rows[u-1]``."""
+    return PatternTensor(order, dim, tuple(SupportFamily.from_masks(dim, masks) for masks in rows))
+
+
+def record_steps(monkeypatch):
+    """Every state ``_step_mask`` is called on, in call order."""
+    stepped = []
+    real_step = patterns._step_mask
+    monkeypatch.setattr(patterns, "_step_mask", lambda t, s: stepped.append(s) or real_step(t, s))
+    return stepped
 
 
 class TestExtraSupportGammas:
-    """One run of a base, read by containment tests, against ``gammas`` on
-    the tensors with the extra support added to every row."""
+    """One walk of a base's column orbits, read by containment tests, against
+    ``gammas`` on the raw rows with the extra support added to every row."""
+
+    @staticmethod
+    def assert_matches_gammas(drawn):
+        order, dim, base, extras = drawn
+        expected = gammas(dim, ([[*row, e] for row in base] for e in extras))
+        assert extra_support_gammas(tensor_of(order, dim, base), extras) == expected
 
     @settings(max_examples=300)
     @given(extra_support_inputs())
     def test_matches_gammas_on_the_built_tensors(self, drawn):
-        dim, base, extras = drawn
-        expected = gammas(dim, ([[*row, e] for row in base] for e in extras))
-        assert extra_support_gammas(dim, base, extras) == expected
+        self.assert_matches_gammas(drawn)
 
-    def test_one_base_run_for_every_chunk(self, monkeypatch):
-        # the degree 6, 7 and 8 frontier witnesses at n = 5, in three
-        # chunks, resolve in the 8 steps of one run of the Wielandt lift
-        calls = []
-        real_step = patterns._sliced_step
-        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
+    @settings(max_examples=150)
+    @given(extra_support_inputs(unshared=True))
+    def test_matches_gammas_when_columns_share_no_state(self, drawn):
+        self.assert_matches_gammas(drawn)
+
+    def test_one_step_per_distinct_base_state(self, monkeypatch):
+        # the degree 6, 7 and 8 frontier witnesses at n = 5, more than two
+        # GAMMA_CHUNKs of them, resolve at step 8; the walk steps each state
+        # of S_0..S_7 of every column once, though most are held by several
         n = 5
         base = wielandt_tensor(n, n)
         states = [s.mask for s in column_states(base, n - 1, 3)]
         ks = [1 + i % 3 for i in range(2 * patterns.GAMMA_CHUNK + 5)]
-        got = extra_support_gammas(n, row_masks(base), [states[k - 1] for k in ks])
-        assert got == [n + k for k in ks]
-        assert len(calls) == n + 3
+        orbits = [[1 << j - 1, *(s.mask for s in column_states(base, j, n + 2))] for j in range(1, n + 1)]
+        stepped = record_steps(monkeypatch)
+        assert extra_support_gammas(base, [states[k - 1] for k in ks]) == [n + k for k in ks]
+        assert sorted(stepped) == sorted({s for orbit in orbits for s in orbit})
+        assert len(stepped) < sum(map(len, orbits))
 
-    def test_an_open_block_runs_to_the_bound(self, monkeypatch):
-        # {1,2} never fires on the 3-cycle, whose columns never reach [n]
-        calls = []
-        real_step = patterns._sliced_step
-        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
-        assert extra_support_gammas(3, [[2], [4], [1]], [3]) == [None]
-        assert len(calls) == default_bound(3)
+    def test_a_step_per_column_step_when_no_state_is_shared(self, monkeypatch):
+        # on an n-cycle with self-loops column j's S_t is the arc of t+1
+        # indices ending at j: the columns share no state before [n] at n-1
+        n = 6
+        base = make_pattern(2, n, [(u, (v,)) for u in range(1, n + 1) for v in (u, u % n + 1)])
+        extras = [(1 << n) - 1, 0b101, 1]
+        expected = gammas(n, ([[*fam.masks, e] for fam in base.rows] for e in extras))
+        stepped = record_steps(monkeypatch)
+        assert extra_support_gammas(base, extras) == expected
+        assert len(set(stepped)) == len(stepped) == n * (n - 1)
+
+    def test_an_open_witness_walks_to_the_bound(self, monkeypatch):
+        # {1,2} never fires on the 3-cycle, whose columns never reach [n];
+        # the walk runs to the bound, stepping each of its 3 states once
+        stepped = record_steps(monkeypatch)
+        assert extra_support_gammas(tensor_of(2, 3, [[2], [4], [1]]), [3]) == [None]
+        assert sorted(stepped) == [1, 2, 4]
 
     def test_extras_that_fire_at_once_or_never(self):
         # {j} is S_0 of column j, so a singleton extra fires before the first
         # step: on the 3-cycle u <- u+1, {1} fills column 1 at step 1 and the
         # others one step after the cycle brings them to 1; {1,2} never fires
-        assert extra_support_gammas(1, [[]], [1]) == [1]
-        assert extra_support_gammas(3, [[2], [4], [1]], [1, 3]) == [3, None]
+        assert extra_support_gammas(tensor_of(2, 1, [[]]), [1]) == [1]
+        assert extra_support_gammas(tensor_of(2, 3, [[2], [4], [1]]), [1, 3]) == [3, None]
         # row 1 holds nothing but {1,2}, so no S_t with t >= 1 holds 1
-        assert extra_support_gammas(3, [[], [1], [2]], [3]) == [None]
+        assert extra_support_gammas(tensor_of(3, 3, [[], [1], [2]]), [3]) == [None]
 
     def test_empty_and_bad_input(self):
-        assert extra_support_gammas(3, [[1], [2], [4]], []) == []
+        identity = tensor_of(2, 3, [[1], [2], [4]])
+        assert extra_support_gammas(identity, []) == []
         for bad in (0, 1 << 3, -1):
             with pytest.raises(ValueError, match="outside"):
-                extra_support_gammas(3, [[1], [2], [4]], [1, bad])
-        with pytest.raises(ValueError, match="outside"):
-            extra_support_gammas(3, [[1], [8], [4]], [1])
+                extra_support_gammas(identity, [1, bad])
+        # the base's rows are checked when it is built
+        with pytest.raises(ValueError, match="out of range"):
+            tensor_of(2, 3, [[1], [8], [4]])
         with pytest.raises(ValueError):
-            extra_support_gammas(3, [[1], [2]], [1])  # a row short
+            tensor_of(2, 3, [[1], [2]])  # a row short
         with pytest.raises(ValueError):
-            extra_support_gammas(0, [], [])
+            tensor_of(2, 0, [])
 
 
 def assert_compiled_step_matches(t, R):
