@@ -203,17 +203,8 @@ class SupportFamily:
     def sets(self) -> tuple[IndexSet, ...]:
         return tuple(IndexSet(m, self.dim) for m in self.masks)
 
-    def add(self, s: IndexSet) -> "SupportFamily":
-        """Return the family with ``s`` inserted (and the antichain re-minimized)."""
-        if s.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {s.dim} vs {self.dim}")
-        return SupportFamily.from_masks(self.dim, self.masks + (s.mask,))
-
     def __len__(self) -> int:
         return len(self.masks)
-
-    def __iter__(self) -> Iterator[IndexSet]:
-        return iter(self.sets)
 
     def __contains__(self, s: IndexSet) -> bool:
         return s.dim == self.dim and s.mask in self.masks

@@ -27,7 +27,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from .bitsets import SupportFamily
-from .digraphs import majorization_pattern, matrix_gamma, wielandt_matrix
+from .digraphs import matrix_gamma, wielandt_matrix
 from .errors import VerificationError
 from .families import degree_witness, exponent_set, small_exponent_matrix, wielandt_frontier_tensor, wielandt_tensor
 from .formats import parse_document, render_document, save_document
@@ -37,7 +37,6 @@ from .patterns import (
     Reached,
     analyze,
     check_necessary_conditions,
-    column_states,
     default_bound,
     gammas,
 )
@@ -129,8 +128,6 @@ def _text_line(r: dict) -> str:
             f"primitive {r['primitive']}/{r['samples']} sampled; "
             "absence of a degree here is not evidence of a gap"
         )
-    if kind == "gamma":
-        return f"gamma={r['gamma']}"
     raise ValueError(f"unknown record kind {kind!r}")
 
 
@@ -182,84 +179,30 @@ class OracleCheckResult:
 def run_oracle_check(
     order: int, dim: int, trials: int, seed: int, max_k: int
 ) -> OracleCheckResult:
-    """Cross-check the pattern trace engine against the dense oracles.
-
-    Per trial: a seeded random pattern is densified, and for every column j and
-    step k <= max_k the trace state S_k must equal the support of the k-th
-    basis iterate and the j-th column of the k-th majorization recursion
-    pattern. Order-2 trials additionally compare matrix_gamma with analyze;
-    order-3 trials at dim <= 3 rebuild the explicit powers and compare their
-    majorization columns; order-3 trials at dim 2 also check associativity of
-    the real product on a random integer triple.
-    """
+    """Cross-check the pattern trace engine against the dense oracles on
+    ``trials`` seeded random patterns; :func:`primdeg.dense.cross_check` makes
+    the comparisons, drawing its associativity triples from the same stream."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if max_k < 1:
         raise ValueError(f"max-k must be >= 1, got {max_k}")
     try:
-        from .dense import (
-            DenseTensor,
-            apply_to_basis,
-            densify,
-            general_product,
-            majorization_of,
-            majorization_recursion,
-            power_patterns,
-            support_of,
-        )
+        from .dense import cross_check
     except ImportError as e:
         raise ValueError(
             f"oracle-check needs numpy ({e}); install the primdeg[oracle] extra"
         ) from None
     rng = random.Random(seed)
     mismatches: list[tuple[int, str]] = []
-    assoc = 0
-    explicit = 0
+    ran: list[str] = []
     for trial in range(trials):
-        problems: list[str] = []
-        tensor = random_pattern(rng, order, dim)
-        states = {j: column_states(tensor, j, max_k) for j in range(1, dim + 1)}
-        d = densify(tensor)
-        for j in range(1, dim + 1):
-            iterates = apply_to_basis(d, j, max_k)
-            for k in range(1, max_k + 1):
-                if support_of(iterates[k - 1]) != states[j][k - 1]:
-                    problems.append(f"basis iterate support differs at j={j} k={k}")
-        recursion = majorization_recursion(d, max_k)
-        for k in range(1, max_k + 1):
-            cols = recursion[k - 1].reversed_digraph().rows
-            for j in range(1, dim + 1):
-                if cols[j - 1] != states[j][k - 1]:
-                    problems.append(f"majorization recursion differs at j={j} k={k}")
-        if order == 2:
-            g_matrix = matrix_gamma(majorization_pattern(tensor))
-            g_tensor = analyze(tensor).gamma
-            if g_matrix != g_tensor:
-                problems.append(f"matrix_gamma {g_matrix} != analyze gamma {g_tensor}")
-        if order == 3 and dim <= 3:
-            explicit += 1
-            powers = power_patterns(d, min(max_k, 3))
-            for k, p in enumerate(powers, start=1):
-                cols = majorization_of(p).reversed_digraph().rows
-                for j in range(1, dim + 1):
-                    if cols[j - 1] != states[j][k - 1]:
-                        problems.append(f"explicit power pattern differs at j={j} k={k}")
-        if order == 3 and dim == 2:
-            assoc += 1
-            # three random integer 2x2x2 tensors, cells drawn in C order
-            a, b, c = (
-                DenseTensor.from_array(
-                    [[[rng.randint(0, 3) for _ in range(2)] for _ in range(2)] for _ in range(2)]
-                )
-                for _ in range(3)
-            )
-            left = general_product(general_product(a, b), c)
-            right = general_product(a, general_product(b, c))
-            if left.values.shape != right.values.shape or (left.values != right.values).any():
-                problems.append("associativity failed on random triple")
+        problems, checks = cross_check(random_pattern(rng, order, dim), max_k, rng)
         mismatches.extend((trial, p) for p in problems)
+        ran += checks
     agreements = trials - len({t for t, _ in mismatches})
-    return OracleCheckResult(order, dim, trials, agreements, mismatches, assoc, explicit)
+    return OracleCheckResult(
+        order, dim, trials, agreements, mismatches, ran.count("associativity"), ran.count("explicit-powers")
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ Cell counts are capped (default 2**20, override with PRIMDEG_DENSE_CELL_CAP);
 a result beyond the cap is rejected, never truncated.
 
 This is an oracle, not an analysis route: it is the only module that needs
-numpy, and only ``oracle-check`` and the tests import it.
+numpy, and only ``oracle-check`` and the tests import it. :func:`cross_check`
+holds every comparison ``oracle-check`` makes on one pattern.
 """
 
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from .bitsets import IndexSet, _check_dim
 from .digraphs import PatternMatrix
 from .errors import CapExceededError
-from .patterns import PatternTensor, make_pattern
+from .patterns import PatternTensor, analyze, column_states, default_bound, make_pattern
 
 DENSE_CELL_CAP = int(os.environ.get("PRIMDEG_DENSE_CELL_CAP", str(1 << 20)))
 
@@ -62,17 +64,6 @@ class DenseTensor:
         if np.any(self.values < 0):
             raise ValueError("values must be nonnegative")
         self.values.setflags(write=False)
-
-    # the generated dataclass __eq__ would compare the arrays with ==, which
-    # numpy refuses to collapse to a single bool
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.dim == other.dim
-            and bool(np.array_equal(self.values, other.values))
-        )
 
     @classmethod
     def zeros(cls, order: int, dim: int) -> "DenseTensor":
@@ -258,3 +249,57 @@ def to_pattern(a: DenseTensor) -> PatternTensor:
         for idx in np.argwhere(a.values > 0)
     ]
     return make_pattern(a.order, a.dim, entries)
+
+
+def cross_check(tensor: PatternTensor, max_k: int, rng: random.Random) -> tuple[list[str], list[str]]:
+    """Compare the pattern engine with the dense routes on one pattern.
+
+    For every column j and step k <= max_k the trace state S_k must equal the
+    support of the k-th basis iterate and the j-th column of the k-th
+    majorization recursion pattern. Order 2 also compares ``analyze``'s gamma
+    with the first power, up to (dim-1)^2 + 1, whose pattern is all positive.
+    Order 3 at dim <= 3 rebuilds the explicit powers up to min(max_k, 3) and
+    compares their majorization columns; order 3 at dim 2 also checks the
+    associativity of the real product on an integer triple drawn from ``rng``.
+    Returns the disagreements and the names of the optional checks that ran.
+    """
+    n = tensor.dim
+    states = [column_states(tensor, j, max_k) for j in range(1, n + 1)]
+    d = densify(tensor)
+    problems: list[str] = []
+    ran: list[str] = []
+    for j in range(1, n + 1):
+        for k, x in enumerate(apply_to_basis(d, j, max_k), start=1):
+            if support_of(x) != states[j - 1][k - 1]:
+                problems.append(f"basis iterate support differs at j={j} k={k}")
+    for k, p in enumerate(majorization_recursion(d, max_k), start=1):
+        for j, col in enumerate(p.reversed_digraph().rows, start=1):
+            if col != states[j - 1][k - 1]:
+                problems.append(f"majorization recursion differs at j={j} k={k}")
+    if tensor.order == 2:
+        ran.append("degree")
+        powers = power_patterns(d, default_bound(n))
+        g_dense = next((k for k, p in enumerate(powers, start=1) if p.values.all()), None)
+        g_tensor = analyze(tensor).gamma
+        if g_dense != g_tensor:
+            problems.append(f"dense power degree {g_dense} != analyze gamma {g_tensor}")
+    if tensor.order == 3 and n <= 3:
+        ran.append("explicit-powers")
+        for k, p in enumerate(power_patterns(d, min(max_k, 3)), start=1):
+            for j, col in enumerate(majorization_of(p).reversed_digraph().rows, start=1):
+                if col != states[j - 1][k - 1]:
+                    problems.append(f"explicit power pattern differs at j={j} k={k}")
+    if tensor.order == 3 and n == 2:
+        ran.append("associativity")
+        # three random integer 2x2x2 tensors, cells drawn in C order
+        a, b, c = (
+            DenseTensor.from_array(
+                [[[rng.randint(0, 3) for _ in range(2)] for _ in range(2)] for _ in range(2)]
+            )
+            for _ in range(3)
+        )
+        left = general_product(general_product(a, b), c)
+        right = general_product(a, general_product(b, c))
+        if left.values.shape != right.values.shape or (left.values != right.values).any():
+            problems.append("associativity failed on random triple")
+    return problems, ran

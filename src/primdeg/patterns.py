@@ -39,9 +39,10 @@ columns. Its run keeps its states until, after ``COMPILE_AFTER`` steps, it
 swaps :func:`_sliced_step` for :func:`_compile_step`, the table as one
 generated function, so long runs cost about their bit operations. One pass
 over S_1, S_2, ... then finds each cycle's start; it steps past the kept
-states only after a compiled run. Columns still open when a lowered budget
-runs out are traced alone by ``column_trace``, so every certificate equals
-the one ``column_trace`` gives.
+states only after a compiled run. Columns still open when the budget runs
+out, a lowered one or the default one for a column that neither reaches [n]
+nor repeats within it, are traced alone by ``column_trace``, so every
+certificate equals the one ``column_trace`` gives.
 
 :func:`gammas` runs batches whose groups are whole tensors, for callers that
 need only gamma: a tensor's gamma is the step at which all n of its lanes
@@ -56,8 +57,9 @@ lane mask of those tensors; R_c is appended unchanged after every step, so
 the AND keeps that support on its own tensors' lanes, and two rows share
 such a support when they share its pseudo-index too. Every lane mask is an
 int over the whole batch, so building one costs time quadratic in its size;
-``gammas`` therefore runs its input in chunks of ``GAMMA_CHUNK`` tensors; it
-does not compile, as that costs dozens of steps and scan chunks take 2 or 3.
+``gammas`` therefore runs its input in chunks of ``GAMMA_LANES // n`` tensors
+(at least one); it does not compile, as that costs dozens of steps and scan
+chunks take 2 or 3.
 
 :func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
 to every row: a column is [n] from the step after its base state first holds
@@ -83,8 +85,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitsets import IndexSet, SupportFamily, _check_dim, bit_indices, transpose_masks
 
-# Tensors per sliced run of :func:`gammas`; larger chunks step faster but hold more.
-GAMMA_CHUNK = 128
+# Lanes per sliced run of :func:`gammas`, which draws GAMMA_LANES // n tensors
+# (at least one) per run: 128 at n = 10, 10 at n = 128. Wider runs step
+# faster but hold more.
+GAMMA_LANES = 1280
 
 # Steps before an analyze run compiles its step, which costs 75-90 Wielandt-lift
 # steps at n = 30..128; matrix_gamma's runs of up to 16 steps stay below it.
@@ -469,7 +473,8 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     Each outcome equals ``column_trace(tensor, j, max_steps).outcome``. The
     module docstring describes the sliced run, a batch of one tensor whose
     every column is its own group, and its cycle certificates; columns still
-    open when the budget runs out are traced alone by ``column_trace``.
+    open when the budget runs out, lowered or not, are traced alone by
+    ``column_trace``.
     """
     n = tensor.dim
     bound = default_bound(n) if max_steps is None else max_steps
@@ -509,17 +514,17 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
 
 def gammas(n: int, tensors: Iterable[Sequence[Iterable[int]]]) -> list[int | None]:
     """``analyze(t).gamma`` for every dimension-n tensor t in ``tensors``,
-    from one sliced run per chunk of :data:`GAMMA_CHUNK` whose groups are the
-    tensors (see the module docstring). ``tensor[u-1]`` holds the support
-    masks of row u, raw or minimized (``[f.masks for f in t.rows]`` for a
-    :class:`PatternTensor`); a mask outside 1..2^n-1 raises ValueError. The
-    input is drawn one chunk at a time, so it may be a lazy iterable of any
-    length.
+    from one sliced run per chunk of ``GAMMA_LANES // n`` tensors (at least
+    one) whose groups are the tensors (see the module docstring).
+    ``tensor[u-1]`` holds the support masks of row u, raw or minimized
+    (``[f.masks for f in t.rows]`` for a :class:`PatternTensor`); a mask
+    outside 1..2^n-1 raises ValueError. The input is drawn one chunk at a
+    time, so it may be a lazy iterable of any length.
     """
     _check_dim(n)
     out: list[int | None] = []
-    it = iter(tensors)
-    while chunk := list(islice(it, GAMMA_CHUNK)):
+    it, size = iter(tensors), max(1, GAMMA_LANES // n)
+    while chunk := list(islice(it, size)):
         rows, consts = _lane_rows(n, chunk)
         out += _sliced_run(rows, consts, n, tensors=len(chunk), width=n, bound=default_bound(n))[0]
     return out

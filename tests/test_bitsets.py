@@ -154,11 +154,11 @@ class TestSupportFamily:
 
     def test_add_superset_is_noop(self):
         fam = SupportFamily.from_masks(4, [0b0010])
-        assert fam.add(IndexSet(0b0110, 4)) == fam
+        assert SupportFamily.from_masks(4, fam.masks + (0b0110,)) == fam
 
     def test_add_subset_evicts(self):
         fam = SupportFamily.from_masks(4, [0b0110, 0b1001])
-        out = fam.add(IndexSet(0b0010, 4))
+        out = SupportFamily.from_masks(4, fam.masks + (0b0010,))
         assert out.masks == (0b0010, 0b1001)
 
     def test_constructor_requires_canonical(self):

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import primdeg
-from primdeg import VerificationError, degree_witness, make_pattern, parse_document, render_document, wielandt_tensor
+from primdeg import families, patterns
+from primdeg import IndexSet, VerificationError, degree_witness, make_pattern, parse_document, render_document, wielandt_tensor
 from primdeg.bitsets import minimize_masks
 from primdeg.cli import _random_rows, main, random_pattern
 from primdeg.formats import render_pattern
@@ -87,6 +88,19 @@ class TestAnalyze:
         assert "primitive: no" in out
         assert "gamma: -" in out
         assert "cycled" in out or "column" not in out  # cycle note only with table
+
+    @pytest.mark.parametrize(
+        "budget, tail",
+        [(["--max-k", "10"], "cycled first_repeat_at=3 period=2"), ([], "exhausted bound=2")],
+    )
+    def test_per_column_lines_of_a_column_that_does_not_reach(self, capsys, tmp_path, budget, tail):
+        # the n = 2 row swap: both columns alternate {1} and {2}, which the
+        # default budget of 2 steps cannot certify as a cycle
+        path = tmp_path / "swap.txt"
+        path.write_text(render_pattern(make_pattern(3, 2, [(1, (2, 2)), (2, (1, 1))])))
+        code, out, _ = run(capsys, ["analyze", str(path), "--per-column", *budget])
+        assert code == 0
+        assert out.splitlines()[-2:] == [f"column {j}: gamma_j=- {tail}" for j in (1, 2)]
 
     def test_budget_override(self, capsys, wielandt_file):
         code, out, _ = run(capsys, ["analyze", str(wielandt_file), "--max-k", "5"])
@@ -333,6 +347,20 @@ class TestExponentSet:
         assert code == 1
         assert "max-n" in err
 
+    def test_one_wrong_degree_is_reported_and_exits_2(self, capsys, monkeypatch):
+        # the sweep records the frontier witness for degree 8 as failed and
+        # the summary names it
+        real = families.extra_support_gammas
+        monkeypatch.setattr(
+            families, "extra_support_gammas", lambda base, extras: [None if g == 8 else g for g in real(base, extras)]
+        )
+        code, out, _ = run(capsys, ["exponent-set", "--m", "5", "--n", "5"])
+        assert code == 2
+        lines = out.splitlines()
+        assert "t=8 kind=- FAILED (degree_witness(order=5, dim=5, degree=8) self-check failed: analyzed degree is None)" in lines
+        assert "t=8 kind=wielandt-frontier k=3 gamma=8 ok" not in lines
+        assert lines[-1] == "MISMATCH: missing degrees [8] of 1..17"
+
     def test_verification_failure_exit_code(self, capsys, monkeypatch):
         import primdeg.cli as cli_mod
 
@@ -384,6 +412,47 @@ class TestOracleCheck:
         assert summary["associativity_triples"] == 12
 
 
+    def test_a_shifted_engine_degree_is_a_mismatch(self, capsys, monkeypatch):
+        # the order-2 degree check reads the dense powers, so a sliced run
+        # whose every degree reads one too high disagrees with it
+        real = patterns._sliced_run
+
+        def shifted(*args, **kwargs):
+            ends, *rest = real(*args, **kwargs)
+            return [None if k is None else k + 1 for k in ends], *rest
+
+        monkeypatch.setattr(patterns, "_sliced_run", shifted)
+        code, out, _ = run(capsys, ["oracle-check", "--m", "2", "--n", "4", "--trials", "40", "--seed", "2"])
+        assert code == 2
+        assert "mismatch trial=" in out
+        assert "/40 agree" in out and "40/40 agree" not in out
+
+    def test_a_corrupted_trace_state_is_a_mismatch(self, capsys, monkeypatch):
+        # flip one member of S_1 of column 2 as the cross-check reads it: every
+        # route that compares states reports it, in every trial
+        from primdeg import dense
+
+        real = dense.column_states
+
+        def corrupted(tensor, column, steps):
+            states = real(tensor, column, steps)
+            if column != 2:
+                return states
+            return (IndexSet(states[0].mask ^ 1, tensor.dim), *states[1:])
+
+        monkeypatch.setattr(dense, "column_states", corrupted)
+        code, out, _ = run(capsys, ["oracle-check", "--m", "3", "--n", "3", "--trials", "5", "--seed", "1"])
+        assert code == 2
+        assert "0/5 agree" in out
+        for route in ("basis iterate support", "majorization recursion", "explicit power pattern"):
+            assert out.count(f": {route} differs at j=2 k=1\n") == 5
+
+    def test_trials_must_be_positive(self, capsys):
+        code, out, err = run(capsys, ["oracle-check", "--m", "2", "--n", "3", "--trials", "0"])
+        assert code == 1
+        assert out == ""
+        assert "trials must be >= 1" in err
+
     def test_without_numpy_names_the_oracle_extra(self):
         proc = run_python(
             "import sys; sys.modules['numpy'] = None\n"
@@ -424,6 +493,12 @@ class TestScan:
         _, out1, _ = run(capsys, base + ["--seed", "1"])
         _, out2, _ = run(capsys, base + ["--seed", "2"])
         assert out1 != out2
+
+    def test_budget_must_be_positive(self, capsys):
+        code, out, err = run(capsys, ["scan-open-problem", "--m", "3", "--n", "4", "--budget", "0"])
+        assert code == 1
+        assert out == ""
+        assert "budget must be >= 1" in err
 
     def test_dim_guard(self, capsys):
         code, _, err = run(capsys, ["scan-open-problem", "--m", "3", "--n", "30"])

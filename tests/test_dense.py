@@ -15,6 +15,7 @@ from primdeg import (
 from primdeg.dense import (
     DenseTensor,
     apply_to_basis,
+    cross_check,
     densify,
     general_product,
     majorization_of,
@@ -240,3 +241,28 @@ class TestDensifyAndBack:
         t = DenseTensor(3, 2, vals)
         pat = to_pattern(t)
         assert [s.members for s in pat.rows[0].sets] == [(1,)]
+
+
+class TestCrossCheck:
+    @pytest.mark.parametrize(
+        "tensor, ran",
+        [
+            (monomial_lift(wielandt_matrix(4), 2), ["degree"]),
+            (make_pattern(2, 3, [(1, (2,)), (2, (3,)), (3, (1,))]), ["degree"]),  # never all positive
+            (wielandt_tensor(3, 3), ["explicit-powers"]),
+            (make_pattern(3, 2, [(1, (2, 2)), (2, (1, 2))]), ["explicit-powers", "associativity"]),
+            (wielandt_tensor(4, 4), []),
+        ],
+    )
+    def test_names_the_optional_checks_that_ran(self, tensor, ran):
+        assert cross_check(tensor, 5, random.Random(0)) == ([], ran)
+
+    def test_draws_only_the_associativity_triple(self):
+        # three 2x2x2 integer tensors, 24 randint calls; no other check draws
+        a, b = random.Random(3), random.Random(3)
+        cross_check(make_pattern(3, 2, [(1, (2, 2)), (2, (1, 2))]), 4, a)
+        for _ in range(24):
+            b.randint(0, 3)
+        assert a.getstate() == b.getstate()
+        cross_check(wielandt_tensor(3, 3), 4, a)
+        assert a.getstate() == b.getstate()

@@ -7,6 +7,7 @@ from oracle_utils import gamma_by_bool_powers, matrix_to_array
 from primdeg import (
     IndexSet,
     PatternTensor,
+    SupportFamily,
     VerificationError,
     analyze,
     brute_force_matrix_exponent_set,
@@ -23,7 +24,7 @@ from primdeg import (
     wielandt_matrix,
     wielandt_tensor,
 )
-from primdeg import digraphs, families
+from primdeg import digraphs, families, patterns
 from primdeg.families import _monomial_pattern_from_bits
 from primdeg.patterns import gammas
 
@@ -106,13 +107,14 @@ class TestFrontierFamily:
     @pytest.mark.parametrize("n", [5, 6, 16])
     def test_rows_equal_adding_the_state_to_each_row(self, n):
         # a witness tensor is built on read without re-minimizing;
-        # SupportFamily.add gives the same rows for every k
+        # SupportFamily.from_masks gives the same rows for every k
         base = wielandt_tensor(n, n)
         extras = column_states(base, n - 1, n * n - 3 * n + 2)
         frontier = [w for w in exponent_set(n, n).witnesses if w.spec.kind == "wielandt-frontier"]
         assert [w.spec.k for w in frontier] == list(range(1, len(extras) + 1))
         for w in frontier:
-            assert w.tensor.rows == tuple(fam.add(extras[w.spec.k - 1]) for fam in base.rows)
+            e = extras[w.spec.k - 1].mask
+            assert w.tensor.rows == tuple(SupportFamily.from_masks(n, (*fam.masks, e)) for fam in base.rows)
 
     def test_a_wrong_gamma_raises(self, monkeypatch):
         # the builder verifies the degree it claims, so a misreading engine
@@ -245,6 +247,18 @@ class TestExponentSet:
         assert degree_witness(16, 16, 9)[1].t == 9
         # the second monomial_lift builds the returned tensor
         assert calls == {"gammas": 1, "monomial_lift": 2}
+
+    def test_the_lifts_run_in_batches_of_at_most_gamma_lanes_lanes(self, monkeypatch):
+        # at the dimension cap the 128 lifts run 10 at a time, not as one
+        # batch of 16,384 lanes
+        widths = []
+        real = patterns._lane_rows
+        monkeypatch.setattr(patterns, "_lane_rows", lambda n, batch: widths.append(n * len(batch)) or real(n, batch))
+        witnesses, failures = families._witnesses(128, 128, range(1, 129))
+        assert not failures
+        assert [w.degree for w in witnesses] == list(range(1, 129))
+        assert len(widths) == 13
+        assert max(widths) <= patterns.GAMMA_LANES
 
     def test_no_witness_tensor_is_built_until_one_is_read(self, monkeypatch):
         # the sweep verifies recipes: its one monomial_lift and its one order-8

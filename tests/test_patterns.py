@@ -485,7 +485,7 @@ class TestBatchGammas:
         # three chunks of one dimension, each tensor a witness of its own
         # degree; the input may be a generator
         witnesses = {g: row_masks(degree_witness(5, 5, g)[0]) for g in range(1, default_bound(5) + 1)}
-        degrees = [1 + (7 * i) % default_bound(5) for i in range(2 * patterns.GAMMA_CHUNK + 5)]
+        degrees = [1 + (7 * i) % default_bound(5) for i in range(2 * (patterns.GAMMA_LANES // 5) + 5)]
         assert gammas(5, (witnesses[g] for g in degrees)) == degrees
 
     def test_empty_input(self):
@@ -656,7 +656,7 @@ def extra_support_inputs(draw, max_dim=9, max_order=6, unshared=False):
     """A base of order 2-6 and dim 1-9 as raw row masks, empty rows allowed,
     and the extras to add to every one of its rows: supports drawn from its
     states, random ones, singletons, ones that never fire, repeats, and at
-    times more than ``GAMMA_CHUNK`` of them.
+    times over a hundred of them.
 
     With ``unshared`` the base is up to three disjoint cycles of 1-4 indices,
     each index holding itself and its successor, plus a few random supports.
@@ -703,7 +703,7 @@ def extra_support_inputs(draw, max_dim=9, max_order=6, unshared=False):
         pool.append(1 << u | 1 << (u + 1) % dim)
     extras = draw(st.lists(st.sampled_from(pool), max_size=12))
     if extras and not draw(st.integers(0, 7)):
-        extras = draw(st.permutations(extras * (patterns.GAMMA_CHUNK // len(extras) + 1)))
+        extras = draw(st.permutations(extras * (128 // len(extras) + 1)))
     return order, dim, base, extras
 
 
@@ -741,13 +741,13 @@ class TestExtraSupportGammas:
         self.assert_matches_gammas(drawn)
 
     def test_one_step_per_distinct_base_state(self, monkeypatch):
-        # the degree 6, 7 and 8 frontier witnesses at n = 5, more than two
-        # GAMMA_CHUNKs of them, resolve at step 8; the walk steps each state
+        # the degree 6, 7 and 8 frontier witnesses at n = 5, 261 of them,
+        # resolve at step 8; the walk steps each state
         # of S_0..S_7 of every column once, though most are held by several
         n = 5
         base = wielandt_tensor(n, n)
         states = [s.mask for s in column_states(base, n - 1, 3)]
-        ks = [1 + i % 3 for i in range(2 * patterns.GAMMA_CHUNK + 5)]
+        ks = [1 + i % 3 for i in range(261)]
         orbits = [[1 << j - 1, *(s.mask for s in column_states(base, j, n + 2))] for j in range(1, n + 1)]
         stepped = record_steps(monkeypatch)
         assert extra_support_gammas(base, [states[k - 1] for k in ks]) == [n + k for k in ks]
