@@ -13,7 +13,6 @@ allocating gigantic iteration spaces.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
@@ -30,20 +29,53 @@ def _check_dim(dim: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class IndexSet:
+_set = object.__setattr__  # writes past Record.__setattr__: for a record's __init__ only
+
+
+class Record:
+    """Base of the package's immutable records. ``_fields`` are the parameters of
+    ``__init__`` less ``_hidden``; ``__init__`` checks and stores them with ``_set``.
+    Records of one class with equal fields are equal; a record hashes and shows
+    its fields, and refuses assignment and deletion."""
+
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__  # the parameters, self first, lead co_varnames
+        cls._fields = tuple(f for f in code.co_varnames[1 : code.co_argcount] if f not in cls._hidden)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IndexSet(Record):
     """An immutable subset of {1, ..., dim}, stored as a bitmask.
 
     Bit i-1 of ``mask`` is set exactly when index i is a member.
     """
 
-    mask: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        if not 0 <= self.mask < (1 << self.dim):
-            raise ValueError(f"mask {self.mask:#x} out of range for dim {self.dim}")
+    def __init__(self, mask: int, dim: int) -> None:
+        _check_dim(dim)
+        if not 0 <= mask < (1 << dim):
+            raise ValueError(f"mask {mask:#x} out of range for dim {dim}")
+        _set(self, "mask", mask)
+        _set(self, "dim", dim)
 
     @classmethod
     def from_members(cls, members: Iterable[int], dim: int) -> "IndexSet":
@@ -149,8 +181,7 @@ def transpose_masks(masks: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SupportFamily:
+class SupportFamily(Record):
     """An inclusion-minimal family (antichain) of nonempty subsets of [dim].
 
     ``masks`` is the canonical sorted tuple of member bitmasks. Construction via
@@ -160,33 +191,28 @@ class SupportFamily:
     compare equal.
     """
 
-    dim: int
-    masks: tuple[int, ...]
-
-    # Split views used by the step hot loop: the union of all singleton members,
-    # and the masks of size >= 2 that need an individual containment check.
-    singles: int = field(init=False, repr=False, compare=False)
-    multis: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        limit = 1 << self.dim
-        masks = self.masks
+    def __init__(self, dim: int, masks: tuple[int, ...]) -> None:
+        _check_dim(dim)
+        limit = 1 << dim
         if 0 in masks:
             raise ValueError("empty set is not a valid support")
         if not (isinstance(masks, tuple) and _is_minimized(masks)):
             raise ValueError("masks must be a canonical inclusion-minimal tuple")
         singles = 0
         multis = []
-        for m in self.masks:
+        for m in masks:
             if not 0 < m < limit:
-                raise ValueError(f"mask {m:#x} out of range for dim {self.dim}")
+                raise ValueError(f"mask {m:#x} out of range for dim {dim}")
             if m & (m - 1):
                 multis.append(m)
             else:
                 singles |= m
-        object.__setattr__(self, "singles", singles)
-        object.__setattr__(self, "multis", tuple(multis))
+        _set(self, "dim", dim)
+        _set(self, "masks", masks)
+        # Split views for the step hot loop, out of equality and repr: the union of all
+        # singleton members, and the masks of size >= 2 that need a containment check.
+        _set(self, "singles", singles)
+        _set(self, "multis", tuple(multis))
 
     @classmethod
     def from_masks(cls, dim: int, masks: Iterable[int]) -> "SupportFamily":

@@ -23,10 +23,8 @@ import os
 import random
 import sys
 import time
-import traceback
-from dataclasses import dataclass, field
 
-from .bitsets import SupportFamily
+from .bitsets import Record, SupportFamily, _set
 from .digraphs import matrix_gamma, wielandt_matrix
 from .errors import VerificationError
 from .families import degree_witness, exponent_set, small_exponent_matrix, wielandt_frontier_tensor, wielandt_tensor
@@ -48,12 +46,12 @@ SCAN_DIM_GUARD = 12
 # reporting
 
 
-@dataclass
 class RunReport:
     """Accumulated result records; both emitters read the same dicts, so the
     text table and the json-lines stream cannot disagree."""
 
-    records: list[dict] = field(default_factory=list)
+    def __init__(self, records: list[dict] | None = None) -> None:
+        self.records = [] if records is None else records
 
     def add(self, **record) -> dict:
         self.records.append(record)
@@ -165,15 +163,18 @@ def random_pattern(rng: random.Random, order: int, dim: int) -> PatternTensor:
     return PatternTensor(order, dim, tuple(rows))
 
 
-@dataclass
-class OracleCheckResult:
-    order: int
-    dim: int
-    trials: int
-    agreements: int
-    mismatches: list[tuple[int, str]]
-    associativity_triples: int
-    explicit_power_trials: int
+class OracleCheckResult(Record):
+    def __init__(
+        self, order: int, dim: int, trials: int, agreements: int, mismatches: list[tuple[int, str]],
+        associativity_triples: int, explicit_power_trials: int,
+    ) -> None:
+        _set(self, "order", order)
+        _set(self, "dim", dim)
+        _set(self, "trials", trials)
+        _set(self, "agreements", agreements)
+        _set(self, "mismatches", mismatches)
+        _set(self, "associativity_triples", associativity_triples)
+        _set(self, "explicit_power_trials", explicit_power_trials)
 
 
 def run_oracle_check(
@@ -368,6 +369,7 @@ def cmd_scan_open_problem(args: argparse.Namespace) -> int:
 # parser / entry point
 
 
+@functools.cache  # built once per process; main only reads it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="primdeg",
@@ -440,6 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback  # only here, so that start-up does not load it
         traceback.print_exc()
         return 3
     finally:

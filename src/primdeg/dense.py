@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsets import IndexSet, _check_dim
+from .bitsets import IndexSet, Record, _check_dim, _set
 from .digraphs import PatternMatrix
 from .errors import CapExceededError
 from .patterns import PatternTensor, analyze, column_states, default_bound, make_pattern
@@ -44,26 +43,25 @@ def _check_cells(order: int, dim: int) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DenseTensor:
-    """An explicit nonnegative tensor of shape (dim,) * order, 1-based indexing."""
+class DenseTensor(Record):
+    """An explicit nonnegative tensor of shape (dim,) * order, 1-based indexing; equal only to itself."""
 
-    order: int
-    dim: int
-    values: np.ndarray
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        _check_dim(self.dim)
-        _check_cells(self.order, self.dim)
-        if self.values.shape != (self.dim,) * self.order:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match (dim,)*order"
-            )
-        if np.any(self.values < 0):
+    def __init__(self, order: int, dim: int, values: np.ndarray) -> None:
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        _check_dim(dim)
+        _check_cells(order, dim)
+        if values.shape != (dim,) * order:
+            raise ValueError(f"values shape {values.shape} does not match (dim,)*order")
+        if np.any(values < 0):
             raise ValueError("values must be nonnegative")
-        self.values.setflags(write=False)
+        values.setflags(write=False)
+        _set(self, "order", order)
+        _set(self, "dim", dim)
+        _set(self, "values", values)
 
     @classmethod
     def zeros(cls, order: int, dim: int) -> "DenseTensor":

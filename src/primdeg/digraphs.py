@@ -12,30 +12,27 @@ traces, and a tensor's majorization pattern is read back here as a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitsets import IndexSet, SupportFamily, _check_dim, transpose_masks
+from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set, transpose_masks
 from .patterns import PatternTensor, analyze, column_states
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
+class PatternMatrix(Record):
     """Positivity pattern of a square nonnegative matrix; row i is an IndexSet.
 
     Read as a digraph on 1..dim, row i is the out-neighbor set of vertex i.
     """
 
-    dim: int
-    rows: tuple[IndexSet, ...]
-
-    def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        if len(self.rows) != self.dim:
-            raise ValueError(f"expected {self.dim} rows, got {len(self.rows)}")
-        for r in self.rows:
-            if r.dim != self.dim:
-                raise ValueError(f"row dimension {r.dim} does not match {self.dim}")
+    def __init__(self, dim: int, rows: tuple[IndexSet, ...]) -> None:
+        _check_dim(dim)
+        if len(rows) != dim:
+            raise ValueError(f"expected {dim} rows, got {len(rows)}")
+        for r in rows:
+            if r.dim != dim:
+                raise ValueError(f"row dimension {r.dim} does not match {dim}")
+        _set(self, "dim", dim)
+        _set(self, "rows", rows)
 
     @classmethod
     def from_entries(cls, dim: int, entries: Iterable[tuple[int, int]]) -> "PatternMatrix":

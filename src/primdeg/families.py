@@ -22,13 +22,13 @@ orbits lie on one chain of (n-1)^2+1 states. A witness tensor is built only when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 
-from .bitsets import IndexSet, SupportFamily, bit_indices
+from .bitsets import IndexSet, Record, SupportFamily, _set, bit_indices
 from .digraphs import PatternMatrix, matrix_gamma, monomial_lift, wielandt_matrix
 from .errors import VerificationError
-# ``analyze`` is unused here; bench/tracing.py wraps it by this name.
-from .patterns import PatternTensor, analyze, column_states, default_bound, extra_support_gammas, gammas  # noqa: F401
+from .patterns import PatternTensor, _orbit, default_bound, extra_support_gammas, gammas, successor
+from .patterns import analyze, column_states  # noqa: F401  (unused; bench/tracing.py wraps them by these names)
 
 
 def wielandt_tensor(order: int, dim: int) -> PatternTensor:
@@ -89,15 +89,15 @@ def _small_exponent_rows(dim: int, target: int) -> PatternMatrix:
     return PatternMatrix(dim, tuple(IndexSet(r, dim) for r in rows))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Recipe for one constructed tensor, recorded alongside its witnesses."""
 
-    kind: str  # "monomial-lift" | "wielandt-frontier"
-    order: int
-    dim: int
-    k: int | None = None
-    t: int | None = None
+    def __init__(self, kind: str, order: int, dim: int, k: int | None = None, t: int | None = None) -> None:
+        _set(self, "kind", kind)  # "monomial-lift" | "wielandt-frontier"
+        _set(self, "order", order)
+        _set(self, "dim", dim)
+        _set(self, "k", k)
+        _set(self, "t", t)
 
 
 def degree_witness(order: int, dim: int, degree: int) -> tuple[PatternTensor, FamilySpec]:
@@ -114,16 +114,16 @@ def degree_witness(order: int, dim: int, degree: int) -> tuple[PatternTensor, Fa
     return witnesses[0].tensor, witnesses[0].spec
 
 
-@dataclass(frozen=True)
-class DegreeWitness:
+class DegreeWitness(Record):
     """A verified degree and the recipe of its witness: the small-exponent matrix
     of a lift, or the Wielandt lift and the extra support E_k of a frontier
     witness. Verification reads only the recipe; :attr:`tensor` builds the
     tensor each time it is read."""
 
-    degree: int
-    spec: FamilySpec
-    recipe: PatternMatrix | tuple[PatternTensor, int]
+    def __init__(self, degree: int, spec: FamilySpec, recipe: PatternMatrix | tuple[PatternTensor, int]) -> None:
+        _set(self, "degree", degree)
+        _set(self, "spec", spec)
+        _set(self, "recipe", recipe)
 
     @property
     def tensor(self) -> PatternTensor:
@@ -137,14 +137,16 @@ class DegreeWitness:
         return PatternTensor(base.order, base.dim, rows)
 
 
-@dataclass(frozen=True)
-class ExponentSetResult:
+class ExponentSetResult(Record):
     """Witnessed degrees for one (order, dim), against the expected full interval."""
 
-    order: int
-    dim: int
-    witnesses: tuple[DegreeWitness, ...]
-    failures: tuple[tuple[int, str], ...]
+    def __init__(
+        self, order: int, dim: int, witnesses: tuple[DegreeWitness, ...], failures: tuple[tuple[int, str], ...]
+    ) -> None:
+        _set(self, "order", order)
+        _set(self, "dim", dim)
+        _set(self, "witnesses", witnesses)
+        _set(self, "failures", failures)
 
     @property
     def achieved(self) -> frozenset[int]:
@@ -182,8 +184,9 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     if bad := [d for d in degrees if not 1 <= d <= top]:
         raise ValueError(f"degree must be in 1..{top} for dim {dim}, got {bad[0]}")
     base = wielandt_tensor(order, dim)
-    # one walk of column dim-1 gives the extra support E_k of every frontier witness
-    extras = [s.mask for s in column_states(base, dim - 1, max(degrees[-1] - dim, 0))]
+    step = successor(base)  # shared by the two walks below, so each distinct state is stepped once
+    # column dim-1's states S_1, S_2, ... are the extra supports E_1, E_2, ... of the frontier witnesses
+    extras = list(islice(_orbit(step, dim - 1), max(degrees[-1] - dim, 0)))
     lifts = [
         DegreeWitness(d, FamilySpec("monomial-lift", order, dim, t=d), _small_exponent_rows(dim, d))
         for d in degrees if d <= dim
@@ -194,7 +197,7 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     ]
     ones = [1 << i for i in range(dim)]  # a lift's row u: one singleton per entry of matrix row u
     verdicts = gammas(dim, ([[o for o in ones if o & r.mask] for r in w.recipe.rows] for w in lifts))
-    verdicts += extra_support_gammas(base, [w.recipe[1] for w in fronts])
+    verdicts += extra_support_gammas(base, [w.recipe[1] for w in fronts], step)
     witnesses, failures = [], []
     for w, got in zip(lifts + fronts, verdicts):
         if got == w.degree:

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
-from .bitsets import IndexSet, SupportFamily, _check_dim
+from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set
 from .digraphs import PatternMatrix, monomial_lift
 from .errors import CapExceededError, ParseError
 from .patterns import PatternTensor, make_pattern
@@ -35,24 +34,25 @@ MATRIX_HEADER = "matrix v1"
 _SET_RE = re.compile(r"\{([^{}]*)\}")
 # An index or a count: ASCII digits with no sign, underscore or leading zero.
 _INT_RE = re.compile(r"0|[1-9][0-9]*")
+_ROW_RE = re.compile(rf"row\s+({_INT_RE.pattern}):(.*)")
 
 
-@dataclass(frozen=True)
-class SparseTensor:
+class SparseTensor(Record):
     """The content of a sparse document: its positive cells, each a pair of a
     1-based index tuple and a finite value, in lexicographic index order."""
 
-    order: int
-    dim: int
-    entries: tuple[tuple[tuple[int, ...], float], ...]
+    def __init__(self, order: int, dim: int, entries: tuple[tuple[tuple[int, ...], float], ...]) -> None:
+        _set(self, "order", order)
+        _set(self, "dim", dim)
+        _set(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class TensorDocument:
+class TensorDocument(Record):
     """One parsed document: kind is 'pattern', 'sparse', or 'matrix'."""
 
-    kind: str
-    payload: PatternTensor | SparseTensor | PatternMatrix
+    def __init__(self, kind: str, payload: PatternTensor | SparseTensor | PatternMatrix) -> None:
+        _set(self, "kind", kind)
+        _set(self, "payload", payload)
 
     def as_pattern_tensor(self) -> PatternTensor:
         """The pattern-analysis view of any document kind.
@@ -115,7 +115,7 @@ def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
     dim = _keyed_dim(lines, 2)
     row_masks: dict[int, list[int]] = {}
     for no, line in lines[3:]:
-        m = re.fullmatch(rf"row\s+({_INT_RE.pattern}):(.*)", line)
+        m = _ROW_RE.fullmatch(line)
         if not m:
             raise ParseError(no, f"expected 'row U: ...', got {line!r}")
         u = int(m.group(1))

@@ -64,10 +64,10 @@ chunks take 2 or 3.
 :func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
 to every row: a column is [n] from the step after its base state first holds
 E, or from the base's own reach. One walk of the base's n column orbits serves
-every E. It steps each distinct state once with :func:`_step_mask`, keeping
-its successor and the E it holds as one int, so time and memory scale with the
-number of distinct base states: (n-1)^2+1 for the Wielandt lift, at most n
-times the budget.
+every E. It steps each distinct state once through :func:`successor`, which a
+caller that walks the base itself can share, and keeps the E it holds as one
+int, so time and memory scale with the number of distinct base states:
+(n-1)^2+1 for the Wielandt lift, at most n times the budget.
 
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
@@ -77,13 +77,12 @@ through this engine as order-2 tensors.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import islice
 from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bitsets import IndexSet, SupportFamily, _check_dim, bit_indices, transpose_masks
+from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set, bit_indices, transpose_masks
 
 # Lanes per sliced run of :func:`gammas`, which draws GAMMA_LANES // n tensors
 # (at least one) per run: 128 at n = 10, 10 at n = 128. Wider runs step
@@ -102,8 +101,7 @@ _BLOCK = 64
 LaneRows = tuple[tuple[tuple[int, ...], ...], list[tuple[list[int], list[tuple[int, ...]]]]]
 
 
-@dataclass(frozen=True)
-class PatternTensor:
+class PatternTensor(Record):
     """Zero pattern of a nonnegative tensor of order >= 2 on indices 1..dim.
 
     ``rows[u-1]`` is the antichain of supports appearing in row u. Every stored
@@ -111,26 +109,25 @@ class PatternTensor:
     (order-1)-tuple of indices).
     """
 
-    order: int
-    dim: int
-    rows: tuple[SupportFamily, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
-        _check_dim(self.dim)
-        if len(self.rows) != self.dim:
-            raise ValueError(f"expected {self.dim} rows, got {len(self.rows)}")
-        for u, fam in enumerate(self.rows, start=1):
-            if fam.dim != self.dim:
-                raise ValueError(f"row {u} dimension {fam.dim} does not match {self.dim}")
+    def __init__(self, order: int, dim: int, rows: tuple[SupportFamily, ...]) -> None:
+        if order < 2:
+            raise ValueError(f"order must be >= 2, got {order}")
+        _check_dim(dim)
+        if len(rows) != dim:
+            raise ValueError(f"expected {dim} rows, got {len(rows)}")
+        for u, fam in enumerate(rows, start=1):
+            if fam.dim != dim:
+                raise ValueError(f"row {u} dimension {fam.dim} does not match {dim}")
             # singletons always fit (order >= 2); only multi-index supports can be too big
             size = max(map(int.bit_count, fam.multis), default=1)
-            if size > self.order - 1:
+            if size > order - 1:
                 raise ValueError(
                     f"row {u} holds a support of size {size}, "
-                    f"limit is order-1 = {self.order - 1}"
+                    f"limit is order-1 = {order - 1}"
                 )
+        _set(self, "order", order)
+        _set(self, "dim", dim)
+        _set(self, "rows", rows)
 
 
 def make_pattern(
@@ -182,16 +179,22 @@ def _step_mask(tensor: PatternTensor, state: int) -> int:
     return out
 
 
-def _orbit(tensor: PatternTensor, column: int) -> Iterator[int]:
-    """S_1, S_2, ... of one start column as masks, without end.
+def successor(tensor: PatternTensor) -> Callable[[int], int]:
+    """``tensor``'s step on masks, memoized: walks that share it step each distinct state once."""
+    return cache(partial(_step_mask, tensor))
+
+
+def _orbit(step: Callable[[int], int], column: int) -> Iterator[int]:
+    """S_1, S_2, ... of one start column as masks under ``step``, without end.
 
     The one single-column loop over the recursion: traces, raw orbits and walk
-    frontiers read their states from it. :func:`analyze` steps every column
+    frontiers read their states from it, stepped with ``partial(_step_mask,
+    tensor)`` or a shared :func:`successor`. :func:`analyze` steps every column
     at once instead and falls back to it only when the budget runs out.
     """
     state = 1 << (column - 1)
     while True:
-        state = _step_mask(tensor, state)
+        state = step(state)
         yield state
 
 
@@ -205,18 +208,17 @@ def column_states(tensor: PatternTensor, column: int, steps: int) -> tuple[Index
         raise ValueError(f"column {column} out of range 1..{tensor.dim}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    return tuple(IndexSet(m, tensor.dim) for m in islice(_orbit(tensor, column), steps))
+    return tuple(IndexSet(m, tensor.dim) for m in islice(_orbit(partial(_step_mask, tensor), column), steps))
 
 
-@dataclass(frozen=True)
-class Reached:
+class Reached(Record):
     """The trace hit the full set [n] at the recorded step."""
 
-    step: int
+    def __init__(self, step: int) -> None:
+        _set(self, "step", step)
 
 
-@dataclass(frozen=True)
-class Cycled:
+class Cycled(Record):
     """A state repeated before [n] appeared, so [n] is unreachable.
 
     ``first_repeat_at`` is the step at which the repetition was observed; the
@@ -224,33 +226,34 @@ class Cycled:
     state is included in the trace's state list.
     """
 
-    first_repeat_at: int
-    period: int
+    def __init__(self, first_repeat_at: int, period: int) -> None:
+        _set(self, "first_repeat_at", first_repeat_at)
+        _set(self, "period", period)
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(Record):
     """The step budget ran out with neither [n] nor a repeat (possible only
     when the budget is below the number of distinct states)."""
 
-    bound: int
+    def __init__(self, bound: int) -> None:
+        _set(self, "bound", bound)
 
 
 Outcome = Reached | Cycled | Exhausted
 
 
-@dataclass(frozen=True)
-class ColumnTrace:
+class ColumnTrace(Record):
     """The recorded orbit of one start column together with its outcome.
 
     ``masks[k-1]`` is the bitmask of S_k over indices 1..dim. The orbit ends
     at the step where the outcome fired.
     """
 
-    column: int
-    masks: tuple[int, ...]
-    dim: int
-    outcome: Outcome
+    def __init__(self, column: int, masks: tuple[int, ...], dim: int, outcome: Outcome) -> None:
+        _set(self, "column", column)
+        _set(self, "masks", masks)
+        _set(self, "dim", dim)
+        _set(self, "outcome", outcome)
 
     @property
     def states(self) -> tuple[IndexSet, ...]:
@@ -281,7 +284,7 @@ def column_trace(tensor: PatternTensor, column: int, max_steps: int | None = Non
     masks: list[int] = []
     seen: dict[int, int] = {}
     outcome: Outcome = Exhausted(bound)
-    for k, cur in enumerate(islice(_orbit(tensor, column), bound), start=1):
+    for k, cur in enumerate(islice(_orbit(partial(_step_mask, tensor), column), bound), start=1):
         masks.append(cur)
         if cur == full:
             outcome = Reached(k)
@@ -299,8 +302,7 @@ def gamma_j(tensor: PatternTensor, column: int) -> int | None:
     return outcome.step if isinstance(outcome, Reached) else None
 
 
-@dataclass(frozen=True)
-class PrimitivityReport:
+class PrimitivityReport(Record):
     """Outcome of a full analysis: verdict, degrees, and per-column certificates.
 
     ``primitive`` holds exactly when every column reached [n] within the step
@@ -308,16 +310,22 @@ class PrimitivityReport:
     the outcome :func:`column_trace` gives column j under the same budget.
     ``bound`` records the universal budget (dim-1)^2 + 1 and ``max_steps`` the
     budget actually used, so a caller that lowered it can tell the verdict is
-    budget-relative.
+    budget-relative. ``tensor``, kept for :attr:`traces`, is out of equality and repr.
     """
 
-    primitive: bool
-    gamma: int | None
-    gamma_by_column: tuple[int | None, ...]
-    outcomes: tuple[Outcome, ...]
-    bound: int
-    max_steps: int
-    tensor: PatternTensor = field(repr=False, compare=False)
+    _hidden = ("tensor",)
+
+    def __init__(
+        self, primitive: bool, gamma: int | None, gamma_by_column: tuple[int | None, ...],
+        outcomes: tuple[Outcome, ...], bound: int, max_steps: int, tensor: PatternTensor,
+    ) -> None:
+        _set(self, "primitive", primitive)
+        _set(self, "gamma", gamma)
+        _set(self, "gamma_by_column", gamma_by_column)
+        _set(self, "outcomes", outcomes)
+        _set(self, "bound", bound)
+        _set(self, "max_steps", max_steps)
+        _set(self, "tensor", tensor)
 
     @cached_property
     def traces(self) -> tuple[ColumnTrace, ...]:
@@ -530,10 +538,13 @@ def gammas(n: int, tensors: Iterable[Sequence[Iterable[int]]]) -> list[int | Non
     return out
 
 
-def extra_support_gammas(base: PatternTensor, extras: Sequence[int]) -> list[int | None]:
+def extra_support_gammas(
+    base: PatternTensor, extras: Sequence[int], step: Callable[[int], int] | None = None
+) -> list[int | None]:
     """``gammas(n, ([[*fam.masks, e] for fam in base.rows] for e in extras))``,
-    from one walk of the base's n column orbits (see the module docstring)."""
-    n, full = base.dim, (1 << base.dim) - 1
+    from one walk of the base's n column orbits (see the module docstring)
+    stepped with ``step``, the base's :func:`successor`, made here if not given."""
+    n, full, step = base.dim, (1 << base.dim) - 1, step or successor(base)
     if bad := [e for e in extras if not 0 < e <= full]:
         raise ValueError(f"extra support {bad[0]:#x} is outside 1..2^{n}-1")
     every = (1 << len(extras)) - 1
@@ -548,7 +559,7 @@ def extra_support_gammas(base: PatternTensor, extras: Sequence[int]) -> list[int
     while done != every and t < default_bound(n):
         t += 1
         for s in {s for s in states if s not in memo}:
-            nxt = _step_mask(base, s)  # a column that reaches [n] hits every witness
+            nxt = step(s)  # a column that reaches [n] hits every witness
             memo[s] = nxt, every if nxt == full else reduce(and_, [lacks[i] for i in bit_indices(full ^ s)], every)
         hits = [hit | memo[s][1] for s, hit in zip(states, hits)]
         states = [memo[s][0] for s in states]
@@ -559,13 +570,13 @@ def extra_support_gammas(base: PatternTensor, extras: Sequence[int]) -> list[int
     return out
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One failed necessary condition; ``vertex`` is None for the global one."""
 
-    code: str
-    vertex: int | None
-    detail: str
+    def __init__(self, code: str, vertex: int | None, detail: str) -> None:
+        _set(self, "code", code)
+        _set(self, "vertex", vertex)
+        _set(self, "detail", detail)
 
 
 def check_necessary_conditions(tensor: PatternTensor) -> list[Violation]:

@@ -352,7 +352,7 @@ class TestExponentSet:
         # the summary names it
         real = families.extra_support_gammas
         monkeypatch.setattr(
-            families, "extra_support_gammas", lambda base, extras: [None if g == 8 else g for g in real(base, extras)]
+            families, "extra_support_gammas", lambda base, *rest: [None if g == 8 else g for g in real(base, *rest)]
         )
         code, out, _ = run(capsys, ["exponent-set", "--m", "5", "--n", "5"])
         assert code == 2
@@ -657,6 +657,18 @@ class TestTopLevel:
         proc = run_python(
             "import sys, primdeg, primdeg.cli\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_does_not_load_dataclasses_inspect_or_traceback(self):
+        # start-up cost: records are plain classes, and only the exit-3
+        # handler imports traceback
+        proc = run_python(
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import primdeg.cli\n"
+            "loaded = {'dataclasses', 'inspect', 'traceback'} & (set(sys.modules) - before)\n"
+            "assert not loaded, loaded\n"
         )
         assert proc.returncode == 0, proc.stderr
 

@@ -57,6 +57,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             t.values[0, 0] = 1.0
 
+    def test_record_equal_only_to_itself(self):
+        vals = np.zeros((2, 2))
+        t = DenseTensor(order=2, dim=2, values=vals)
+        twin = DenseTensor(2, 2, vals)
+        assert t == t and t != twin and hash(t) != hash(twin)
+        assert repr(t) == "DenseTensor(order=2, dim=2, values=array([[0., 0.],\n       [0., 0.]]))"
+        with pytest.raises(AttributeError):
+            t.order = 3
+        with pytest.raises(AttributeError):
+            del t.values
+
     def test_value_at_uses_one_based_indices(self):
         vals = np.zeros((2, 2, 2))
         vals[1, 0, 1] = 7.0

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -122,7 +123,7 @@ class TestFrontierFamily:
         # are verified by extra_support_gammas
         real = families.extra_support_gammas
         monkeypatch.setattr(
-            families, "extra_support_gammas", lambda base, extras: [g + 1 for g in real(base, extras)]
+            families, "extra_support_gammas", lambda base, *rest: [g + 1 for g in real(base, *rest)]
         )
         with pytest.raises(VerificationError) as info:
             wielandt_frontier_tensor(5, 5, 3)
@@ -260,13 +261,22 @@ class TestExponentSet:
         assert len(widths) == 13
         assert max(widths) <= patterns.GAMMA_LANES
 
+    def test_the_sweep_steps_each_distinct_state_once(self, monkeypatch):
+        # the extras' walk of column n-1 and the frontier walk share one
+        # memoized step: 227 distinct Wielandt-lift states at n = 16
+        calls = []
+        real = patterns._step_mask
+        monkeypatch.setattr(patterns, "_step_mask", lambda t, s: calls.append(s) or real(t, s))
+        assert exponent_set(16, 16).complete
+        assert len(calls) == len(set(calls)) == 227
+
     def test_no_witness_tensor_is_built_until_one_is_read(self, monkeypatch):
         # the sweep verifies recipes: its one monomial_lift and its one order-8
         # PatternTensor are the Wielandt base
         lifts, built = [], []
-        real_lift, real_post = families.monomial_lift, PatternTensor.__post_init__
+        real_lift, real_init = families.monomial_lift, PatternTensor.__init__
         monkeypatch.setattr(families, "monomial_lift", lambda m, order: lifts.append(order) or real_lift(m, order))
-        monkeypatch.setattr(PatternTensor, "__post_init__", lambda t: built.append(t.order) or real_post(t))
+        monkeypatch.setattr(PatternTensor, "__init__", lambda t, order, *rest: built.append(order) or real_init(t, order, *rest))
         result = exponent_set(8, 8)
         assert result.complete and len(result.witnesses) == 50
         assert lifts == [8]
@@ -292,13 +302,17 @@ class TestExponentSet:
         # column n-1's k-th state swapped for its (k+1)-th: the degree n+k
         # witness has degree n+k+1, every other one is untouched
         order, dim, k = 5, 5, 4
-        real = families.column_states
+        real = families._orbit
 
-        def swapped(tensor, column, steps):
-            states = real(tensor, column, steps + 1)
-            return states[: k - 1] + (states[k],) + states[k:steps] if steps >= k else states[:steps]
+        def swapped(step, column):  # S_1, ..., S_{k-1}, S_{k+1}, S_{k+1}, S_{k+2}, ...
+            states = real(step, column)
+            for i, s in enumerate(states, start=1):
+                if i == k:
+                    s = next(states)
+                    yield s
+                yield s
 
-        monkeypatch.setattr(families, "column_states", swapped)
+        monkeypatch.setattr(families, "_orbit", swapped)
         with pytest.raises(VerificationError) as info:
             degree_witness(order, dim, dim + k)
         assert str(info.value) == (
@@ -328,10 +342,8 @@ class TestExponentSet:
         # its extra support (degree 5), failures stay in degree order
         real = families.gammas
         monkeypatch.setattr(families, "gammas", lambda n, tensors: [4 if g == 3 else g for g in real(n, tensors)])
-        real_states = families.column_states
-        monkeypatch.setattr(
-            families, "column_states", lambda t, c, steps: real_states(t, c, steps)[:1] * steps
-        )
+        real_orbit = families._orbit
+        monkeypatch.setattr(families, "_orbit", lambda step, column: itertools.repeat(next(real_orbit(step, column))))
         result = exponent_set(4, 4)
         message = "degree_witness(order=4, dim=4, degree=3) self-check failed: analyzed degree is 4"
         assert result.failures[0] == (3, message)
