@@ -110,7 +110,7 @@ class IndexSet(Record):
         return iter(self.members)
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __repr__(self) -> str:
         inner = ",".join(str(i) for i in self.members)

@@ -140,18 +140,37 @@ def _digest_params(params: dict) -> str:
 @functools.cache
 def _subset_pool(order: int, dim: int) -> tuple[int, ...]:
     """Masks of the nonempty subsets of [dim] with at most order-1 members."""
-    return tuple(m for m in range(1, 1 << dim) if bin(m).count("1") <= order - 1)
+    return tuple(m for m in range(1, 1 << dim) if m.bit_count() <= order - 1)
 
 
 def _random_rows(rng: random.Random, order: int, dim: int) -> list[list[int]]:
     """The row masks :func:`random_pattern` draws, as drawn: per row
-    ``randint(1, 3)``, then that many ``choice`` calls on the subset pool."""
+    ``rng.randint(1, 3)``, then that many ``rng.choice(pool)`` on the subset
+    pool. Both are ``r = getrandbits(size.bit_length())``, redrawn while
+    ``r >= size``, then ``1 + r`` (size 3) and ``pool[r]``; drawn so here,
+    the values and ``rng``'s state after them are the stdlib's. Tests compare
+    them with the stdlib calls, and scan digests pin them on Python 3.10-3.13.
+    """
     if dim > 16:
         raise ValueError(f"random_pattern enumerates subsets; dim {dim} > 16")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     pool = _subset_pool(order, dim)
-    return [[rng.choice(pool) for _ in range(rng.randint(1, 3))] for _ in range(dim)]
+    size, bits = len(pool), rng.getrandbits
+    k = size.bit_length()
+    rows = []
+    for _ in range(dim):
+        count = bits(2)  # randint(1, 3) - 1
+        while count == 3:
+            count = bits(2)
+        row = []
+        for _ in range(count + 1):
+            r = bits(k)  # choice(pool)'s index
+            while r >= size:
+                r = bits(k)
+            row.append(pool[r])
+        rows.append(row)
+    return rows
 
 
 def random_pattern(rng: random.Random, order: int, dim: int) -> PatternTensor:

@@ -55,11 +55,12 @@ in the batch holds in row u enters as it is. A support that only some hold
 gets one extra member, a pseudo-index c past the n rows whose R_c is the
 lane mask of those tensors; R_c is appended unchanged after every step, so
 the AND keeps that support on its own tensors' lanes, and two rows share
-such a support when they share its pseudo-index too. Every lane mask is an
-int over the whole batch, so building one costs time quadratic in its size;
-``gammas`` therefore runs its input in chunks of ``GAMMA_LANES // n`` tensors
-(at least one); it does not compile, as that costs dozens of steps and scan
-chunks take 2 or 3.
+such a support when they share its pseudo-index too. The build reads the
+batch one row at a time and the members of each distinct mask once. Every
+lane mask is an int over the whole batch, so building one costs time
+quadratic in its size; ``gammas`` therefore runs its input in chunks of
+``GAMMA_LANES // n`` tensors (at least one); it does not compile, as that
+costs dozens of steps and scan chunks take 2 or 3.
 
 :func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
 to every row: a column is [n] from the step after its base state first holds
@@ -390,23 +391,25 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
     j of ``batch[t]``, and the ``R`` entries of their pseudo-indices."""
     col = (1 << n) - 1
     every = (1 << n * len(batch)) - 1
-    held: list[dict[int, int]] = [{} for _ in range(n)]  # row -> support -> lanes
-    for t, tensor in enumerate(batch):
-        lanes = col << t * n
-        for h, masks in zip(held, tensor, strict=True):
-            for m in masks:
-                h[m] = h.get(m, 0) | lanes
+    if any(len(tensor) != n for tensor in batch):
+        raise ValueError(f"expected {n} rows in every tensor")
+    tensors = [(tensor, col << t * n) for t, tensor in enumerate(batch)]  # each with its lanes
+    members = cache(bit_indices)  # the rows of a batch share most of their masks
     pseudo: dict[int, int] = {}  # lane mask -> its pseudo-index, n and up
     rows: list[tuple[list[int], list[tuple[int, ...]]]] = []
-    for u, h in enumerate(held, start=1):
-        if bad := [m for m in h if not 0 < m <= col]:
-            raise ValueError(f"row {u} holds mask {bad[0]:#x}, outside 1..2^{n}-1")
+    for u in range(n):
+        held: dict[int, int] = {}  # support -> the lanes of the tensors whose row u holds it
+        for tensor, lanes in tensors:
+            for m in tensor[u]:
+                held[m] = held.get(m, 0) | lanes
+        if bad := [m for m in held if not 0 < m <= col]:
+            raise ValueError(f"row {u + 1} holds mask {bad[0]:#x}, outside 1..2^{n}-1")
         singles, multis = [], []
-        for m, lanes in h.items():
+        for m, lanes in held.items():
             if lanes != every:
-                multis.append(bit_indices(m) + (pseudo.setdefault(lanes, n + len(pseudo)),))
+                multis.append(members(m) + (pseudo.setdefault(lanes, n + len(pseudo)),))
             elif m & (m - 1):
-                multis.append(bit_indices(m))
+                multis.append(members(m))
             else:
                 singles.append(m.bit_length() - 1)
         rows.append((singles, multis))
@@ -603,7 +606,7 @@ def check_necessary_conditions(tensor: PatternTensor) -> list[Violation]:
             violations.append(
                 Violation("self-loop-only", j, f"vertex {j} reaches only itself")
             )
-        if bin(col).count("1") >= 2:
+        if col.bit_count() >= 2:
             branching = True
     # With a single index the state space collapses and the remaining two
     # conditions stop being necessary: a lone self-loop is already primitive.

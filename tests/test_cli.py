@@ -12,7 +12,7 @@ import primdeg
 from primdeg import families, patterns
 from primdeg import IndexSet, VerificationError, degree_witness, make_pattern, parse_document, render_document, wielandt_tensor
 from primdeg.bitsets import minimize_masks
-from primdeg.cli import _random_rows, main, random_pattern
+from primdeg.cli import _random_rows, _subset_pool, main, random_pattern
 from primdeg.formats import render_pattern
 
 
@@ -516,6 +516,21 @@ class TestScan:
                 assert a.getstate() == b.getstate()
                 assert [minimize_masks(masks) for masks in rows] == [f.masks for f in t.rows]
 
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+    def test_draws_match_the_stdlib_calls(self, order):
+        # the draw inlines randint(1, 3) and choice(pool): the same values,
+        # and the generator left in the same state; order 2 at dims 1, 2, 4,
+        # 8 and 16 has a pool whose size is a power of two, where the stdlib
+        # reads one bit more than the index needs
+        for dim in range(1, 17):
+            pool = _subset_pool(order, dim)
+            for seed in range(20):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    rows = _random_rows(rng, order, dim)
+                    assert rows == [[ref.choice(pool) for _ in range(ref.randint(1, 3))] for _ in range(dim)]
+                    assert rng.getstate() == ref.getstate()
+
 
 class TestGoldenOutput:
     """stdout digests recorded from the engine before the trace loops were
@@ -626,6 +641,9 @@ class TestGoldenOutput:
             (3, 5, 2000, 1, "06dad3195fef4649714271b796d2c181da192c410a82899c2254834a49dae5ca"),
             # 1 primitive of 2000 (degree 10)
             (4, 6, 2000, 6, "1eea1f5c7076f73e394462652511192b99d692561ee2b9cc8bd3b0210616ccae"),
+            # the benchmark's scan (bench/workloads.py SCAN_DIGESTS), which
+            # pins the draw stream on every Python version the tests run on
+            (3, 10, 2000, 0, "852b5750bc5ad7736b8ce5687873676fe651aab153ff95103a91e48dd93ad9a3"),
         ],
     )
     def test_scan_open_problem(self, capsys, m, n, budget, seed, digest):

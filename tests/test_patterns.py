@@ -502,6 +502,21 @@ class TestBatchGammas:
         with pytest.raises(ValueError):
             gammas(0, [])
 
+    def test_the_batch_build_takes_each_masks_members_once(self, monkeypatch):
+        # scan-sized batches whose 2,560 or so row masks come from a pool of
+        # 55: each build reads the members of a distinct mask once
+        calls = []
+        real = patterns.bit_indices
+        monkeypatch.setattr(patterns, "bit_indices", lambda m: calls.append(m) or real(m))
+        rng = random.Random(0)
+        pool = [m for m in range(1, 1 << 10) if m.bit_count() <= 2]
+        for size in (1, 2, 128):
+            batch = [[rng.sample(pool, rng.randint(1, 3)) for _ in range(10)] for _ in range(size)]
+            calls.clear()
+            patterns._lane_rows(10, batch)
+            assert calls
+            assert len(calls) == len(set(calls)) <= len({m for rows in batch for masks in rows for m in masks})
+
     def test_cycles_stop_the_batch_early(self, monkeypatch):
         # two non-primitive tensors cycling at periods 2 and 3: the batch
         # stops within a few steps of the second one's detection, not at the
