@@ -191,12 +191,12 @@ class SupportFamily(Record):
     compare equal.
     """
 
-    def __init__(self, dim: int, masks: tuple[int, ...]) -> None:
+    def __init__(self, dim: int, masks: tuple[int, ...], *, _canonical: bool = False) -> None:
         _check_dim(dim)
         limit = 1 << dim
         if 0 in masks:
             raise ValueError("empty set is not a valid support")
-        if not (isinstance(masks, tuple) and _is_minimized(masks)):
+        if not (_canonical or isinstance(masks, tuple) and _is_minimized(masks)):
             raise ValueError("masks must be a canonical inclusion-minimal tuple")
         singles = 0
         multis = []
@@ -216,7 +216,7 @@ class SupportFamily(Record):
 
     @classmethod
     def from_masks(cls, dim: int, masks: Iterable[int]) -> "SupportFamily":
-        return cls(dim, minimize_masks(masks))
+        return cls(dim, minimize_masks(masks), _canonical=True)
 
     @classmethod
     def of_singletons(cls, dim: int, union_mask: int) -> "SupportFamily":

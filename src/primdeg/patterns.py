@@ -60,7 +60,8 @@ batch one row at a time and the members of each distinct mask once. Every
 lane mask is an int over the whole batch, so building one costs time
 quadratic in its size; ``gammas`` therefore runs its input in chunks of
 ``GAMMA_LANES // n`` tensors (at least one); it does not compile, as that
-costs dozens of steps and scan chunks take 2 or 3.
+costs dozens of steps and scan chunks take 2 or 3. A tensor whose S_1 is empty
+from some j (no row holds {j}) gets None and no lane: step 1 settles it.
 
 :func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
 to every row: a column is [n] from the step after its base state first holds
@@ -387,12 +388,10 @@ def _same(lanes: int, R: list[int], S: list[int]) -> int:
 
 
 def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRows, list[int]]:
-    """The lane rows of tensors given as row masks, lane t*n + j-1 being column
-    j of ``batch[t]``, and the ``R`` entries of their pseudo-indices."""
+    """The lane rows of valid row masks (:func:`gammas` checks its input), lane
+    t*n + j-1 being column j of ``batch[t]``, and the R entries of its pseudo-indices."""
     col = (1 << n) - 1
     every = (1 << n * len(batch)) - 1
-    if any(len(tensor) != n for tensor in batch):
-        raise ValueError(f"expected {n} rows in every tensor")
     tensors = [(tensor, col << t * n) for t, tensor in enumerate(batch)]  # each with its lanes
     members = cache(bit_indices)  # the rows of a batch share most of their masks
     pseudo: dict[int, int] = {}  # lane mask -> its pseudo-index, n and up
@@ -402,8 +401,6 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
         for tensor, lanes in tensors:
             for m in tensor[u]:
                 held[m] = held.get(m, 0) | lanes
-        if bad := [m for m in held if not 0 < m <= col]:
-            raise ValueError(f"row {u + 1} holds mask {bad[0]:#x}, outside 1..2^{n}-1")
         singles, multis = [], []
         for m, lanes in held.items():
             if lanes != every:
@@ -523,21 +520,38 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     )
 
 
-def gammas(n: int, tensors: Iterable[Sequence[Iterable[int]]]) -> list[int | None]:
-    """``analyze(t).gamma`` for every dimension-n tensor t in ``tensors``,
-    from one sliced run per chunk of ``GAMMA_LANES // n`` tensors (at least
-    one) whose groups are the tensors (see the module docstring).
-    ``tensor[u-1]`` holds the support masks of row u, raw or minimized
-    (``[f.masks for f in t.rows]`` for a :class:`PatternTensor`); a mask
-    outside 1..2^n-1 raises ValueError. The input is drawn one chunk at a
-    time, so it may be a lazy iterable of any length.
+def gammas(n: int, tensors: Iterable[Sequence[Sequence[int]]]) -> list[int | None]:
+    """``analyze(t).gamma`` for every dimension-n tensor t in ``tensors``, in
+    input order (see the module docstring). ``tensor[u-1]`` holds the support
+    masks of row u, raw or minimized (``[f.masks for f in t.rows]`` for a
+    :class:`PatternTensor`); a tensor without n rows, or with a mask outside
+    1..2^n-1, raises ValueError. A tensor with an empty S_1 gets None with no
+    sliced run; the others run in chunks of ``GAMMA_LANES // n`` (at least
+    one), each drawn when needed, so the input may be lazy and of any length.
     """
     _check_dim(n)
+    full, size, bound = (1 << n) - 1, max(1, GAMMA_LANES // n), default_bound(n)
     out: list[int | None] = []
-    it, size = iter(tensors), max(1, GAMMA_LANES // n)
+
+    def survivors() -> Iterator[tuple[int, Sequence[Sequence[int]]]]:
+        for t, tensor in enumerate(tensors):
+            if len(tensor) != n:
+                raise ValueError(f"expected {n} rows in every tensor")
+            covered = 0  # the columns that are some row's singleton support
+            for u, row in enumerate(tensor, start=1):
+                for m in row:
+                    if not 0 < m <= full:
+                        raise ValueError(f"row {u} holds mask {m:#x}, outside 1..2^{n}-1")
+                    covered |= 0 if m & (m - 1) else m
+            out.append(None)
+            if covered == full:
+                yield t, tensor
+    it = survivors()
     while chunk := list(islice(it, size)):
-        rows, consts = _lane_rows(n, chunk)
-        out += _sliced_run(rows, consts, n, tensors=len(chunk), width=n, bound=default_bound(n))[0]
+        where, batch = zip(*chunk)
+        rows, consts = _lane_rows(n, batch)
+        for t, gamma in zip(where, _sliced_run(rows, consts, n, tensors=len(batch), width=n, bound=bound)[0]):
+            out[t] = gamma
     return out
 
 
@@ -588,7 +602,8 @@ def check_necessary_conditions(tensor: PatternTensor) -> list[Violation]:
     In the reversed digraph of the majorization matrix every vertex must have
     an out-arc, no vertex may have only its self-loop, and some vertex must
     have out-degree at least two. Any violation certifies the tensor is not
-    primitive; an empty list proves nothing.
+    primitive; an empty list proves nothing. ``gammas`` settles the
+    zero-out-degree case before its sliced run.
     """
     n = tensor.dim
     # row u of the majorization pattern is fam.singles; its columns are the

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primdeg import CapExceededError, IndexSet, SupportFamily
+from primdeg import CapExceededError, IndexSet, SupportFamily, bitsets
 from primdeg.bitsets import MAX_DIM, _check_dim, _is_minimized, minimize_masks
 
 
@@ -166,6 +166,18 @@ class TestSupportFamily:
             SupportFamily(4, (0b0110, 0b0010))  # not minimal
         with pytest.raises(ValueError):
             SupportFamily(4, (0b0100, 0b0010))  # not sorted
+
+    def test_from_masks_skips_only_the_canonical_check(self, monkeypatch):
+        # minimize_masks' output is canonical, so from_masks does not check it
+        # again; the empty set and masks out of range for the dim still raise
+        monkeypatch.setattr(bitsets, "_is_minimized", lambda masks: pytest.fail("re-checked"))
+        assert SupportFamily.from_masks(3, [0b110, 0b010]).masks == (0b010,)
+        for bad, message in ((0b1000, "out of range"), (-1, "out of range"), (0, "empty set")):
+            with pytest.raises(ValueError, match=message):
+                SupportFamily.from_masks(3, [0b001, bad])
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="canonical"):
+            SupportFamily(4, (0b0110, 0b0010))  # a direct call keeps the full check
 
     def test_singles_multis_split(self):
         fam = SupportFamily.from_masks(5, [0b00001, 0b00100, 0b11000])

@@ -518,16 +518,132 @@ class TestBatchGammas:
             assert len(calls) == len(set(calls)) <= len({m for rows in batch for masks in rows for m in masks})
 
     def test_cycles_stop_the_batch_early(self, monkeypatch):
-        # two non-primitive tensors cycling at periods 2 and 3: the batch
-        # stops within a few steps of the second one's detection, not at the
-        # default budget of their dimension
+        # two permutation tensors cycling at periods 2 and 3, which hold every
+        # singleton support and so reach the run: the batch stops within a few
+        # steps of the second one's detection, not at the default budget of
+        # their dimension
         calls = []
         real_step = patterns._sliced_step
         monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
-        swap = make_pattern(2, 40, [(u, (u % 2 + 1,)) for u in (1, 2)] + [(u, (1,)) for u in range(3, 41)])
-        rot = make_pattern(2, 40, [(u, (u % 3 + 1,)) for u in (1, 2, 3)] + [(u, (1,)) for u in range(4, 41)])
+        swap = make_pattern(2, 40, [(u, (u + 1 if u % 2 else u - 1,)) for u in range(1, 41)])
+        rot = make_pattern(2, 40, [(u, (u + 1 if u % 3 else u - 2,)) for u in range(1, 40)] + [(40, (40,))])
         assert gammas(40, [row_masks(swap), row_masks(rot)]) == [None, None]
-        assert len(calls) <= 8 < default_bound(40)
+        assert 1 <= len(calls) <= 8 < default_bound(40)
+
+
+@st.composite
+def covered_mask_batches(draw, max_dim=9, max_order=6, max_tensors=12):
+    """``raw_mask_batches`` with the singleton {j} planted in a drawn row for
+    every column j, so every tensor gets past step 1 to the sliced run."""
+    dim, batch = draw(raw_mask_batches(max_dim, max_order, max_tensors))
+    for _, rows in batch:
+        for j in range(dim):
+            u = draw(st.integers(0, dim - 1))
+            rows[u] = [*rows[u], 1 << j]
+    return dim, batch
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``patterns.<name>`` so that each call appends its arguments to the returned list."""
+    calls, real = [], getattr(patterns, name)
+    monkeypatch.setattr(patterns, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
+
+
+def covers(rows, n):
+    return sum({m for masks in rows for m in masks if m.bit_count() == 1}) == (1 << n) - 1
+
+
+class TestGammasScreen:
+    """``gammas`` checks every tensor, and gives None without a sliced run to
+    one in which some column is no row's singleton support (S_1 is empty)."""
+
+    PASSES = [[1], [2], [4]]  # a 3-cycle of singletons: every column covered
+    FAILS = [[1], [1], [1]]  # columns 2 and 3 are no row's singleton support
+
+    @pytest.mark.parametrize("tensor", [PASSES, FAILS], ids=["passes", "fails"])
+    @pytest.mark.parametrize("bad", [0, 1 << 3])
+    def test_a_mask_outside_the_range_raises_either_way(self, tensor, bad):
+        rows = [[*tensor[0], bad], *tensor[1:]]
+        for batch in ([rows], [self.PASSES, rows], [rows, self.FAILS]):
+            with pytest.raises(ValueError, match=r"row 1 holds mask .*, outside 1\.\.2\^3-1"):
+                gammas(3, batch)
+
+    @pytest.mark.parametrize("tensor", [[[1, 2, 4], [1]], [[1], [1]]], ids=["covers", "fails"])
+    def test_a_missing_row_raises_either_way(self, tensor):
+        for batch in ([tensor], [self.PASSES, tensor], [tensor, self.FAILS]):
+            with pytest.raises(ValueError, match="expected 3 rows"):
+                gammas(3, batch)
+
+    def test_a_batch_that_fails_the_screen_never_reaches_the_run(self, monkeypatch):
+        runs, builds = count_calls(monkeypatch, "_sliced_run"), count_calls(monkeypatch, "_lane_rows")
+        swap = make_pattern(2, 40, [(u, (u % 2 + 1,)) for u in (1, 2)] + [(u, (1,)) for u in range(3, 41)])
+        batch = [self.FAILS] * 300 + [[[1, 6], [2], [3, 6]]]
+        assert gammas(3, batch) == [None] * len(batch)
+        assert gammas(40, [row_masks(swap)] * 5) == [None] * 5
+        assert runs == builds == []
+
+    @pytest.mark.parametrize("lanes", [1, 8, 12, 20])
+    def test_survivors_fill_chunks_across_boundaries(self, monkeypatch, lanes):
+        # chunks of 1, 2, 3 and 5 survivors at n = 4 over a mixed batch
+        monkeypatch.setattr(patterns, "GAMMA_LANES", lanes)
+        rng = random.Random(5)
+        tensors = [degree_witness(4, 4, g)[0] for g in range(1, default_bound(4) + 1)]
+        pool = [m for m in range(1, 16) if m.bit_count() <= 2]
+        rows = [[rng.sample(pool, rng.randint(1, 3)) for _ in range(4)] for _ in range(40)]
+        for r in rows[:20]:  # these get past step 1
+            for j in range(4):
+                r[rng.randrange(4)].append(1 << j)
+        tensors += [make_pattern(3, 4, entries_of(r, 3)) for r in rows]
+        rng.shuffle(tensors)
+        batch = [row_masks(t) for t in tensors]
+        survivors = [rows for rows in batch if covers(rows, 4)]
+        assert 10 < len(survivors) < len(batch)
+        builds = count_calls(monkeypatch, "_lane_rows")
+        assert gammas(4, batch) == [traced_gamma(t) for t in tensors]
+        size = max(1, lanes // 4)
+        assert [len(chunk) for _, chunk in builds] == [
+            min(size, len(survivors) - k) for k in range(0, len(survivors), size)
+        ]
+        assert [list(rows) for _, chunk in builds for rows in chunk] == survivors
+
+    def test_the_input_is_drawn_lazily(self, monkeypatch):
+        # chunks of two survivors at n = 3: each runs as soon as it is full,
+        # before the next tensor is drawn, and a failure in the input reaches
+        # the caller after the chunks drawn before it ran
+        monkeypatch.setattr(patterns, "GAMMA_LANES", 6)
+        drawn, at_build = [], []
+        real = patterns._lane_rows
+        monkeypatch.setattr(patterns, "_lane_rows", lambda n, batch: at_build.append(len(drawn)) or real(n, batch))
+
+        def tensors(k):
+            for tensor in [self.PASSES, self.FAILS, self.PASSES, self.FAILS, self.FAILS, self.PASSES, self.PASSES][:k]:
+                drawn.append(tensor)
+                yield tensor
+            raise RuntimeError(f"input fails after {k} tensors")
+
+        with pytest.raises(RuntimeError, match="after 7"):
+            gammas(3, tensors(7))
+        assert at_build == [3, 7]
+        drawn.clear()
+        at_build.clear()
+        with pytest.raises(RuntimeError, match="after 6"):
+            gammas(3, tensors(6))
+        assert at_build == [3]
+
+    @settings(max_examples=150)
+    @given(covered_mask_batches())
+    def test_covered_tensors_reach_the_run(self, drawn):
+        # gammas against analyze against the per-column traces, at dims 1-9
+        # and orders 2-6, with every tensor in a chunk
+        dim, batch = drawn
+        tensors = [make_pattern(order, dim, entries_of(rows, order)) for order, rows in batch]
+        expected = [traced_gamma(t) for t in tensors]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            builds = count_calls(monkeypatch, "_lane_rows")
+            assert gammas(dim, [rows for _, rows in batch]) == expected
+        assert sum(len(chunk) for _, chunk in builds) == len(batch)
+        assert [analyze(t).gamma for t in tensors] == expected
 
 
 def cell_of(members, order):
