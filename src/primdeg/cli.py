@@ -28,7 +28,7 @@ from .bitsets import Record, SupportFamily, _set
 from .digraphs import matrix_gamma, wielandt_matrix
 from .errors import VerificationError
 from .families import degree_witness, exponent_set, small_exponent_matrix, wielandt_frontier_tensor, wielandt_tensor
-from .formats import parse_document, render_document, save_document
+from .formats import _decode, parse_document, render_document, save_document
 from .patterns import (
     Cycled,
     PatternTensor,
@@ -232,7 +232,7 @@ def run_oracle_check(
 def cmd_analyze(args: argparse.Namespace) -> int:
     with open(args.path, "rb") as fh:
         data = fh.read()
-    doc = parse_document(data.decode("utf-8"))
+    doc = parse_document(_decode(data))
     tensor = doc.as_pattern_tensor()
     report = RunReport()
     report.add(record="meta", command="analyze", input=args.path, sha256=hashlib.sha256(data).hexdigest())

@@ -211,9 +211,17 @@ def parse_document(text: str) -> TensorDocument:
     )
 
 
+def _decode(data: bytes) -> str:
+    try:  # a byte that is not UTF-8 is a ParseError at its line, as _lines_of counts lines
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len((data[: e.start].decode() + ".").splitlines())
+        raise ParseError(line, f"not UTF-8: byte {data[e.start]:#04x}") from None
+
+
 def load_document(path: str) -> TensorDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_document(fh.read())
+    with open(path, "rb") as fh:
+        return parse_document(_decode(fh.read()))
 
 
 def _render_set(s: IndexSet) -> str:

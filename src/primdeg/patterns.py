@@ -34,15 +34,16 @@ since the snapshot are its exact period), or when the budget runs out. Both
 tests read rows only until no open lane is left to test; lanes close by whole
 groups, so results are exact.
 
-:func:`analyze` is a batch of one tensor whose groups are its single
-columns. Its run keeps its states until, after ``COMPILE_AFTER`` steps, it
-swaps :func:`_sliced_step` for :func:`_compile_step`, the table as one
-generated function, so long runs cost about their bit operations. One pass
-over S_1, S_2, ... then finds each cycle's start; it steps past the kept
-states only after a compiled run. Columns still open when the budget runs
-out, a lowered one or the default one for a column that neither reaches [n]
-nor repeats within it, are traced alone by ``column_trace``, so every
-certificate equals the one ``column_trace`` gives.
+:func:`analyze` is a batch of one tensor whose groups are its single columns.
+Its run keeps its states until, after ``COMPILE_AFTER`` steps, it swaps
+:func:`_sliced_step` for :func:`_compile_step`, the table as one generated
+function, so long runs cost about their bit operations. It takes no snapshot
+if the majorization matrix is primitive: as the step is monotone, every column
+then reaches [n], repeating no state first. One pass over S_1, S_2, ... finds
+each cycle's start; it steps past the kept states only after a compiled run.
+Columns still open when the budget runs out, a lowered one or the default one
+for a column that neither reaches [n] nor repeats within it, are traced alone
+by ``column_trace``, so every certificate equals the one it gives.
 
 :func:`gammas` runs batches whose groups are whole tensors, for callers that
 need only gamma: a tensor's gamma is the step at which all n of its lanes
@@ -81,6 +82,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from functools import cache, cached_property, partial, reduce
 from itertools import islice
+from math import gcd
 from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -421,17 +423,18 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
 
 
 def _sliced_run(
-    rows: LaneRows, consts: list[int], n: int, tensors: int, width: int, bound: int
+    rows: LaneRows, consts: list[int], n: int, tensors: int, width: int, bound: int, cycles: bool = True
 ) -> tuple[list[int | None], dict[int, int], int, list[list[int]], Callable[[list[int]], list[int]]]:
     """Step the lanes of ``tensors`` tensors until each group of ``width``
     lanes is resolved: all its lanes reach [n], one of them matches a Brent
     snapshot, or the budget ``bound`` runs out.
 
     A run of one-lane groups (:func:`analyze`'s) keeps its states S_1, S_2,
-    ... until it compiles its step, after ``COMPILE_AFTER`` steps. It returns
-    the step at which each group reached [n] (None if it did not), the lanes
-    that matched a snapshot keyed by period, the lanes of the groups still
-    open at the budget, the kept states, and the step it ended on.
+    ... until it compiles its step, after ``COMPILE_AFTER`` steps. With
+    ``cycles`` false, for lanes that all reach [n], it takes no snapshot. It
+    returns the step at which each group reached [n] (None if it did not),
+    the lanes that matched a snapshot keyed by period, the lanes of the
+    groups still open at the budget, the kept states, and the step it ended on.
     """
     every = (1 << n * tensors) - 1
     group = (1 << width) - 1
@@ -468,7 +471,7 @@ def _sliced_run(
         live &= ~((done >> (width - 1)) * group)
         if not live or k == bound:
             return ends, periods, live, kept, step
-        if k & (k - 1) == 0:
+        if cycles and k & (k - 1) == 0:
             snap, snap_step = R, k
         if k == COMPILE_AFTER and width == 1:
             step = _compile_step(rows)
@@ -482,14 +485,16 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     module docstring describes the sliced run, a batch of one tensor whose
     every column is its own group, and its cycle certificates; columns still
     open when the budget runs out, lowered or not, are traced alone by
-    ``column_trace``.
+    ``column_trace``. A primitive majorization matrix spares the run its
+    cycle test: every column then reaches [n], so none repeats a state first.
     """
     n = tensor.dim
     bound = default_bound(n) if max_steps is None else max_steps
     if bound < 1:
         raise ValueError(f"max_steps must be >= 1, got {bound}")
     rows, _ = _lane_rows(n, [[fam.masks for fam in tensor.rows]])
-    ends, periods, open_cols, kept, step = _sliced_run(rows, [], n, tensors=1, width=1, bound=bound)
+    cycles = not _majorization_primitive(tensor)  # else every column reaches [n]
+    ends, periods, open_cols, kept, step = _sliced_run(rows, [], n, tensors=1, width=1, bound=bound, cycles=cycles)
     outcomes: list[Outcome | None] = [None if k is None else Reached(k) for k in ends]
     for j in bit_indices(open_cols):
         outcomes[j] = column_trace(tensor, j + 1, bound).outcome
@@ -587,6 +592,22 @@ def extra_support_gammas(
     return out
 
 
+def _majorization_primitive(tensor: PatternTensor) -> bool:
+    """Whether the majorization matrix is primitive, read as its reversed digraph
+    (an arc j -> u for each singleton {j} of row u): strongly connected, with gcd
+    1 over its arcs of level[j] + 1 - level[u], level[v] being v's distance from 1."""
+    singles, full, level = [fam.singles for fam in tensor.rows], (1 << tensor.dim) - 1, [0] * tensor.dim
+    for forwards in (False, True):  # the rows list in-arcs: backwards first, no transpose
+        adj, seen, queue = transpose_masks(singles) if forwards else singles, 1, [0]
+        for v in queue:
+            for u in bit_indices(adj[v] & ~seen):
+                level[u], seen = level[v] + 1, seen | 1 << u
+                queue.append(u)
+        if seen != full:
+            return False
+    return reduce(gcd, [level[j] + 1 - level[u] for u, row in enumerate(singles) for j in bit_indices(row)], 0) == 1
+
+
 class Violation(Record):
     """One failed necessary condition; ``vertex`` is None for the global one."""
 
@@ -602,8 +623,9 @@ def check_necessary_conditions(tensor: PatternTensor) -> list[Violation]:
     In the reversed digraph of the majorization matrix every vertex must have
     an out-arc, no vertex may have only its self-loop, and some vertex must
     have out-degree at least two. Any violation certifies the tensor is not
-    primitive; an empty list proves nothing. ``gammas`` settles the
-    zero-out-degree case before its sliced run.
+    primitive; an empty list proves nothing, while a primitive digraph
+    proves the tensor primitive (:func:`_majorization_primitive`). ``gammas``
+    settles the zero-out-degree case before its sliced run.
     """
     n = tensor.dim
     # row u of the majorization pattern is fam.singles; its columns are the

@@ -10,7 +10,7 @@ import pytest
 
 import primdeg
 from primdeg import families, patterns
-from primdeg import IndexSet, VerificationError, degree_witness, make_pattern, parse_document, render_document, wielandt_tensor
+from primdeg import IndexSet, ParseError, VerificationError, degree_witness, load_document, make_pattern, parse_document, render_document, wielandt_tensor
 from primdeg.bitsets import minimize_masks
 from primdeg.cli import _random_rows, _subset_pool, main, random_pattern
 from primdeg.formats import render_pattern
@@ -118,6 +118,26 @@ class TestAnalyze:
         code, _, err = run(capsys, ["analyze", str(path)])
         assert code == 1
         assert "error: line 4: index 9 out of range 1..3" in err
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"tensor-pattern v1\norder 3\ndim 2\nrow 1: {1}\nrow 2: {2} \xff\n", 5),
+            (b"tensor-pattern v1\r\norder 3\r\n\r\ndim 2\r\nrow 1: {1}\xc3\r\n", 5),  # a cut-off sequence
+            (b"\xfftensor-pattern v1\n", 1),
+            (b"matrix v1\rdim 1\r\xe9\r", 3),
+        ],
+        ids=["lf", "crlf-blank-line", "first-byte", "cr"],
+    )
+    def test_a_byte_that_is_not_utf8_names_its_line(self, capsys, tmp_path, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: line {line}: not UTF-8: byte 0x")
+        with pytest.raises(ParseError) as e:
+            load_document(str(path))
+        assert e.value.line_no == line
 
     def test_violations_reported(self, capsys, tmp_path):
         path = tmp_path / "stuck.txt"

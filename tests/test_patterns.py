@@ -24,6 +24,7 @@ from primdeg import (
     gamma_j,
     majorization_pattern,
     make_pattern,
+    matrix_gamma,
     monomial_lift,
     wielandt_matrix,
     wielandt_tensor,
@@ -369,6 +370,71 @@ class TestBitSlicedAnalyze:
         # column j < n reaches one step sooner than column j - 1; column n is last
         assert r.gamma_by_column == tuple(16130 - j for j in range(1, n)) + (16130,)
         assert r.outcomes == tuple(Reached(g) for g in r.gamma_by_column)
+
+
+def relabelled(t, rng):
+    """``t`` with index i renamed perm[i-1] in rows and supports, for a random permutation perm of 1..n."""
+    perm = rng.sample(range(1, t.dim + 1), t.dim)
+    entries = [
+        (perm[u], cell_of([perm[i] for i in bit_indices(m)], t.order)) for u, fam in enumerate(t.rows) for m in fam.masks
+    ]
+    return make_pattern(t.order, t.dim, entries)
+
+
+class TestMajorizationScreen:
+    """``analyze`` skips Brent's cycle test exactly when the majorization
+    matrix is primitive, as every column then reaches [n] first."""
+
+    @given(sparse_row_pattern_inputs())
+    @settings(max_examples=300)
+    def test_screen_holds_exactly_when_the_majorization_matrix_is_primitive(self, raw):
+        t = make_pattern(*raw)
+        exponent = matrix_gamma(majorization_pattern(t))
+        assert patterns._majorization_primitive(t) == (exponent is not None)
+        if exponent is not None:
+            r = analyze(t)
+            assert r.primitive and r.gamma <= exponent
+
+    @pytest.mark.parametrize(
+        "t, primitive",
+        [
+            (make_pattern(2, 1, [(1, (1,))]), True),
+            (make_pattern(2, 1, []), False),
+            (make_pattern(3, 3, [(1, (2, 2)), (1, (3, 3)), (2, (1, 1))]), False),  # row 3 is empty
+            (make_pattern(3, 2, [(1, (2, 2)), (2, (1, 2))]), False),  # row 2 holds no singleton
+            (make_pattern(2, 3, [(1, (1,)), (2, (1,)), (3, (2,))]), False),  # only vertex 1 reaches 1
+            (make_pattern(2, 3, [(1, (1,)), (1, (2,)), (1, (3,))]), False),  # vertex 1 reaches only itself
+            # strongly connected with cycles of lengths 2 and 4: period 2
+            (monomial_lift(PatternMatrix.from_entries(4, [(2, 1), (3, 2), (4, 3), (1, 4), (1, 2)]), 2), False),
+            *((make_pattern(3, n, [(i % n + 1, (i, i)) for i in range(1, n + 1)]), n == 1) for n in (1, 2, 5, 9)),
+            *((monomial_lift(wielandt_matrix(n), 3), True) for n in range(3, 11)),
+        ],
+    )
+    def test_fixed_cases(self, t, primitive):
+        exponent = matrix_gamma(majorization_pattern(t))
+        assert patterns._majorization_primitive(t) is primitive is (exponent is not None)
+        if primitive:  # the self-loop and Wielandt's matrices, of exponent (n-1)^2 + 1
+            assert analyze(t).gamma == exponent == default_bound(t.dim)
+
+    def test_a_relabelled_wielandt_lift_makes_no_cycle_test(self, monkeypatch):
+        t = relabelled(wielandt_tensor(3, 64), random.Random(64))
+        same = count_calls(monkeypatch, "_same")
+        r = analyze(t)
+        assert same == [] and r.primitive and r.gamma == default_bound(64)
+        # the columns' orbits share their states, so the reference steps each once
+        monkeypatch.setattr(patterns, "_step_mask", lambda tensor, state, step=patterns.successor(t): step(state))
+        assert r.outcomes == tuple(column_trace(t, j).outcome for j in range(1, 65))
+
+    def test_a_pair_support_keeps_the_cycle_test(self, monkeypatch):
+        # the singletons leave vertex 3 without an in-arc; the pair {1,2}
+        # of row 3 makes the tensor primitive
+        t = make_pattern(3, 3, [(1, (2, 2)), (1, (3, 3)), (2, (1, 1)), (2, (2, 2)), (3, (1, 2))])
+        assert not patterns._majorization_primitive(t)
+        same = count_calls(monkeypatch, "_same")
+        r = assert_matches_per_column_reference(t, None)
+        assert r.primitive and r.gamma == 4 and same
+        for max_steps in range(1, 7):
+            assert_matches_per_column_reference(t, max_steps)
 
 
 def row_masks(t):
