@@ -433,15 +433,20 @@ class TestOracleCheck:
 
 
     def test_a_shifted_engine_degree_is_a_mismatch(self, capsys, monkeypatch):
-        # the order-2 degree check reads the dense powers, so a sliced run
-        # whose every degree reads one too high disagrees with it
-        real = patterns._sliced_run
+        # the order-2 degree check reads the dense powers, so an engine whose
+        # every degree reads one too high disagrees with it: the sliced run
+        # and, for a primitive matrix, the repeated squaring
+        real_run, real_squared = patterns._sliced_run, patterns._squared_ends
 
-        def shifted(*args, **kwargs):
-            ends, *rest = real(*args, **kwargs)
+        def shifted_run(*args, **kwargs):
+            ends, *rest = real_run(*args, **kwargs)
             return [None if k is None else k + 1 for k in ends], *rest
 
-        monkeypatch.setattr(patterns, "_sliced_run", shifted)
+        def shifted_squared(*args, **kwargs):
+            return [None if k is None else k + 1 for k in real_squared(*args, **kwargs)]
+
+        monkeypatch.setattr(patterns, "_sliced_run", shifted_run)
+        monkeypatch.setattr(patterns, "_squared_ends", shifted_squared)
         code, out, _ = run(capsys, ["oracle-check", "--m", "2", "--n", "4", "--trials", "40", "--seed", "2"])
         assert code == 2
         assert "mismatch trial=" in out

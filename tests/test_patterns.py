@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -435,6 +436,42 @@ class TestMajorizationScreen:
         assert r.primitive and r.gamma == 4 and same
         for max_steps in range(1, 7):
             assert_matches_per_column_reference(t, max_steps)
+
+
+@st.composite
+def primitive_singleton_inputs(draw, max_dim=12):
+    """A tensor of order 2-4 and dim 1-12 whose rows hold only singletons: an
+    n-cycle through a drawn order of the indices, a chord that closes an
+    (n-1)-cycle on it, so the majorization matrix is primitive, and up to 2n
+    more arcs (row u holding {i} is the arc i -> u)."""
+    dim = draw(st.integers(1, max_dim))
+    order = draw(st.integers(2, 4))
+    perm = draw(st.permutations(range(1, dim + 1)))
+    arcs = [(perm[a], perm[(a + 1) % dim]) for a in range(dim)] + [(perm[dim - 2], perm[0])]
+    arcs += draw(st.lists(st.tuples(st.integers(1, dim), st.integers(1, dim)), max_size=2 * dim))
+    return order, dim, [(u, (i,) * (order - 1)) for i, u in arcs]
+
+
+class TestSquaredEnds:
+    """``analyze`` finds the degrees of a tensor whose rows hold only
+    singletons and whose majorization matrix is primitive by Boolean
+    repeated squaring of that matrix, not by a sliced run."""
+
+    @given(primitive_singleton_inputs())
+    def test_every_budget_matches_reference(self, raw):
+        t = make_pattern(*raw)
+        assert patterns._majorization_primitive(t) and not any(fam.multis for fam in t.rows)
+        ends = assert_matches_per_column_reference(t, None).gamma_by_column
+        for max_steps in {1, 2, *(g - 1 for g in ends if g > 1), *ends}:
+            assert_matches_per_column_reference(t, max_steps)
+
+    def test_the_lift_at_the_cap_takes_logarithmically_many_products(self, monkeypatch):
+        steps, compiled = count_calls(monkeypatch, "_sliced_step"), count_calls(monkeypatch, "_compile_step")
+        r = analyze(wielandt_tensor(3, 128))
+        assert len(steps) <= 2 * math.ceil(math.log2(default_bound(128) + 1)) == 28
+        assert compiled == []
+        assert r.gamma_by_column == (*(16130 - j for j in range(1, 128)), 16130)
+        assert r.outcomes == tuple(map(Reached, r.gamma_by_column))
 
 
 def row_masks(t):
@@ -1091,12 +1128,24 @@ class TestCompiledStep:
         for max_steps in range(1, default_bound(t.dim) + 2):
             assert_matches_per_column_reference(t, max_steps)
 
-    def test_wielandt_lift_across_the_swap(self):
-        # budgets around the swap and around the first column to reach [n]
-        t = wielandt_tensor(3, 30)
-        swap, first = patterns.COMPILE_AFTER, default_bound(30) - 29
-        for max_steps in (None, 1, swap - 1, swap, swap + 1, first - 1, first, default_bound(30) - 1):
+    def test_wielandt_lift_across_the_swap(self, monkeypatch):
+        # budgets around the swap and around the first column to reach [n].
+        # The lift itself is squared, not run; the pair {29, 30} in row 2
+        # keeps its degrees but not its linear step, so that tensor compiles
+        # on every budget past the swap
+        n = 30
+        lift = wielandt_tensor(3, n)
+        t = PatternTensor(3, n, (lift.rows[0], SupportFamily.from_masks(n, [1, 3 << n - 2]), *lift.rows[2:]))
+        assert t.rows[1].multis and patterns._majorization_primitive(t)
+        compiled = count_calls(monkeypatch, "_compile_step")
+        swap, first = patterns.COMPILE_AFTER, default_bound(n) - (n - 1)
+        budgets = (None, 1, swap - 1, swap, swap + 1, first - 1, first, default_bound(n) - 1)
+        for max_steps in budgets:
             assert_matches_per_column_reference(t, max_steps)
+        assert len(compiled) == 5  # None and the four budgets past the swap
+        for max_steps in budgets:
+            assert_matches_per_column_reference(lift, max_steps)
+        assert len(compiled) == 5
 
     def test_a_row_of_every_pair_at_the_cap(self):
         # row 1 of the Wielandt lift at n = 128 also holds the 7,875 pairs
