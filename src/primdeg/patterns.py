@@ -26,25 +26,29 @@ lane: it says row u is in column j's state of tensor t. One step sets R_u to
 the OR of the R_i of row u's singleton supports and, for each larger support,
 the AND of its members' R_i. A larger support that several rows hold is met
 once at the start of the step into one more R entry, which those rows read
-like a singleton; a support held by one row is met inline. A lane has reached
-[n] when its bit survives the AND of all R_u. Lanes are resolved in groups: a
-group ends when all its lanes have reached [n], or when one of its lanes that
-is not full matches a snapshot of Brent's cycle detection, taken at steps 1,
-2, 4, 8, ... (that column cycles, so [n] is out of its reach, and the steps
-since the snapshot are its exact period), or when the budget runs out. Both
-tests read rows only until no open lane is left to test; lanes close by whole
-groups, so results are exact.
+like a singleton; a support held by one row is met inline. A run executes
+the step as a program built once per run (:func:`_vector_step`): C-level
+``map`` passes that fold every meet, then every row's OR, a level of pairs at
+a time. A lane has reached [n] when its bit survives the AND of all R_u.
+Lanes are resolved in groups: a group ends when all its lanes have reached
+[n], or when one of its lanes that is not full matches a snapshot of Brent's
+cycle detection, taken at steps 1, 2, 4, 8, ... (that column cycles, so [n]
+is out of its reach, and the steps since the snapshot are its exact period),
+or when the budget runs out. The first test reads rows until no open lane is
+left, the second does so for its first eight rows and folds the rest in C;
+lanes close by whole groups, so results are exact.
 
 :func:`analyze` is a batch of one tensor whose groups are its single columns.
-Its run keeps its states until, after ``COMPILE_AFTER`` steps, it swaps
-:func:`_sliced_step` for :func:`_compile_step`, the table as one generated
-function, so long runs cost about their bit operations. It takes no snapshot
+Its run keeps its states until, after ``COMPILE_AFTER`` steps, it swaps the
+program for :func:`_compile_step`, the table as one generated function, so
+long runs cost about their bit operations. It takes no snapshot
 if the majorization matrix is primitive: as the step is monotone, every column
 then reaches [n], repeating no state first. One pass over S_1, S_2, ... finds
 each cycle's start; it steps past the kept states only after a compiled run.
 Columns still open when the budget runs out, a lowered one or the default one
 for a column that neither reaches [n] nor repeats within it, are traced alone
-by ``column_trace``, so every certificate equals the one it gives.
+by ``column_trace``, so every certificate equals the one it gives; with a
+primitive majorization matrix they are ``Exhausted`` without a trace.
 
 If the majorization matrix M is primitive and no row holds a multi-index
 support, :func:`analyze` squares instead of running. Such a step is linear
@@ -57,7 +61,7 @@ the last power is all [n]. Every row of a primitive M is nonempty, so a
 column that is [n] stays [n]: with every lane at S_0 = {j}, a pass from the
 top power down that takes each jump on just the lanes still short of [n]
 after it leaves each lane on its last state short of [n], S_{gamma_j - 1}.
-A lane whose degree passes the budget stays open, for ``column_trace``. The
+A lane whose degree passes the budget stays open and is ``Exhausted``. The
 Wielandt lift at n = 128 takes 27 products, not 16,130 steps.
 
 :func:`gammas` runs batches whose groups are whole tensors, for callers that
@@ -98,7 +102,7 @@ from collections import Counter, deque
 from functools import cache, cached_property, partial, reduce
 from itertools import islice
 from math import gcd
-from operator import and_
+from operator import and_, itemgetter, or_, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set, bit_indices, transpose_masks
@@ -108,8 +112,9 @@ from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set, bit_indi
 # faster but hold more.
 GAMMA_LANES = 1280
 
-# Steps before an analyze run compiles its step, which costs 75-90 Wielandt-lift
-# steps at n = 30..128; matrix_gamma's runs of up to 16 steps stay below it.
+# Steps before an analyze run compiles its step, which costs 170-330 program
+# steps of a Wielandt lift with a pair at n = 30..128, and the states a run
+# keeps; matrix_gamma's runs of up to 16 steps stay below it.
 COMPILE_AFTER = 64
 # Terms, and members of an inline meet, per generated statement: compile()
 # recurses once per operator of a chain like a|b|c and fails near 3,000.
@@ -395,13 +400,53 @@ def _compile_step(rows: LaneRows) -> Callable[[list[int]], list[int]]:
     return scope["step"]
 
 
+def _vector_step(rows: LaneRows, consts: list[int]) -> Callable[[list[int]], list[int]]:
+    """``R -> _sliced_step(rows, R + consts)`` as C-level passes on registers
+    ``R + consts + [0]``: each appends one ``map`` over pairs, folding every
+    meet a level, then every row's OR; a gather reads each row (0 if empty)."""
+    shared, table = rows
+    zero = len(table) + len(consts)  # shared meet i is read as register zero + i
+    passes: list[tuple[Callable, Callable, Callable]] = []
+    size = zero + 1  # the next register a pass appends
+
+    def gather(idx: list[int]) -> Callable[[list[int]], Sequence[int]]:  # a sequence also for one index
+        run = slice(idx[0], idx[0] + len(idx))
+        return itemgetter(run) if idx == list(range(run.start, run.stop)) else itemgetter(*idx)
+
+    def fold(op: Callable, groups: list[list[int]]) -> list[int]:
+        nonlocal size
+        while any(len(g) > 1 for g in groups):
+            I, J = [], []
+            for g in groups:
+                half = len(g) // 2
+                I += g[:2 * half:2]
+                J += g[1:2 * half:2]
+                g[:2 * half] = range(size, size + half)
+                size += half
+            passes.append((op, gather(I), gather(J)))
+        return [g[0] if g else zero for g in groups]
+
+    meets = fold(and_, [list(m) for m in (*shared, *(m for _, multis in table for m in multis))])
+    met, inline = meets[:len(shared)], iter(meets[len(shared):])
+    out = gather(fold(or_, [[i if i < zero else met[i - zero] for i in singles] + [next(inline) for _ in multis]
+                            for singles, multis in table]))
+    start = [*consts, 0]
+
+    def step(R: list[int]) -> list[int]:
+        e = R + start
+        for op, i, j in passes:
+            e += map(op, i(e), j(e))
+        return list(out(e))
+    return step
+
+
 def _same(lanes: int, R: list[int], S: list[int]) -> int:
-    """The lanes of ``lanes`` where R and S agree, read until none is left."""
-    for r, s in zip(R, S):
+    """The lanes of ``lanes`` where R and S agree: 8 rows one by one, then one C fold."""
+    for r, s in zip(R[:8], S):
         if not lanes:
-            break
+            return 0
         lanes &= ~(r ^ s)
-    return lanes
+    return lanes and lanes & ~reduce(or_, map(xor, R[8:], S[8:]), 0)
 
 
 def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRows, list[int]]:
@@ -444,12 +489,13 @@ def _sliced_run(
     lanes is resolved: all its lanes reach [n], one of them matches a Brent
     snapshot, or the budget ``bound`` runs out.
 
-    A run of one-lane groups (:func:`analyze`'s) keeps its states S_1, S_2,
-    ... until it compiles its step, after ``COMPILE_AFTER`` steps. With
-    ``cycles`` false, for lanes that all reach [n], it takes no snapshot. It
-    returns the step at which each group reached [n] (None if it did not),
-    the lanes that matched a snapshot keyed by period, the lanes of the
-    groups still open at the budget, the kept states, and the step it ended on.
+    It steps through :func:`_vector_step`'s program; a run of one-lane groups
+    (:func:`analyze`'s) keeps its states S_1, S_2, ... until it compiles its
+    step instead, after ``COMPILE_AFTER`` steps. With ``cycles`` false, for
+    lanes that all reach [n], it takes no snapshot. It returns the step at
+    which each group reached [n] (None if it did not), the lanes that matched
+    a snapshot keyed by period, the lanes of the groups still open at the
+    budget, the kept states, and the step it ended on.
     """
     every = (1 << n * tensors) - 1
     group = (1 << width) - 1
@@ -460,7 +506,7 @@ def _sliced_run(
     periods: dict[int, int] = {}  # period -> lanes that cycle with it
     kept: list[list[int]] = []
     live = every
-    step = lambda R: _sliced_step(rows, R + consts)  # noqa: E731
+    step = _vector_step(rows, consts)
     R = step([every // ((1 << n) - 1) << u for u in range(n)])
     snap, snap_step, k = None, 0, 1
     while True:
@@ -521,7 +567,8 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     every column is its own group, and its cycle certificates; columns still
     open when the budget runs out, lowered or not, are traced alone by
     ``column_trace``. A primitive majorization matrix spares the run its
-    cycle test: every column then reaches [n], so none repeats a state first.
+    cycle test and those traces: every column then reaches [n], so none
+    repeats a state first, and one still open is ``Exhausted``.
     If no row holds a multi-index support either, the degrees come from
     Boolean repeated squaring of that matrix instead (:func:`_squared_ends`):
     about 2 log2 of the budget products, 27 at n = 128.
@@ -538,8 +585,8 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
         ends, periods = _squared_ends([fam.singles for fam in tensor.rows], bound), {}
         open_cols = sum(1 << j for j, k in enumerate(ends) if k is None)
     outcomes: list[Outcome | None] = [None if k is None else Reached(k) for k in ends]
-    for j in bit_indices(open_cols):
-        outcomes[j] = column_trace(tensor, j + 1, bound).outcome
+    for j in bit_indices(open_cols):  # with a primitive M, a column open at the budget repeats no state
+        outcomes[j] = column_trace(tensor, j + 1, bound).outcome if cycles else Exhausted(bound)
     # The first k where column j's S_k equals its S_{k-period} is its first
     # repeat; a snapshot match at step k bounds it by k, so an uncompiled run
     # kept every state this reads.

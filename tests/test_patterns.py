@@ -344,16 +344,11 @@ class TestBitSlicedAnalyze:
     def test_cycles_found_without_per_column_traces(self, monkeypatch):
         # Columns on coprime cycles summing to 100 never reach [n]; each gets
         # its certificate from the sliced run, long before the default budget.
-        def no_trace(*args, **kwargs):
-            raise AssertionError("column_trace called")
-
         monkeypatch.setattr(patterns, "column_trace", no_trace)
         # the run resolves by step 55, before it would compile, and the
         # cycle-start pass reads the states the run kept: 55 steps in all
-        compiled, steps = [], []
-        real, table_step = patterns._compile_step, patterns._sliced_step
-        monkeypatch.setattr(patterns, "_compile_step", lambda rows: compiled.append(1) or real(rows))
-        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: steps.append(1) or table_step(rows, R))
+        compiled = count_calls(monkeypatch, "_compile_step")
+        table, steps = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
         entries, base = [], 0
         for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             entries += [(base + (a + 1) % length + 1, (base + a + 1,) * 2) for a in range(length)]
@@ -362,7 +357,7 @@ class TestBitSlicedAnalyze:
         r = analyze(make_pattern(3, 100, entries))
         lengths = [length for length in (2, 3, 5, 7, 11, 13, 17, 19, 23) for _ in range(length)]
         assert r.outcomes == tuple(Cycled(first_repeat_at=p + 1, period=p) for p in lengths)
-        assert compiled == [] and len(steps) == 55
+        assert compiled == [] and len(steps) == 55 and table == []
 
     def test_wielandt_lift_at_the_dimension_cap(self):
         n = 128
@@ -474,6 +469,61 @@ class TestSquaredEnds:
         assert r.outcomes == tuple(map(Reached, r.gamma_by_column))
 
 
+def no_trace(*args, **kwargs):
+    raise AssertionError("column_trace called")
+
+
+class TestLoweredBudgets:
+    """With a primitive majorization matrix no column repeats a state before
+    [n], so ``analyze`` labels a column still open at the budget
+    ``Exhausted(bound)`` without replaying it through ``column_trace``."""
+
+    @given(primitive_singleton_inputs(), st.data())
+    def test_open_columns_are_exhausted_without_traces(self, raw, data):
+        # order 2 is squared; multi-index cells at orders 3-4 mostly send
+        # the tensor to the sliced run
+        order, dim, entries = raw
+        cell = st.lists(st.integers(1, dim), min_size=order - 1, max_size=order - 1).map(tuple)
+        entries += data.draw(st.lists(st.tuples(st.integers(1, dim), cell), max_size=3))
+        t = make_pattern(order, dim, entries)
+        assert patterns._majorization_primitive(t)
+        ends = analyze(t).gamma_by_column
+        for max_steps in {1, *(g - 1 for g in ends if g > 1), *ends}:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(patterns, "column_trace", no_trace)
+                r = analyze(t, max_steps)
+            assert r == assert_matches_per_column_reference(t, max_steps)
+
+    def test_wielandt_lift_under_a_lowered_budget(self, monkeypatch):
+        # every column of the lift at n = 64 reaches [n] after step 3,900,
+        # squared for the lift, run for the lift with the pair {63, 64} in row 2
+        n, lift = 64, wielandt_tensor(3, 64)
+        paired = PatternTensor(3, n, (lift.rows[0], SupportFamily.from_masks(n, [1, 3 << n - 2]), *lift.rows[2:]))
+        assert paired.rows[1].multis and patterns._majorization_primitive(paired)
+        traces = count_calls(monkeypatch, "column_trace")
+        for t in (lift, paired):
+            r = analyze(t, 2000)
+            assert not r.primitive and r.outcomes == (Exhausted(2000),) * n
+        assert traces == []
+
+    def test_wielandt_lift_at_the_cap_under_a_lowered_budget(self, monkeypatch):
+        traces = count_calls(monkeypatch, "column_trace")
+        r = analyze(wielandt_tensor(3, 128), 16000)
+        assert r.gamma_by_column == (None,) * 128 and r.outcomes == (Exhausted(16000),) * 128
+        assert traces == []
+
+    def test_a_failed_screen_still_traces_open_columns(self, monkeypatch):
+        # the 3-cycle's first repeat is at step 4, but Brent's snapshot of
+        # step 4 would match only at step 7, past the default budget of 5
+        rot = make_pattern(2, 3, [(u, (u % 3 + 1,)) for u in (1, 2, 3)])
+        assert not patterns._majorization_primitive(rot)
+        traces = count_calls(monkeypatch, "column_trace")
+        assert analyze(rot).outcomes == (Cycled(first_repeat_at=4, period=3),) * 3
+        assert len(traces) == 3
+        assert analyze(rot, 2).outcomes == (Exhausted(2),) * 3
+        assert len(traces) == 6
+
+
 def row_masks(t):
     return [f.masks for f in t.rows]
 
@@ -566,12 +616,10 @@ class TestBatchGammas:
     def test_budget_runs_out(self, monkeypatch):
         # a 3-cycle at dim 3 first matches a snapshot at step 7, after the
         # default budget of 5 steps, so the budget decides it
-        calls = []
-        real_step = patterns._sliced_step
-        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
+        table, calls = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
         rot = make_pattern(2, 3, [(u, (u % 3 + 1,)) for u in (1, 2, 3)])
         assert gammas(3, [row_masks(rot)]) == [None]
-        assert len(calls) == default_bound(3)
+        assert len(calls) == default_bound(3) and table == []
         assert analyze(rot).gamma is None
 
     def test_batches_step_on_the_table(self, monkeypatch):
@@ -625,13 +673,11 @@ class TestBatchGammas:
         # singleton support and so reach the run: the batch stops within a few
         # steps of the second one's detection, not at the default budget of
         # their dimension
-        calls = []
-        real_step = patterns._sliced_step
-        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: calls.append(1) or real_step(rows, R))
+        table, calls = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
         swap = make_pattern(2, 40, [(u, (u + 1 if u % 2 else u - 1,)) for u in range(1, 41)])
         rot = make_pattern(2, 40, [(u, (u + 1 if u % 3 else u - 2,)) for u in range(1, 40)] + [(40, (40,))])
         assert gammas(40, [row_masks(swap), row_masks(rot)]) == [None, None]
-        assert 1 <= len(calls) <= 8 < default_bound(40)
+        assert 1 <= len(calls) <= 8 < default_bound(40) and table == []
 
 
 @st.composite
@@ -651,6 +697,19 @@ def count_calls(monkeypatch, name):
     calls, real = [], getattr(patterns, name)
     monkeypatch.setattr(patterns, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
     return calls
+
+
+def count_program_steps(monkeypatch):
+    """Wrap ``patterns._vector_step`` so that each call of a step it builds
+    appends 1 to the returned list."""
+    steps, real = [], patterns._vector_step
+
+    def vector_step(rows, consts):
+        step = real(rows, consts)
+        return lambda R: steps.append(1) or step(R)
+
+    monkeypatch.setattr(patterns, "_vector_step", vector_step)
+    return steps
 
 
 def covers(rows, n):
@@ -882,6 +941,7 @@ class TestSharedSupports:
         R = [1 << u for u in range(5)]
         patterns._sliced_step(rows, R)
         patterns._compile_step(rows)(R)
+        patterns._vector_step(rows, [])(R)
         assert R == [1 << u for u in range(5)]
 
 
@@ -1031,11 +1091,11 @@ class TestExtraSupportGammas:
 
 
 def assert_compiled_step_matches(t, R):
-    """The compiled step of a tensor's one-tensor table against the table
-    step, on lane masks ``R``."""
+    """The compiled step and the program of a tensor's one-tensor table
+    against the table step, on lane masks ``R``."""
     rows, consts = patterns._lane_rows(t.dim, [row_masks(t)])
     assert consts == []
-    assert patterns._compile_step(rows)(R) == patterns._sliced_step(rows, R)
+    assert patterns._compile_step(rows)(R) == patterns._sliced_step(rows, R) == patterns._vector_step(rows, [])(R)
 
 
 def lane_masks(data, dim):
@@ -1047,6 +1107,84 @@ def support_lanes(t):
     state, so that every term of every row fires alone in some lane."""
     supports = [m for fam in t.rows for m in fam.masks]
     return [sum(1 << lane for lane, m in enumerate(supports) if m >> u & 1) for u in range(t.dim)]
+
+
+def assert_program_matches(n, batch, R):
+    """The program of a batch's lane rows against the table step with the
+    batch's pseudo-index entries appended, on lane masks ``R``, which it
+    leaves alone; returns the lane rows and those entries."""
+    rows, consts = patterns._lane_rows(n, batch)
+    before = list(R)
+    assert patterns._vector_step(rows, consts)(R) == patterns._sliced_step(rows, R + consts)
+    assert R == before
+    return rows, consts
+
+
+def batch_lanes(data, n, tensors):
+    return data.draw(st.lists(st.integers(0, (1 << n * tensors) - 1), min_size=n, max_size=n))
+
+
+def same_reference(lanes, R, S):
+    """The row-by-row cycle test that ``_same`` replaced."""
+    for r, s in zip(R, S):
+        if not lanes:
+            break
+        lanes &= ~(r ^ s)
+    return lanes
+
+
+class TestVectorStep:
+    """``_vector_step``, the program a sliced run steps through until it
+    compiles, against the table step, and ``_same`` against its row loop."""
+
+    @settings(max_examples=300)
+    @given(raw_mask_batches(), st.data())
+    def test_matches_the_table_step_on_batches(self, drawn, data):
+        # dims 1-9, one to twelve tensors, raw masks with empty rows: the
+        # supports that only some tensors hold read a pseudo-index
+        dim, batch = drawn
+        masks = [rows for _, rows in batch]
+        assert_program_matches(dim, masks, batch_lanes(data, dim, len(masks)))
+
+    @given(planted_support_batches(), st.data())
+    def test_matches_the_table_step_with_shared_supports(self, drawn, data):
+        dim, batch = drawn
+        masks = [rows for _, rows in batch]
+        (shared, _), _ = assert_program_matches(dim, masks, batch_lanes(data, dim, len(masks)))
+        assert shared
+
+    @pytest.mark.parametrize(
+        "n, batch",
+        [
+            (1, [[[1]]]),
+            (1, [[[]]]),
+            (1, [[[1]], [[]]]),  # {1} only on the first tensor's lane: a pseudo-index
+            (3, [[[2], [], [1, 6]]]),  # an empty row, a one-term row and a meet
+            # rows 1 and 2 share {2,3}; {1,3}, {1,2} and {1} read pseudo-indices
+            (3, [[[6], [6, 5], [3]], [[6], [6], [1]]]),
+            # the degree-7 frontier witness shares {1,6} with its pseudo-index
+            (6, [row_masks(degree_witness(6, 6, 7)[0]), row_masks(wielandt_tensor(6, 6))]),
+            # a 9-member meet and a row of 28 pairs: several levels of each fold
+            (12, [[[0x1FF], *([1 << u] for u in range(1, 11)), [1 << a | 1 << b for a in range(8) for b in range(a)]]]),
+        ],
+    )
+    def test_fixed_shapes(self, n, batch):
+        rng = random.Random(n)
+        for _ in range(8):
+            assert_program_matches(n, batch, [rng.getrandbits(n * len(batch)) for _ in range(n)])
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_same_matches_the_row_loop(self, data):
+        # n below and above the rows it tests one at a time; S agrees with R
+        # on most rows and lanes, so that some lanes survive
+        n, width = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 70))
+        R = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
+        flips = st.sampled_from([0, 0, 0, (1 << width) - 1]) | st.integers(0, width - 1).map(lambda b: 1 << b)
+        S = [r ^ data.draw(flips) for r in R]
+        lanes = data.draw(st.one_of(st.just(0), st.just((1 << width) - 1), st.integers(0, (1 << width) - 1)))
+        assert patterns._same(lanes, R, S) == same_reference(lanes, R, S)
+        assert patterns._same(lanes, R, R) == lanes
 
 
 class TestCompiledStep:
@@ -1093,7 +1231,7 @@ class TestCompiledStep:
         for max_steps in range(1, default_bound(14) + 2):
             assert_matches_per_column_reference(t, max_steps)
 
-    # (compiles, table steps, compiled steps) of analyze at the default budget
+    # (compiles, program steps, compiled steps) of analyze at the default budget
     @pytest.mark.parametrize("tail, counts", [(5, (0, 62, 0)), (8, (1, 64, 31))])
     def test_cycle_starts_across_the_kept_states(self, monkeypatch, tail, counts):
         # Arcs i -> u: a Wielandt digraph on 1..6 (cycles of lengths 6 and 5),
@@ -1112,8 +1250,8 @@ class TestCompiledStep:
             base += length
         arcs += [(v + 1, v) for v in range(17, 17 + tail)]
         t = make_pattern(2, 17 + tail, [(u, (i,)) for i, u in arcs])
-        compiles, table, compiled = [], [], []
-        real, table_step = patterns._compile_step, patterns._sliced_step
+        compiles, compiled = [], []
+        real = patterns._compile_step
 
         def compile_step(rows):
             compiles.append(1)
@@ -1121,10 +1259,10 @@ class TestCompiledStep:
             return lambda R: compiled.append(1) or step(R)
 
         monkeypatch.setattr(patterns, "_compile_step", compile_step)
-        monkeypatch.setattr(patterns, "_sliced_step", lambda rows, R: table.append(1) or table_step(rows, R))
+        table, program = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
         r = assert_matches_per_column_reference(t, None)
         assert r.outcomes[16:] == tuple(Cycled(first_repeat_at=57 + s, period=30) for s in range(tail + 1))
-        assert (len(compiles), len(table), len(compiled)) == counts
+        assert (len(compiles), len(program), len(compiled)) == counts and table == []
         for max_steps in range(1, default_bound(t.dim) + 2):
             assert_matches_per_column_reference(t, max_steps)
 
