@@ -16,7 +16,6 @@ from .digraphs import (
     majorization_pattern,
     matrix_gamma,
     monomial_lift,
-    walk_decomposition,
     wielandt_matrix,
 )
 from .errors import CapExceededError, ParseError, VerificationError
@@ -88,7 +87,6 @@ __all__ = [
     "matrix_gamma",
     "wielandt_matrix",
     "frobenius_representable",
-    "walk_decomposition",
     "monomial_lift",
     "wielandt_tensor",
     "wielandt_frontier_tensor",

@@ -139,39 +139,3 @@ def frobenius_representable(a: int, b: int, target: int) -> bool:
     if a > b:
         a, b = b, a
     return any((target - a * x) % b == 0 for x in range(target // a + 1))
-
-
-# Admissible simple-path lengths from vertex dim-1 to u in the reversed Wielandt
-# digraph: 0 to itself, 1 to dim (one arc), and u or u+1 to u <= dim-2 (directly
-# around the short cycle, or via dim first).
-def _path_lengths(dim: int, u: int) -> tuple[int, ...]:
-    if u == dim - 1:
-        return (0,)
-    if u == dim:
-        return (1,)
-    return (u, u + 1)
-
-
-def walk_decomposition(dim: int, vertex: int, length: int) -> tuple[int, int, int] | None:
-    """Decompose a walk length in the reversed Wielandt digraph, if possible.
-
-    Returns (l, a, b) with l a simple-path length from vertex dim-1 to
-    ``vertex``, a, b >= 0, and l + a*(dim-1) + b*dim == length; None when no
-    such decomposition exists (equivalently, no walk of that exact length ends
-    at ``vertex``). Among admissible triples, the earlier table entry for l is
-    preferred and ties go to the smallest a.
-    """
-    if dim < 3:
-        raise ValueError(f"dim must be >= 3, got {dim}")
-    if not 1 <= vertex <= dim:
-        raise ValueError(f"vertex {vertex} out of range 1..{dim}")
-    if length < 0:
-        raise ValueError(f"length must be >= 0, got {length}")
-    for l in _path_lengths(dim, vertex):
-        rest = length - l
-        if rest < 0:
-            continue
-        for a in range(rest // (dim - 1) + 1):
-            if (rest - a * (dim - 1)) % dim == 0:
-                return (l, a, (rest - a * (dim - 1)) // dim)
-    return None

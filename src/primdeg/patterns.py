@@ -39,12 +39,10 @@ left, the second does so for its first eight rows and folds the rest in C;
 lanes close by whole groups, so results are exact.
 
 :func:`analyze` is a batch of one tensor whose groups are its single columns.
-Its run keeps its states until, after ``COMPILE_AFTER`` steps, it swaps the
-program for :func:`_compile_step`, the table as one generated function, so
-long runs cost about their bit operations. It takes no snapshot
-if the majorization matrix is primitive: as the step is monotone, every column
-then reaches [n], repeating no state first. One pass over S_1, S_2, ... finds
-each cycle's start; it steps past the kept states only after a compiled run.
+It takes no snapshot if the majorization matrix is primitive: as the step is
+monotone, every column then reaches [n], repeating no state first. Otherwise
+its run keeps S_1, ..., S_KEPT_STATES, and one pass over S_1, S_2, ... finds
+each cycle's start; past the kept states it steps on through the run's program.
 Columns still open when the budget runs out, a lowered one or the default one
 for a column that neither reaches [n] nor repeats within it, are traced alone
 by ``column_trace``, so every certificate equals the one it gives; with a
@@ -79,8 +77,7 @@ such a support when they share its pseudo-index too. The build reads the
 batch one row at a time and the members of each distinct mask once. Every
 lane mask is an int over the whole batch, so building one costs time
 quadratic in its size; ``gammas`` therefore runs its input in chunks of
-``GAMMA_LANES // n`` tensors (at least one); it does not compile, as that
-costs dozens of steps and scan chunks take 2 or 3. A tensor whose S_1 is empty
+``GAMMA_LANES // n`` tensors (at least one). A tensor whose S_1 is empty
 from some j (no row holds {j}) gets None and no lane: step 1 settles it.
 
 :func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
@@ -112,13 +109,9 @@ from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set, bit_indi
 # faster but hold more.
 GAMMA_LANES = 1280
 
-# Steps before an analyze run compiles its step, which costs 170-330 program
-# steps of a Wielandt lift with a pair at n = 30..128, and the states a run
-# keeps; matrix_gamma's runs of up to 16 steps stay below it.
-COMPILE_AFTER = 64
-# Terms, and members of an inline meet, per generated statement: compile()
-# recurses once per operator of a chain like a|b|c and fails near 3,000.
-_BLOCK = 64
+# States S_1..S_64 that an analyze run with the cycle test keeps for its
+# cycle-start pass; past them the pass steps on through the run's program.
+KEPT_STATES = 64
 
 # What the sliced step reads: the multi-index supports that several rows
 # share, then each row's singleton indices and its own multi-index supports.
@@ -380,26 +373,6 @@ def _sliced_step(rows: LaneRows, R: list[int]) -> list[int]:
     return out
 
 
-def _compile_step(rows: LaneRows) -> Callable[[list[int]], list[int]]:
-    """:func:`_sliced_step` for one tensor's table as straight-line code: the
-    meets of shared supports and of those over ``_BLOCK`` first, then the rows."""
-    shared, table = rows
-    n = len(table)
-    meets = [*shared, *(m for _, multis in table for m in multis if len(m) > _BLOCK)]
-    name = {m: f"r{n + i}" for i, m in enumerate(meets)}
-    sets = [(name[m], "&", [f"r{i}" for i in m]) for m in meets]
-    for u, (singles, multis) in enumerate(table):
-        terms = [f"r{i}" for i in singles] + [name.get(m) or "&".join(f"r{i}" for i in m) for m in multis]
-        sets.append((f"o{u}", "|", terms or ["0"]))
-    body = [f"{''.join(f'r{i},' for i in range(n))} = R"]
-    for var, op, terms in sets:
-        body += [f"{var} {op if k else ''}= {op.join(terms[k:k + _BLOCK])}" for k in range(0, len(terms), _BLOCK)]
-    body.append(f"return [{','.join(f'o{u}' for u in range(n))}]")
-    scope: dict = {}
-    exec("def step(R):\n " + "\n ".join(body), scope)
-    return scope["step"]
-
-
 def _vector_step(rows: LaneRows, consts: list[int]) -> Callable[[list[int]], list[int]]:
     """``R -> _sliced_step(rows, R + consts)`` as C-level passes on registers
     ``R + consts + [0]``: each appends one ``map`` over pairs, folding every
@@ -489,13 +462,13 @@ def _sliced_run(
     lanes is resolved: all its lanes reach [n], one of them matches a Brent
     snapshot, or the budget ``bound`` runs out.
 
-    It steps through :func:`_vector_step`'s program; a run of one-lane groups
-    (:func:`analyze`'s) keeps its states S_1, S_2, ... until it compiles its
-    step instead, after ``COMPILE_AFTER`` steps. With ``cycles`` false, for
-    lanes that all reach [n], it takes no snapshot. It returns the step at
-    which each group reached [n] (None if it did not), the lanes that matched
-    a snapshot keyed by period, the lanes of the groups still open at the
-    budget, the kept states, and the step it ended on.
+    It steps through :func:`_vector_step`'s program. With ``cycles`` false,
+    for lanes that all reach [n], it takes no snapshot; otherwise a run of
+    one-lane groups (:func:`analyze`'s) keeps its states S_1, ...,
+    S_KEPT_STATES for the cycle-start pass. It returns the step at which each
+    group reached [n] (None if it did not), the lanes that matched a snapshot
+    keyed by period, the lanes of the groups still open at the budget, the
+    kept states, and its step function.
     """
     every = (1 << n * tensors) - 1
     group = (1 << width) - 1
@@ -510,7 +483,7 @@ def _sliced_run(
     R = step([every // ((1 << n) - 1) << u for u in range(n)])
     snap, snap_step, k = None, 0, 1
     while True:
-        if width == 1 and k <= COMPILE_AFTER:
+        if cycles and width == 1 and k <= KEPT_STATES:
             kept.append(R)
         full = live
         for r in R:
@@ -534,8 +507,6 @@ def _sliced_run(
             return ends, periods, live, kept, step
         if cycles and k & (k - 1) == 0:
             snap, snap_step = R, k
-        if k == COMPILE_AFTER and width == 1:
-            step = _compile_step(rows)
         R, k = step(R), k + 1
 
 
@@ -566,9 +537,12 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     module docstring describes the sliced run, a batch of one tensor whose
     every column is its own group, and its cycle certificates; columns still
     open when the budget runs out, lowered or not, are traced alone by
-    ``column_trace``. A primitive majorization matrix spares the run its
-    cycle test and those traces: every column then reaches [n], so none
-    repeats a state first, and one still open is ``Exhausted``.
+    ``column_trace``. The pass that finds each cycle's start reads the states
+    the run kept, then steps the run's program past them, and drops a period
+    once its columns are settled. A primitive majorization matrix spares the
+    run its cycle test, its kept states and those traces: every column then
+    reaches [n], so none repeats a state first, and one still open is
+    ``Exhausted``.
     If no row holds a multi-index support either, the degrees come from
     Boolean repeated squaring of that matrix instead (:func:`_squared_ends`):
     about 2 log2 of the budget products, 27 at n = 128.
@@ -588,20 +562,24 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     for j in bit_indices(open_cols):  # with a primitive M, a column open at the budget repeats no state
         outcomes[j] = column_trace(tensor, j + 1, bound).outcome if cycles else Exhausted(bound)
     # The first k where column j's S_k equals its S_{k-period} is its first
-    # repeat; a snapshot match at step k bounds it by k, so an uncompiled run
-    # kept every state this reads.
+    # repeat; a snapshot match at step k bounds it by k, so a run that ended
+    # by S_KEPT_STATES kept every state this reads, and the pass steps on
+    # past them otherwise. A period leaves once all its columns are settled.
     window: deque[list[int]] = deque(maxlen=max(periods, default=0) + 1)
     k = 0
-    while any(periods.values()):
+    while periods:
         R = kept[k] if k < len(kept) else step(R)
         k += 1
         window.append(R)
-        for period, cols in periods.items():
+        for period, cols in list(periods.items()):
             if k > period and (same := _same(cols, R, window[-1 - period])):
                 outcome = Cycled(first_repeat_at=k, period=period)
                 for j in bit_indices(same):
                     outcomes[j] = outcome
-                periods[period] = cols ^ same
+                if cols == same:
+                    del periods[period]
+                else:
+                    periods[period] = cols ^ same
     primitive = None not in ends
     return PrimitivityReport(
         primitive=primitive,

@@ -14,7 +14,6 @@ from primdeg import (
     frobenius_representable,
     matrix_gamma,
     monomial_lift,
-    walk_decomposition,
     wielandt_matrix,
 )
 
@@ -201,36 +200,6 @@ class TestFrobeniusRepresentable:
             frobenius_representable(0, 3, 5)
         with pytest.raises(ValueError):
             frobenius_representable(3, 4, -1)
-
-
-class TestWalkDecomposition:
-    def test_known_splits(self):
-        assert walk_decomposition(5, 5, 13) == (1, 3, 0)
-        assert walk_decomposition(5, 5, 12) is None
-        assert walk_decomposition(5, 4, 0) == (0, 0, 0)
-
-    def test_matches_frontier_membership(self):
-        # decomposable exactly when a walk of that length runs from vertex
-        # dim-1 to the target vertex
-        for dim in range(3, 9):
-            rd = wielandt_matrix(dim).reversed_digraph()
-            for vertex in range(1, dim + 1):
-                for length in range(0, (dim - 1) ** 2 + 3):
-                    decomp = walk_decomposition(dim, vertex, length)
-                    reachable = vertex in exact_length_frontier(rd, dim - 1, length)
-                    assert (decomp is not None) == reachable, (dim, vertex, length)
-                    if decomp is not None:
-                        l, a, b = decomp
-                        assert l + a * (dim - 1) + b * dim == length
-                        assert a >= 0 and b >= 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            walk_decomposition(2, 1, 5)
-        with pytest.raises(ValueError):
-            walk_decomposition(5, 6, 5)
-        with pytest.raises(ValueError):
-            walk_decomposition(5, 1, -1)
 
 
 class TestDigraphValidation:

@@ -345,10 +345,12 @@ class TestBitSlicedAnalyze:
         # Columns on coprime cycles summing to 100 never reach [n]; each gets
         # its certificate from the sliced run, long before the default budget.
         monkeypatch.setattr(patterns, "column_trace", no_trace)
-        # the run resolves by step 55, before it would compile, and the
-        # cycle-start pass reads the states the run kept: 55 steps in all
-        compiled = count_calls(monkeypatch, "_compile_step")
+        # the run resolves by step 55, within the states it keeps, and the
+        # cycle-start pass reads those states: 55 steps in all. Each period
+        # leaves the pass at its columns' first repeat, so every cycle test
+        # reads open lanes.
         table, steps = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
+        same = count_calls(monkeypatch, "_same")
         entries, base = [], 0
         for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             entries += [(base + (a + 1) % length + 1, (base + a + 1,) * 2) for a in range(length)]
@@ -357,7 +359,8 @@ class TestBitSlicedAnalyze:
         r = analyze(make_pattern(3, 100, entries))
         lengths = [length for length in (2, 3, 5, 7, 11, 13, 17, 19, 23) for _ in range(length)]
         assert r.outcomes == tuple(Cycled(first_repeat_at=p + 1, period=p) for p in lengths)
-        assert compiled == [] and len(steps) == 55 and table == []
+        assert len(steps) == 55 and table == []
+        assert same and all(lanes for lanes, _, _ in same)
 
     def test_wielandt_lift_at_the_dimension_cap(self):
         n = 128
@@ -461,10 +464,10 @@ class TestSquaredEnds:
             assert_matches_per_column_reference(t, max_steps)
 
     def test_the_lift_at_the_cap_takes_logarithmically_many_products(self, monkeypatch):
-        steps, compiled = count_calls(monkeypatch, "_sliced_step"), count_calls(monkeypatch, "_compile_step")
+        steps, program = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
         r = analyze(wielandt_tensor(3, 128))
         assert len(steps) <= 2 * math.ceil(math.log2(default_bound(128) + 1)) == 28
-        assert compiled == []
+        assert program == []
         assert r.gamma_by_column == (*(16130 - j for j in range(1, 128)), 16130)
         assert r.outcomes == tuple(map(Reached, r.gamma_by_column))
 
@@ -621,11 +624,6 @@ class TestBatchGammas:
         assert gammas(3, [row_masks(rot)]) == [None]
         assert len(calls) == default_bound(3) and table == []
         assert analyze(rot).gamma is None
-
-    def test_batches_step_on_the_table(self, monkeypatch):
-        # gammas never compiles, even for one tensor running past the swap
-        monkeypatch.setattr(patterns, "_compile_step", None)
-        assert gammas(30, [row_masks(wielandt_tensor(3, 30))]) == [default_bound(30)]
 
     def test_one_tensor_batches(self):
         assert gammas(30, [row_masks(wielandt_tensor(3, 30))]) == [default_bound(30)]
@@ -940,7 +938,6 @@ class TestSharedSupports:
         rows, _ = patterns._lane_rows(5, [row_masks(t)])
         R = [1 << u for u in range(5)]
         patterns._sliced_step(rows, R)
-        patterns._compile_step(rows)(R)
         patterns._vector_step(rows, [])(R)
         assert R == [1 << u for u in range(5)]
 
@@ -1090,14 +1087,6 @@ class TestExtraSupportGammas:
             tensor_of(2, 0, [])
 
 
-def assert_compiled_step_matches(t, R):
-    """The compiled step and the program of a tensor's one-tensor table
-    against the table step, on lane masks ``R``."""
-    rows, consts = patterns._lane_rows(t.dim, [row_masks(t)])
-    assert consts == []
-    assert patterns._compile_step(rows)(R) == patterns._sliced_step(rows, R) == patterns._vector_step(rows, [])(R)
-
-
 def lane_masks(data, dim):
     return data.draw(st.lists(st.integers(0, (1 << dim) - 1), min_size=dim, max_size=dim))
 
@@ -1120,6 +1109,13 @@ def assert_program_matches(n, batch, R):
     return rows, consts
 
 
+def assert_tensor_program_matches(t, R):
+    """``assert_program_matches`` on a tensor's one-tensor table, the one
+    ``analyze`` runs, which reads no pseudo-index."""
+    _, consts = assert_program_matches(t.dim, [row_masks(t)], R)
+    assert consts == []
+
+
 def batch_lanes(data, n, tensors):
     return data.draw(st.lists(st.integers(0, (1 << n * tensors) - 1), min_size=n, max_size=n))
 
@@ -1134,8 +1130,8 @@ def same_reference(lanes, R, S):
 
 
 class TestVectorStep:
-    """``_vector_step``, the program a sliced run steps through until it
-    compiles, against the table step, and ``_same`` against its row loop."""
+    """``_vector_step``, the program every sliced run steps through, against
+    the table step, and ``_same`` against its row loop."""
 
     @settings(max_examples=300)
     @given(raw_mask_batches(), st.data())
@@ -1187,61 +1183,77 @@ class TestVectorStep:
         assert patterns._same(lanes, R, R) == lanes
 
 
+def record_runs(monkeypatch, program):
+    """Wrap ``patterns._sliced_run`` so that each run appends the number of
+    steps in ``program`` (from ``count_program_steps``) when it ends and the
+    number of states it kept."""
+    runs, real = [], patterns._sliced_run
+
+    def sliced_run(*args, **kw):
+        out = real(*args, **kw)
+        runs.append((len(program), len(out[3])))
+        return out
+
+    monkeypatch.setattr(patterns, "_sliced_run", sliced_run)
+    return runs
+
+
 class TestCompiledStep:
-    """``_compile_step``, which long ``analyze`` runs swap to, against the
-    table-driven ``_sliced_step``, and such runs against ``column_trace``."""
+    """Long ``analyze`` runs on the program step: wide one-tensor tables
+    against the table step, and runs past the ``KEPT_STATES`` states that
+    the cycle-start pass reads against ``column_trace``."""
 
     @given(sparse_row_pattern_inputs(), st.data())
     def test_matches_the_table_step(self, raw, data):
         # orders 2-6, dims 1-9, empty rows
         t = make_pattern(*raw)
-        assert_compiled_step_matches(t, lane_masks(data, t.dim))
+        assert_tensor_program_matches(t, lane_masks(data, t.dim))
 
     @given(planted_support_inputs(), st.data())
     def test_matches_the_table_step_with_shared_supports(self, drawn, data):
         t = make_pattern(*drawn[0])
-        assert_compiled_step_matches(t, lane_masks(data, t.dim))
+        assert_tensor_program_matches(t, lane_masks(data, t.dim))
 
     def test_long_meets_and_rows(self):
-        # supports of 70 and 99 members are met in statements of their own,
-        # and row 1's 200 pairs span several statements
+        # supports of 70 and 99 members fold over seven levels each, and
+        # row 1's 200 pairs over eight
         n, rng = 100, random.Random(5)
         entries = [(u, cell_of(rng.sample(range(1, n + 1), 70), n)) for u in range(1, n + 1, 3)]
         entries += [(u, cell_of([v for v in range(1, n + 1) if v != u], n)) for u in range(2, n + 1, 3)]
         entries += [(1, cell_of(rng.sample(range(1, n + 1), 2), n)) for _ in range(200)]
         t = make_pattern(n, n, entries)
         assert max(len(fam.multis) for fam in t.rows) > 100
-        assert_compiled_step_matches(t, support_lanes(t))
+        assert_tensor_program_matches(t, support_lanes(t))
         for _ in range(5):
-            assert_compiled_step_matches(t, [rng.getrandbits(n) for _ in range(n)])
+            assert_tensor_program_matches(t, [rng.getrandbits(n) for _ in range(n)])
 
     def test_cycles_after_the_swap_match_at_every_budget(self, monkeypatch):
         # column 1 feeds a 5-cycle and a 7-cycle, so its states repeat with
-        # period 35; Brent's snapshot of step 32 comes back at step 67, after
-        # the swap, and the cycle-start pass runs on the compiled step
-        compiled = []
-        real = patterns._compile_step
-        monkeypatch.setattr(patterns, "_compile_step", lambda rows: compiled.append(1) or real(rows))
+        # period 35; Brent's snapshot of step 64 comes back at step 99, past
+        # the kept states, while the first repeats of columns 1 and 14, at
+        # steps 36 and 37, lie among them, so the pass steps no further
+        program = count_program_steps(monkeypatch)
+        runs = record_runs(monkeypatch, program)
         arcs = [(1, 2), (1, 7), (14, 1)]
         arcs += [(2 + a, 2 + (a + 1) % 5) for a in range(5)] + [(7 + a, 7 + (a + 1) % 7) for a in range(7)]
         t = make_pattern(2, 14, [(u, (i,)) for i, u in arcs])
         r = assert_matches_per_column_reference(t, None)
-        assert compiled and patterns.COMPILE_AFTER < 67
+        assert runs == [(99, patterns.KEPT_STATES)] and len(program) == 99
         assert r.outcomes[0] == Cycled(first_repeat_at=36, period=35)
         for max_steps in range(1, default_bound(14) + 2):
             assert_matches_per_column_reference(t, max_steps)
 
-    # (compiles, program steps, compiled steps) of analyze at the default budget
-    @pytest.mark.parametrize("tail, counts", [(5, (0, 62, 0)), (8, (1, 64, 31))])
+    # (run steps, kept states, pass steps) of analyze at the default budget
+    @pytest.mark.parametrize("tail, counts", [(5, (62, 62, 0)), (8, (94, 64, 1))])
     def test_cycle_starts_across_the_kept_states(self, monkeypatch, tail, counts):
         # Arcs i -> u: a Wielandt digraph on 1..6 (cycles of lengths 6 and 5),
         # cycles of lengths 2, 3 and 5 on 7..16, vertex 17 feeding vertex 6
         # and the three cycles, and the path 17 + tail -> ... -> 18 -> 17.
         # Column 17 + s enters a cycle of period 30 at S_{27+s}, so its first
         # repeat is 57 + s. With tail 5 that is 62 at most:
-        # Brent's snapshot of step 32 matches at step 62 and the run ends
-        # uncompiled. With tail 8 the first repeats 63, 64 and 65 match the
-        # snapshot of step 64 at step 94, so the run compiles, keeps S_1..S_64,
+        # Brent's snapshot of step 32 matches at step 62, and the run keeps
+        # every state. With tail 8 the first repeats 63, 64 and 65 match the
+        # snapshot of step 64 at step 94, so the run keeps S_1..S_64 only,
         # and the pass steps once more, to S_65.
         arcs = [(a, a + 1) for a in range(1, 6)] + [(6, 1), (5, 1), (17, 6)]
         base = 6
@@ -1250,50 +1262,43 @@ class TestCompiledStep:
             base += length
         arcs += [(v + 1, v) for v in range(17, 17 + tail)]
         t = make_pattern(2, 17 + tail, [(u, (i,)) for i, u in arcs])
-        compiles, compiled = [], []
-        real = patterns._compile_step
-
-        def compile_step(rows):
-            compiles.append(1)
-            step = real(rows)
-            return lambda R: compiled.append(1) or step(R)
-
-        monkeypatch.setattr(patterns, "_compile_step", compile_step)
         table, program = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
+        runs = record_runs(monkeypatch, program)
         r = assert_matches_per_column_reference(t, None)
         assert r.outcomes[16:] == tuple(Cycled(first_repeat_at=57 + s, period=30) for s in range(tail + 1))
-        assert (len(compiles), len(program), len(compiled)) == counts and table == []
+        assert [(*run, len(program) - run[0]) for run in runs] == [counts] and table == []
         for max_steps in range(1, default_bound(t.dim) + 2):
             assert_matches_per_column_reference(t, max_steps)
 
     def test_wielandt_lift_across_the_swap(self, monkeypatch):
-        # budgets around the swap and around the first column to reach [n].
-        # The lift itself is squared, not run; the pair {29, 30} in row 2
-        # keeps its degrees but not its linear step, so that tensor compiles
-        # on every budget past the swap
+        # budgets around the keep cap and around the first column to reach
+        # [n]. The lift itself is squared, not run; the pair {29, 30} in row 2
+        # keeps its degrees but not its linear step, so that tensor runs on
+        # every budget, keeping no state, as its majorization matrix is
+        # primitive
         n = 30
         lift = wielandt_tensor(3, n)
         t = PatternTensor(3, n, (lift.rows[0], SupportFamily.from_masks(n, [1, 3 << n - 2]), *lift.rows[2:]))
         assert t.rows[1].multis and patterns._majorization_primitive(t)
-        compiled = count_calls(monkeypatch, "_compile_step")
-        swap, first = patterns.COMPILE_AFTER, default_bound(n) - (n - 1)
-        budgets = (None, 1, swap - 1, swap, swap + 1, first - 1, first, default_bound(n) - 1)
+        runs = record_runs(monkeypatch, count_program_steps(monkeypatch))
+        cap, first = patterns.KEPT_STATES, default_bound(n) - (n - 1)
+        budgets = (None, 1, cap - 1, cap, cap + 1, first - 1, first, default_bound(n) - 1)
         for max_steps in budgets:
             assert_matches_per_column_reference(t, max_steps)
-        assert len(compiled) == 5  # None and the four budgets past the swap
+        assert [kept for _, kept in runs] == [0] * len(budgets)
         for max_steps in budgets:
             assert_matches_per_column_reference(lift, max_steps)
-        assert len(compiled) == 5
+        assert len(runs) == len(budgets)
 
     def test_a_row_of_every_pair_at_the_cap(self):
         # row 1 of the Wielandt lift at n = 128 also holds the 7,875 pairs
-        # without 127 or 128; a single OR over them would not compile
+        # without 127 or 128, an OR folded over 13 levels
         n = 128
         base = wielandt_tensor(3, n)
         pairs = [1 << a | 1 << b for a in range(n - 2) for b in range(a + 1, n - 2)]
         row1 = SupportFamily(n, tuple(sorted(base.rows[0].masks + tuple(pairs))))
         t = PatternTensor(3, n, (row1,) + base.rows[1:])
-        assert_compiled_step_matches(t, support_lanes(t))
+        assert_tensor_program_matches(t, support_lanes(t))
         r = analyze(t)
         assert r.primitive and r.gamma == 255
 
