@@ -23,13 +23,13 @@ of its step budget. For a primitive tensor every column reaches [n] within
 repeated squaring below), which follows many start columns of one or more
 tensors of dimension n at once. Bit t*n + j-1 of a mask R_u is a
 lane: it says row u is in column j's state of tensor t. One step sets R_u to
-the OR of the R_i of row u's singleton supports and, for each larger support,
-the AND of its members' R_i. A larger support that several rows hold is met
-once at the start of the step into one more R entry, which those rows read
-like a singleton; a support held by one row is met inline. A run executes
-the step as a program built once per run (:func:`_vector_step`): C-level
-``map`` passes that fold every meet, then every row's OR, a level of pairs at
-a time. A lane has reached [n] when its bit survives the AND of all R_u.
+the OR, over row u's supports, of the AND of each support's members' R_i.
+The lane table (:func:`_lane_rows`) lists each row's supports as tuples of
+their members. A run executes the step as a program built once per run
+(:func:`_vector_step`): C-level ``map`` passes that fold every meet, then
+every row's OR, a level of pairs at a time. The build gives each distinct
+support one register, so a support that several rows hold is met once per
+step. A lane has reached [n] when its bit survives the AND of all R_u.
 Lanes are resolved in groups: a group ends when all its lanes have reached
 [n], or when one of its lanes that is not full matches a snapshot of Brent's
 cycle detection, taken at steps 1, 2, 4, 8, ... (that column cycles, so [n]
@@ -53,12 +53,13 @@ support, :func:`analyze` squares instead of running. Such a step is linear
 over the Boolean semiring: S_k(j) is column j of M^k. A lane list is also a
 jump table: if R_u holds the columns j with u in S_a(j), stepping any lane
 list with the table whose row u reads the bits of R_u advances every lane
-by a steps. So :func:`_sliced_step` squares M into M^2, M^4, ..., each power
-stepped by its own table, until the exponents sum to the budget or more, or
-the last power is all [n]. Every row of a primitive M is nonempty, so a
-column that is [n] stays [n]: with every lane at S_0 = {j}, a pass from the
-top power down that takes each jump on just the lanes still short of [n]
-after it leaves each lane on its last state short of [n], S_{gamma_j - 1}.
+by a steps. So a Boolean product (:func:`_product`) squares M into M^2,
+M^4, ..., each power stepped by its own table, until the exponents sum to
+the budget or more, or the last power is all [n]. Every row of a primitive
+M is nonempty, so a column that is [n] stays [n]: with every lane at S_0 =
+{j}, a pass from the top power down that takes each jump on just the lanes
+still short of [n] after it leaves each lane on its last state short of
+[n], S_{gamma_j - 1}.
 A lane whose degree passes the budget stays open and is ``Exhausted``. The
 Wielandt lift at n = 128 takes 27 products, not 16,130 steps.
 
@@ -72,9 +73,9 @@ superset of another support never changes it. A support that every tensor
 in the batch holds in row u enters as it is. A support that only some hold
 gets one extra member, a pseudo-index c past the n rows whose R_c is the
 lane mask of those tensors; R_c is appended unchanged after every step, so
-the AND keeps that support on its own tensors' lanes, and two rows share
-such a support when they share its pseudo-index too. The build reads the
-batch one row at a time and the members of each distinct mask once. Every
+the AND keeps that support on its own tensors' lanes, and two rows hold the
+same tuple, met once, when they share its pseudo-index too. The build reads
+the batch one row at a time and the members of each distinct mask once. Every
 lane mask is an int over the whole batch, so building one costs time
 quadratic in its size; ``gammas`` therefore runs its input in chunks of
 ``GAMMA_LANES // n`` tensors (at least one). A tensor whose S_1 is empty
@@ -95,7 +96,7 @@ through this engine as order-2 tensors.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from functools import cache, cached_property, partial, reduce
 from itertools import islice
 from math import gcd
@@ -113,9 +114,9 @@ GAMMA_LANES = 1280
 # cycle-start pass; past them the pass steps on through the run's program.
 KEPT_STATES = 64
 
-# What the sliced step reads: the multi-index supports that several rows
-# share, then each row's singleton indices and its own multi-index supports.
-LaneRows = tuple[tuple[tuple[int, ...], ...], list[tuple[list[int], list[tuple[int, ...]]]]]
+# What the sliced step reads: each row's supports as tuples of their members,
+# a member n and up being a pseudo-index.
+LaneRows = list[list[tuple[int, ...]]]
 
 
 class PatternTensor(Record):
@@ -353,32 +354,19 @@ class PrimitivityReport(Record):
 
 
 def _sliced_step(rows: LaneRows, R: list[int]) -> list[int]:
-    """One step of every lane at once: ``R[u]`` is row u's lane mask. ``rows``
-    is built by :func:`_lane_rows`; pseudo-indices read past the n rows, and
-    the meets of the shared supports, computed first, past those."""
-    shared, table = rows
-    if shared:
-        R = R + [reduce(and_, [R[i] for i in m]) for m in shared]
-    out = []
-    for singles, multis in table:
-        acc = 0
-        for i in singles:
-            acc |= R[i]
-        for m in multis:
-            meet = -1
-            for i in m:
-                meet &= R[i]
-            acc |= meet
-        out.append(acc)
-    return out
+    """One step of every lane at once, ``R[u]`` being row u's lane mask and a
+    pseudo-index reading past the n rows: the reference OR of ANDs that
+    :func:`_vector_step`'s program computes."""
+    return [reduce(or_, [reduce(and_, map(R.__getitem__, m)) for m in row], 0) for row in rows]
 
 
 def _vector_step(rows: LaneRows, consts: list[int]) -> Callable[[list[int]], list[int]]:
     """``R -> _sliced_step(rows, R + consts)`` as C-level passes on registers
     ``R + consts + [0]``: each appends one ``map`` over pairs, folding every
-    meet a level, then every row's OR; a gather reads each row (0 if empty)."""
-    shared, table = rows
-    zero = len(table) + len(consts)  # shared meet i is read as register zero + i
+    meet a level, then every row's OR of its registers in ascending order; a
+    gather reads each row (0 if empty). Each distinct support has one register,
+    its member's or its meet's, so one that several rows hold is met once."""
+    zero = len(rows) + len(consts)
     passes: list[tuple[Callable, Callable, Callable]] = []
     size = zero + 1  # the next register a pass appends
 
@@ -399,10 +387,10 @@ def _vector_step(rows: LaneRows, consts: list[int]) -> Callable[[list[int]], lis
             passes.append((op, gather(I), gather(J)))
         return [g[0] if g else zero for g in groups]
 
-    meets = fold(and_, [list(m) for m in (*shared, *(m for _, multis in table for m in multis))])
-    met, inline = meets[:len(shared)], iter(meets[len(shared):])
-    out = gather(fold(or_, [[i if i < zero else met[i - zero] for i in singles] + [next(inline) for _ in multis]
-                            for singles, multis in table]))
+    reg = {m: m[0] for row in rows for m in row}  # each distinct support's register
+    multis = [m for m in reg if len(m) > 1]
+    reg.update(zip(multis, fold(and_, [list(m) for m in multis])))
+    out = gather(fold(or_, [sorted(map(reg.__getitem__, row)) for row in rows]))
     start = [*consts, 0]
 
     def step(R: list[int]) -> list[int]:
@@ -430,29 +418,15 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
     tensors = [(tensor, col << t * n) for t, tensor in enumerate(batch)]  # each with its lanes
     members = cache(bit_indices)  # the rows of a batch share most of their masks
     pseudo: dict[int, int] = {}  # lane mask -> its pseudo-index, n and up
-    rows: list[tuple[list[int], list[tuple[int, ...]]]] = []
+    rows: LaneRows = []
     for u in range(n):
         held: dict[int, int] = {}  # support -> the lanes of the tensors whose row u holds it
         for tensor, lanes in tensors:
             for m in tensor[u]:
                 held[m] = held.get(m, 0) | lanes
-        singles, multis = [], []
-        for m, lanes in held.items():
-            if lanes != every:
-                multis.append(members(m) + (pseudo.setdefault(lanes, n + len(pseudo)),))
-            elif m & (m - 1):
-                multis.append(members(m))
-            else:
-                singles.append(m.bit_length() - 1)
-        rows.append((singles, multis))
-    # a support several rows hold is met once per step, and read like a singleton
-    counts = Counter(m for _, multis in rows for m in multis)
-    shared = {m: n + len(pseudo) + i for i, m in enumerate(m for m, c in counts.items() if c > 1)}
-    if shared:
-        for singles, multis in rows:
-            singles += [shared[m] for m in multis if m in shared]
-            multis[:] = [m for m in multis if m not in shared]
-    return (tuple(shared), rows), list(pseudo)
+        rows.append([members(m) if lanes == every else members(m) + (pseudo.setdefault(lanes, n + len(pseudo)),)
+                     for m, lanes in held.items()])
+    return rows, list(pseudo)
 
 
 def _sliced_run(
@@ -510,19 +484,30 @@ def _sliced_run(
         R, k = step(R), k + 1
 
 
+def _product(table: list[tuple[int, ...]], X: list[int]) -> list[int]:
+    """The Boolean product of a jump table and lane masks: row u ORs the X[i] of ``table[u]``."""
+    out = []
+    for row in table:
+        acc = 0
+        for i in row:
+            acc |= X[i]
+        out.append(acc)
+    return out
+
+
 def _squared_ends(singles: list[int], bound: int) -> list[int | None]:
     """Each column's degree, or None above ``bound``, of a tensor whose rows
     hold only the singletons ``singles`` and whose majorization matrix is
     primitive, by Boolean repeated squaring (see the module docstring)."""
     n, full = len(singles), (1 << len(singles)) - 1
-    tables = [((), [(bit_indices(r), []) for r in singles])]  # jump tables of M, M^2, M^4, ...
+    tables = [list(map(bit_indices, singles))]  # jump tables of M, M^2, M^4, ...
     power = singles
     while 1 << len(tables) <= bound and power != [full] * n:
-        power = _sliced_step(tables[-1], power)
-        tables.append(((), [(bit_indices(r), []) for r in power]))
+        power = _product(tables[-1], power)
+        tables.append(list(map(bit_indices, power)))
     X, ends = [1 << u for u in range(n)], [1] * n  # every lane at S_0 = {j}
     for p in reversed(range(len(tables))):
-        Y = _sliced_step(tables[p], X)
+        Y = _product(tables[p], X)
         jump = full & ~reduce(and_, Y)  # the lanes still not full after it
         X = [x ^ (x ^ y) & jump for x, y in zip(X, Y)]
         for j in bit_indices(jump):

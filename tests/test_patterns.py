@@ -464,12 +464,71 @@ class TestSquaredEnds:
             assert_matches_per_column_reference(t, max_steps)
 
     def test_the_lift_at_the_cap_takes_logarithmically_many_products(self, monkeypatch):
-        steps, program = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
+        steps, program = count_calls(monkeypatch, "_product"), count_program_steps(monkeypatch)
         r = analyze(wielandt_tensor(3, 128))
         assert len(steps) <= 2 * math.ceil(math.log2(default_bound(128) + 1)) == 28
         assert program == []
         assert r.gamma_by_column == (*(16130 - j for j in range(1, 128)), 16130)
         assert r.outcomes == tuple(map(Reached, r.gamma_by_column))
+
+
+class TestMetamorphicLaws:
+    """Laws that follow from the recursion alone, over ``analyze``, ``gammas``
+    and ``column_trace``: a simultaneous relabelling moves every outcome with
+    its column, an order-m pattern read as order m+1 keeps its outcomes, and
+    adding a support to a row never raises a column degree."""
+
+    patterns_and_lifts = st.one_of(sparse_row_pattern_inputs(), primitive_singleton_inputs())
+
+    @given(patterns_and_lifts, st.integers(0, 2**32 - 1), st.data())
+    def test_relabelling_moves_each_outcome_with_its_column(self, raw, seed, data):
+        # the rows move too, and with them the lane table and its program
+        t = make_pattern(*raw)
+        n = t.dim
+        perm = random.Random(seed).sample(range(1, n + 1), n)  # the one draw ``relabelled`` makes
+        s = relabelled(t, random.Random(seed))
+        max_steps = data.draw(st.none() | st.integers(1, default_bound(n) + 1))
+        r, q = analyze(t, max_steps), analyze(s, max_steps)
+        assert tuple(q.outcomes[perm[j] - 1] for j in range(n)) == r.outcomes
+        assert (q.primitive, q.gamma) == (r.primitive, r.gamma)
+        for j in range(1, n + 1):
+            moved = column_trace(s, perm[j - 1], max_steps)
+            trace = column_trace(t, j, max_steps)
+            assert moved.outcome == trace.outcome
+            assert moved.masks == tuple(sum(1 << perm[i] - 1 for i in bit_indices(m)) for m in trace.masks)
+        g, h = gammas(n, [row_masks(t), row_masks(s)])
+        assert g == h == analyze(t).gamma
+
+    @given(st.one_of(sparse_row_pattern_inputs(max_order=5), primitive_singleton_inputs()), st.data())
+    def test_an_order_m_pattern_read_as_order_m_plus_1_keeps_its_outcomes(self, raw, data):
+        order, dim, entries = raw
+        t = make_pattern(order, dim, entries)
+        up = make_pattern(order + 1, dim, [(u, (c[0], *c)) for u, c in entries])
+        max_steps = data.draw(st.none() | st.integers(1, default_bound(dim) + 1))
+        assert analyze(up, max_steps) == analyze(t, max_steps)
+        for j in range(1, dim + 1):
+            assert column_trace(up, j, max_steps) == column_trace(t, j, max_steps)
+        assert gammas(dim, [row_masks(up), row_masks(t)]) == [analyze(t).gamma] * 2
+
+    @given(patterns_and_lifts, st.data())
+    def test_adding_a_support_never_raises_a_column_degree(self, raw, data):
+        # on a singleton-only lift, a support of two or more members moves
+        # analyze from squaring to a sliced run
+        order, dim, entries = raw
+        u = data.draw(st.integers(1, dim))
+        cell = tuple(data.draw(st.integers(1, dim)) for _ in range(order - 1))
+        t, more = make_pattern(order, dim, entries), make_pattern(order, dim, [*entries, (u, cell)])
+        r, q = analyze(t), analyze(more)
+        for g, h in zip(r.gamma_by_column, q.gamma_by_column):
+            assert g is None or h is not None and h <= g
+        assert not r.primitive or q.primitive and q.gamma <= r.gamma
+        for j in range(1, dim + 1):  # every state only grows
+            for a, b in zip(column_states(t, j, dim + 2), column_states(more, j, dim + 2)):
+                assert a.mask & b.mask == a.mask
+            g, h = column_trace(t, j).outcome, column_trace(more, j).outcome
+            assert not isinstance(g, Reached) or isinstance(h, Reached) and h.step <= g.step
+        g, h = gammas(dim, [row_masks(t), row_masks(more)])
+        assert g is None or h is not None and h <= g
 
 
 def no_trace(*args, **kwargs):
@@ -880,17 +939,46 @@ def planted_support_batches(draw, max_dim=9, max_tensors=8):
     return dim, batch
 
 
+class Meet(int):
+    """A lane mask that counts the ANDs taken on it, so that one program step
+    on such masks counts the meets the program folds."""
+
+    count = 0
+
+    def __and__(self, other):
+        Meet.count += 1
+        return Meet(int.__and__(self, other))
+
+    __rand__ = __and__
+
+
+def assert_meets_once(rows, consts):
+    """One step of the program of ``rows`` takes |m| - 1 ANDs for each
+    distinct support m of two or more members, however many rows hold it;
+    returns the rows (0-based) that hold each such support."""
+    holders = {}
+    for u, row in enumerate(rows):
+        for m in row:
+            if len(m) > 1:
+                holders.setdefault(m, []).append(u)
+    Meet.count = 0
+    patterns._vector_step(rows, consts)([Meet(1 << u) for u in range(len(rows))])
+    assert Meet.count == sum(len(m) - 1 for m in holders)
+    return holders
+
+
 class TestSharedSupports:
-    """A multi-index support that several rows hold is met once per step into
-    one more ``R`` entry; both engines must still agree with ``column_trace``."""
+    """A multi-index support that several rows hold is met once per step, into
+    one register of the step program; both engines must still agree with
+    ``column_trace``."""
 
     @given(planted_support_inputs())
     def test_analyze_matches_reference_at_every_budget(self, drawn):
         raw, planted = drawn
         t = make_pattern(*raw)
         if sum(planted in fam.masks for fam in t.rows) >= 2:  # not dominated away
-            (shared, _), _ = patterns._lane_rows(t.dim, [row_masks(t)])
-            assert bit_indices(planted) in shared
+            holders = assert_meets_once(*patterns._lane_rows(t.dim, [row_masks(t)]))
+            assert len(holders[bit_indices(planted)]) >= 2
         for max_steps in (None, *range(1, default_bound(t.dim) + 2)):
             assert_matches_per_column_reference(t, max_steps)
 
@@ -898,8 +986,8 @@ class TestSharedSupports:
     @given(planted_support_batches())
     def test_gammas_when_only_some_tensors_hold_it(self, drawn):
         dim, batch = drawn
-        (shared, _), _ = patterns._lane_rows(dim, [rows for _, rows in batch])
-        assert shared
+        holders = assert_meets_once(*patterns._lane_rows(dim, [rows for _, rows in batch]))
+        assert max(map(len, holders.values())) >= 2
         tensors = [make_pattern(order, dim, entries_of(rows, order)) for order, rows in batch]
         assert gammas(dim, [rows for _, rows in batch]) == [traced_gamma(t) for t in tensors]
 
@@ -908,8 +996,8 @@ class TestSharedSupports:
         # cycle with periods 1 and 2 behind tails of one and two steps
         entries = [(2, (1, 1)), (2, (6, 6)), (3, (4, 4)), (3, (6, 6)), (4, (1, 1)), (4, (5, 5)), (5, (4, 4))]
         t = make_pattern(3, 6, entries + [(u, (2, 4)) for u in range(1, 7)])
-        (shared, _), _ = patterns._lane_rows(6, [row_masks(t)])
-        assert shared == ((1, 3),)
+        # rows 3 and 5 hold {4}, which absorbs {2,4}
+        assert assert_meets_once(*patterns._lane_rows(6, [row_masks(t)])) == {(1, 3): [0, 1, 3, 5]}
         r = assert_matches_per_column_reference(t, None)
         assert r.outcomes == (
             Reached(2), Cycled(2, 1), Cycled(2, 1), Cycled(3, 2), Cycled(3, 2), Cycled(3, 1)
@@ -926,10 +1014,9 @@ class TestSharedSupports:
         held = [u for u, fam in enumerate(w.rows) if 0b100001 in fam.masks]
         assert held == [2, 3, 4, 5]
         batch = [row_masks(w), row_masks(wielandt_tensor(n, n))]
-        (shared, rows), consts = patterns._lane_rows(n, batch)
-        assert shared == ((0, 5, n),) and consts == [(1 << n) - 1]
-        assert [u for u, (singles, _) in enumerate(rows) if n + 1 in singles] == held
-        assert not any(multis for _, multis in rows)
+        rows, consts = patterns._lane_rows(n, batch)
+        assert consts == [(1 << n) - 1]
+        assert assert_meets_once(rows, consts) == {(0, 5, n): held}
         assert gammas(n, batch) == [7, 26]
         assert analyze(w).gamma == traced_gamma(w) == 7
 
@@ -1146,8 +1233,8 @@ class TestVectorStep:
     def test_matches_the_table_step_with_shared_supports(self, drawn, data):
         dim, batch = drawn
         masks = [rows for _, rows in batch]
-        (shared, _), _ = assert_program_matches(dim, masks, batch_lanes(data, dim, len(masks)))
-        assert shared
+        holders = assert_meets_once(*assert_program_matches(dim, masks, batch_lanes(data, dim, len(masks))))
+        assert max(map(len, holders.values())) >= 2
 
     @pytest.mark.parametrize(
         "n, batch",
