@@ -35,18 +35,18 @@ Lanes are resolved in groups: a group ends when all its lanes have reached
 cycle detection, taken at steps 1, 2, 4, 8, ... (that column cycles, so [n]
 is out of its reach, and the steps since the snapshot are its exact period),
 or when the budget runs out. The first test reads rows until no open lane is
-left, the second does so for its first eight rows and folds the rest in C;
-lanes close by whole groups, so results are exact.
+left, the second folds every row in C; lanes close by whole groups, so
+results are exact.
 
 :func:`analyze` is a batch of one tensor whose groups are its single columns.
 It takes no snapshot if the majorization matrix is primitive: as the step is
 monotone, every column then reaches [n], repeating no state first. Otherwise
-its run keeps S_1, ..., S_KEPT_STATES, and one pass over S_1, S_2, ... finds
-each cycle's start; past the kept states it steps on through the run's program.
-Columns still open when the budget runs out, a lowered one or the default one
-for a column that neither reaches [n] nor repeats within it, are traced alone
-by ``column_trace``, so every certificate equals the one it gives; with a
-primitive majorization matrix they are ``Exhausted`` without a trace.
+its run keeps S_1, ..., S_KEPT_STATES and goes on to three budgets, since the
+snapshot at the least power of two s >= max(tail, period) catches a first
+repeat at step f by step s + period <= 3f - 1; one pass over S_1, S_2, ... up
+to the budget finds each cycle's start, stepping on through the run's program
+past the kept states. A column still open at the budget is ``Exhausted``, so
+every certificate equals the one ``column_trace`` gives, with no column traced.
 
 If the majorization matrix M is primitive and no row holds a multi-index
 support, :func:`analyze` squares instead of running. Such a step is linear
@@ -208,7 +208,7 @@ def _orbit(step: Callable[[int], int], column: int) -> Iterator[int]:
     The one single-column loop over the recursion: traces, raw orbits and walk
     frontiers read their states from it, stepped with ``partial(_step_mask,
     tensor)`` or a shared :func:`successor`. :func:`analyze` steps every column
-    at once instead and falls back to it only when the budget runs out.
+    at once instead.
     """
     state = 1 << (column - 1)
     while True:
@@ -402,12 +402,8 @@ def _vector_step(rows: LaneRows, consts: list[int]) -> Callable[[list[int]], lis
 
 
 def _same(lanes: int, R: list[int], S: list[int]) -> int:
-    """The lanes of ``lanes`` where R and S agree: 8 rows one by one, then one C fold."""
-    for r, s in zip(R[:8], S):
-        if not lanes:
-            return 0
-        lanes &= ~(r ^ s)
-    return lanes and lanes & ~reduce(or_, map(xor, R[8:], S[8:]), 0)
+    """The lanes of ``lanes`` where R and S agree, by one C fold over the rows."""
+    return lanes & ~reduce(or_, map(xor, R, S), 0)
 
 
 def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRows, list[int]]:
@@ -431,7 +427,7 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
 
 def _sliced_run(
     rows: LaneRows, consts: list[int], n: int, tensors: int, width: int, bound: int, cycles: bool = True
-) -> tuple[list[int | None], dict[int, int], int, list[list[int]], Callable[[list[int]], list[int]]]:
+) -> tuple[list[int | None], dict[int, int], list[list[int]], Callable[[list[int]], list[int]]]:
     """Step the lanes of ``tensors`` tensors until each group of ``width``
     lanes is resolved: all its lanes reach [n], one of them matches a Brent
     snapshot, or the budget ``bound`` runs out.
@@ -441,8 +437,7 @@ def _sliced_run(
     one-lane groups (:func:`analyze`'s) keeps its states S_1, ...,
     S_KEPT_STATES for the cycle-start pass. It returns the step at which each
     group reached [n] (None if it did not), the lanes that matched a snapshot
-    keyed by period, the lanes of the groups still open at the budget, the
-    kept states, and its step function.
+    keyed by period, the kept states, and its step function.
     """
     every = (1 << n * tensors) - 1
     group = (1 << width) - 1
@@ -478,7 +473,7 @@ def _sliced_run(
                 done |= (((cycled & low) + low) | cycled) & tops
         live &= ~((done >> (width - 1)) * group)
         if not live or k == bound:
-            return ends, periods, live, kept, step
+            return ends, periods, kept, step
         if cycles and k & (k - 1) == 0:
             snap, snap_step = R, k
         R, k = step(R), k + 1
@@ -518,16 +513,16 @@ def _squared_ends(singles: list[int], bound: int) -> list[int | None]:
 def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityReport:
     """Decide primitivity by tracing every column at once; gamma = max over columns.
 
-    Each outcome equals ``column_trace(tensor, j, max_steps).outcome``. The
-    module docstring describes the sliced run, a batch of one tensor whose
-    every column is its own group, and its cycle certificates; columns still
-    open when the budget runs out, lowered or not, are traced alone by
-    ``column_trace``. The pass that finds each cycle's start reads the states
-    the run kept, then steps the run's program past them, and drops a period
-    once its columns are settled. A primitive majorization matrix spares the
-    run its cycle test, its kept states and those traces: every column then
-    reaches [n], so none repeats a state first, and one still open is
-    ``Exhausted``.
+    Each outcome equals ``column_trace(tensor, j, max_steps).outcome``, with
+    no column traced. The module docstring describes the sliced run, a batch
+    of one tensor whose every column is its own group, its cycle certificates
+    and why a run with the cycle test goes on to three budgets. The pass that
+    finds each cycle's start reads the states the run kept, then steps the
+    run's program past them, drops a period once its columns are settled and
+    stops at the budget; a column still open then is ``Exhausted``. A
+    primitive majorization matrix spares the run its cycle test, its kept
+    states and the longer run: every column then reaches [n], so none repeats
+    a state first.
     If no row holds a multi-index support either, the degrees come from
     Boolean repeated squaring of that matrix instead (:func:`_squared_ends`):
     about 2 log2 of the budget products, 27 at n = 128.
@@ -539,20 +534,19 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     cycles = not _majorization_primitive(tensor)  # else every column reaches [n]
     if cycles or any(fam.multis for fam in tensor.rows):
         rows, _ = _lane_rows(n, [[fam.masks for fam in tensor.rows]])
-        ends, periods, open_cols, kept, step = _sliced_run(rows, [], n, tensors=1, width=1, bound=bound, cycles=cycles)
+        stop = 3 * bound if cycles else bound  # a first repeat at step f matches a snapshot by 3f - 1
+        ends, periods, kept, step = _sliced_run(rows, [], n, tensors=1, width=1, bound=stop, cycles=cycles)
+        ends = [None if k is None or k > bound else k for k in ends]
     else:
         ends, periods = _squared_ends([fam.singles for fam in tensor.rows], bound), {}
-        open_cols = sum(1 << j for j, k in enumerate(ends) if k is None)
     outcomes: list[Outcome | None] = [None if k is None else Reached(k) for k in ends]
-    for j in bit_indices(open_cols):  # with a primitive M, a column open at the budget repeats no state
-        outcomes[j] = column_trace(tensor, j + 1, bound).outcome if cycles else Exhausted(bound)
     # The first k where column j's S_k equals its S_{k-period} is its first
     # repeat; a snapshot match at step k bounds it by k, so a run that ended
     # by S_KEPT_STATES kept every state this reads, and the pass steps on
-    # past them otherwise. A period leaves once all its columns are settled.
+    # past them otherwise, to the budget. A period leaves once settled.
     window: deque[list[int]] = deque(maxlen=max(periods, default=0) + 1)
     k = 0
-    while periods:
+    while periods and k < bound:
         R = kept[k] if k < len(kept) else step(R)
         k += 1
         window.append(R)
@@ -570,7 +564,7 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
         primitive=primitive,
         gamma=max(ends) if primitive else None,  # type: ignore[type-var]
         gamma_by_column=tuple(ends),
-        outcomes=tuple(outcomes),  # type: ignore[arg-type]
+        outcomes=tuple(o or Exhausted(bound) for o in outcomes),
         bound=default_bound(n),
         max_steps=bound,
         tensor=tensor,

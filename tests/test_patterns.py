@@ -279,8 +279,11 @@ def sparse_row_pattern_inputs(draw, max_dim=9, max_order=6):
 
 
 def assert_matches_per_column_reference(t, max_steps):
-    """analyze against column_trace run on every column with the same budget."""
-    r = analyze(t, max_steps)
+    """analyze, which replays no column, against column_trace run on every
+    column with the same budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "column_trace", no_trace)
+        r = analyze(t, max_steps)
     ref = tuple(column_trace(t, j, max_steps).outcome for j in range(1, t.dim + 1))
     assert r.outcomes == ref
     gammas = tuple(o.step if isinstance(o, Reached) else None for o in ref)
@@ -536,9 +539,11 @@ def no_trace(*args, **kwargs):
 
 
 class TestLoweredBudgets:
-    """With a primitive majorization matrix no column repeats a state before
-    [n], so ``analyze`` labels a column still open at the budget
-    ``Exhausted(bound)`` without replaying it through ``column_trace``."""
+    """``analyze`` labels a column still open at the budget ``Exhausted(bound)``
+    without replaying it through ``column_trace``: with a primitive
+    majorization matrix no column repeats a state before [n], and otherwise
+    the run goes on to three budgets, by which any first repeat within the
+    budget has matched a snapshot."""
 
     @given(primitive_singleton_inputs(), st.data())
     def test_open_columns_are_exhausted_without_traces(self, raw, data):
@@ -574,16 +579,29 @@ class TestLoweredBudgets:
         assert r.gamma_by_column == (None,) * 128 and r.outcomes == (Exhausted(16000),) * 128
         assert traces == []
 
-    def test_a_failed_screen_still_traces_open_columns(self, monkeypatch):
+    def test_a_failed_screen_runs_past_the_budget_without_traces(self, monkeypatch):
         # the 3-cycle's first repeat is at step 4, but Brent's snapshot of
-        # step 4 would match only at step 7, past the default budget of 5
+        # step 4 matches only at step 7, past the default budget of 5
         rot = make_pattern(2, 3, [(u, (u % 3 + 1,)) for u in (1, 2, 3)])
         assert not patterns._majorization_primitive(rot)
         traces = count_calls(monkeypatch, "column_trace")
         assert analyze(rot).outcomes == (Cycled(first_repeat_at=4, period=3),) * 3
-        assert len(traces) == 3
         assert analyze(rot, 2).outcomes == (Exhausted(2),) * 3
-        assert len(traces) == 6
+        assert traces == []
+
+    def test_long_tails_around_the_budget(self):
+        # Arcs i -> u: a Wielandt digraph on 1..30, a 2-cycle 31 <-> 32, and
+        # vertex 33 feeding 30 and 31. The Wielandt columns first repeat at
+        # steps 814-843 with period 1 and column 33 at step 845 with period
+        # 2, so Brent's snapshot of step 1,024 catches the Wielandt columns
+        # at the default budget of 1,025 and column 33 only past it
+        e = [(i + 1, (j + 1,)) for i, r in enumerate(wielandt_matrix(30).rows) for j in range(30) if r.mask >> j & 1]
+        t = make_pattern(2, 33, e + [(31, (32,)), (32, (31,)), (30, (33,)), (31, (33,))])
+        r = assert_matches_per_column_reference(t, None)
+        assert r.outcomes[0] == Cycled(first_repeat_at=842, period=1)
+        assert r.outcomes[32] == Cycled(first_repeat_at=845, period=2)
+        for max_steps in (1, 2, 3, *range(280, 284), *range(841, 847), *range(1023, 1027)):
+            assert_matches_per_column_reference(t, max_steps)
 
 
 def row_masks(t):
@@ -1278,7 +1296,7 @@ def record_runs(monkeypatch, program):
 
     def sliced_run(*args, **kw):
         out = real(*args, **kw)
-        runs.append((len(program), len(out[3])))
+        runs.append((len(program), len(out[2])))
         return out
 
     monkeypatch.setattr(patterns, "_sliced_run", sliced_run)
