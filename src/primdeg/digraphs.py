@@ -5,9 +5,9 @@ positive and is also the digraph D(M): row i holds the out-neighbors of vertex
 i. The reversed digraph rev(D(M)), with an arc j -> i for each positive entry
 (i, j), is the transposed matrix.
 
-This layer sits above the trace engine in ``patterns``: a matrix enters it as
-its order-2 monomial lift, so matrix exponents and walk frontiers are column
-traces, and a tensor's majorization pattern is read back here as a matrix.
+This layer sits above the engine in ``patterns``. A matrix enters it as its
+order-2 monomial lift: ``analyze`` gives its exponent, ``column_states`` its
+walk frontiers. A tensor's majorization pattern is read back as a matrix.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def matrix_gamma(matrix: PatternMatrix) -> int | None:
     """Primitive exponent of a zero-one matrix, or None when it is not primitive.
 
     This is the least k with every entry of the k-th boolean power positive.
-    It is computed by running the order-2 tensor view of the matrix through the
-    column-trace engine, so matrices and monomial tensors share one code path.
+    It is ``analyze`` of the order-2 tensor view of the matrix, which squares
+    or runs it, so matrices and monomial tensors share one code path.
     """
     return analyze(monomial_lift(matrix, 2)).gamma
 

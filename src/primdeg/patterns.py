@@ -29,14 +29,13 @@ their members. A run executes the step as a program built once per run
 (:func:`_vector_step`): C-level ``map`` passes that fold every meet, then
 every row's OR, a level of pairs at a time. The build gives each distinct
 support one register, so a support that several rows hold is met once per
-step. A lane has reached [n] when its bit survives the AND of all R_u.
-Lanes are resolved in groups: a group ends when all its lanes have reached
-[n], or when one of its lanes that is not full matches a snapshot of Brent's
-cycle detection, taken at steps 1, 2, 4, 8, ... (that column cycles, so [n]
-is out of its reach, and the steps since the snapshot are its exact period),
-or when the budget runs out. The first test reads rows until no open lane is
-left, the second folds every row in C; lanes close by whole groups, so
-results are exact.
+step. A lane has reached [n] when its bit survives the AND of all R_u; it
+then records that step, its column degree, and closes. A lane that is not
+full and matches a snapshot of Brent's cycle detection, taken at steps 1, 2,
+4, 8, ..., cycles: [n] is out of its reach, and the steps since the snapshot
+are its exact period. It closes its whole group of lanes, as the run's
+caller then needs none of them; the budget closes every lane. The first test
+reads rows until no open lane is left, the second folds every row in C.
 
 :func:`analyze` is a batch of one tensor whose groups are its single columns.
 It takes no snapshot if the majorization matrix is primitive: as the step is
@@ -64,8 +63,9 @@ A lane whose degree passes the budget stays open and is ``Exhausted``. The
 Wielandt lift at n = 128 takes 27 products, not 16,130 steps.
 
 :func:`gammas` runs batches whose groups are whole tensors, for callers that
-need only gamma: a tensor's gamma is the step at which all n of its lanes
-reached [n], and None if one of them cycled or the default budget ran out.
+need only gamma: a tensor's gamma is the largest of its n lane degrees, and
+None if a lane has none, because it cycled, its group closed or the default
+budget ran out.
 It reads each tensor as its n rows of support masks, so callers that draw or
 enumerate patterns build no :class:`PatternTensor`. The masks need not be
 minimized: duplicates merge in the lane table, and as the step is monotone a
@@ -428,23 +428,20 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
 def _sliced_run(
     rows: LaneRows, consts: list[int], n: int, tensors: int, width: int, bound: int, cycles: bool = True
 ) -> tuple[list[int | None], dict[int, int], list[list[int]], Callable[[list[int]], list[int]]]:
-    """Step the lanes of ``tensors`` tensors until each group of ``width``
-    lanes is resolved: all its lanes reach [n], one of them matches a Brent
-    snapshot, or the budget ``bound`` runs out.
+    """Step the lanes of ``tensors`` tensors until each lane is resolved: it
+    reaches [n], its group of ``width`` lanes closes as one of them matches a
+    Brent snapshot, or the budget ``bound`` runs out.
 
     It steps through :func:`_vector_step`'s program. With ``cycles`` false,
     for lanes that all reach [n], it takes no snapshot; otherwise a run of
     one-lane groups (:func:`analyze`'s) keeps its states S_1, ...,
     S_KEPT_STATES for the cycle-start pass. It returns the step at which each
-    group reached [n] (None if it did not), the lanes that matched a snapshot
+    lane reached [n] (None if it did not), the lanes that matched a snapshot
     keyed by period, the kept states, and its step function.
     """
     every = (1 << n * tensors) - 1
     group = (1 << width) - 1
-    firsts = every // group  # each group's first lane
-    tops = firsts << (width - 1)  # each group's last lane
-    low = every ^ tops  # the other lanes
-    ends: list[int | None] = [None] * (n * tensors // width)
+    ends: list[int | None] = [None] * (n * tensors)
     periods: dict[int, int] = {}  # period -> lanes that cycle with it
     kept: list[list[int]] = []
     live = every
@@ -459,19 +456,15 @@ def _sliced_run(
             if not full:
                 break
             full &= r
-        # SWAR: a group's other lanes plus one carry into its last lane
-        # exactly when they are all full
-        done = ((full & low) + firsts) & full & tops
-        if done:
-            for b in bit_indices(done):
-                ends[b // width] = k
-        if snap is not None:
-            cycled = _same(live & ~full, R, snap)
-            if cycled:
-                periods[k - snap_step] = periods.get(k - snap_step, 0) | cycled
-                # the last lane of every group with a lane that cycled
-                done |= (((cycled & low) + low) | cycled) & tops
-        live &= ~((done >> (width - 1)) * group)
+        if full:
+            for b in bit_indices(full):
+                ends[b] = k
+            live ^= full
+        if snap is not None and (cycled := _same(live, R, snap)):
+            periods[k - snap_step] = periods.get(k - snap_step, 0) | cycled
+            while cycled:  # close the group of the highest cycled lane, once
+                keep = ~(group << (cycled.bit_length() - 1) // width * width)
+                live, cycled = live & keep, cycled & keep
         if not live or k == bound:
             return ends, periods, kept, step
         if cycles and k & (k - 1) == 0:
@@ -515,17 +508,17 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
 
     Each outcome equals ``column_trace(tensor, j, max_steps).outcome``, with
     no column traced. The module docstring describes the sliced run, a batch
-    of one tensor whose every column is its own group, its cycle certificates
-    and why a run with the cycle test goes on to three budgets. The pass that
-    finds each cycle's start reads the states the run kept, then steps the
-    run's program past them, drops a period once its columns are settled and
-    stops at the budget; a column still open then is ``Exhausted``. A
-    primitive majorization matrix spares the run its cycle test, its kept
-    states and the longer run: every column then reaches [n], so none repeats
-    a state first.
-    If no row holds a multi-index support either, the degrees come from
-    Boolean repeated squaring of that matrix instead (:func:`_squared_ends`):
-    about 2 log2 of the budget products, 27 at n = 128.
+    of one tensor whose every column is its own group, so that each lane ends
+    on its own, its cycle certificates and why a run with the cycle test goes
+    on to three budgets. The pass that finds each cycle's start reads the
+    states the run kept, then steps the run's program past them, drops a
+    period once its columns are settled and stops at the budget; a column
+    still open then is ``Exhausted``. A primitive majorization matrix spares
+    the run its cycle test, its kept states and the longer run: every column
+    then reaches [n], so none repeats a state first. If no row holds a
+    multi-index support either, the degrees come from Boolean repeated
+    squaring of that matrix instead (:func:`_squared_ends`): about 2 log2 of
+    the budget products, 27 at n = 128.
     """
     n = tensor.dim
     bound = default_bound(n) if max_steps is None else max_steps
@@ -601,8 +594,9 @@ def gammas(n: int, tensors: Iterable[Sequence[Sequence[int]]]) -> list[int | Non
     while chunk := list(islice(it, size)):
         where, batch = zip(*chunk)
         rows, consts = _lane_rows(n, batch)
-        for t, gamma in zip(where, _sliced_run(rows, consts, n, tensors=len(batch), width=n, bound=bound)[0]):
-            out[t] = gamma
+        ends = _sliced_run(rows, consts, n, tensors=len(batch), width=n, bound=bound)[0]
+        for t, lanes in zip(where, zip(*[iter(ends)] * n)):  # each tensor's n lane ends
+            out[t] = None if None in lanes else max(lanes)  # type: ignore[type-var]
     return out
 
 
@@ -611,7 +605,8 @@ def extra_support_gammas(
 ) -> list[int | None]:
     """``gammas(n, ([[*fam.masks, e] for fam in base.rows] for e in extras))``,
     from one walk of the base's n column orbits (see the module docstring)
-    stepped with ``step``, the base's :func:`successor`, made here if not given."""
+    stepped with ``step``, the base's :func:`successor`, made here if not given.
+    The walk calls ``step`` twice on each state, so it must be memoized."""
     n, full, step = base.dim, (1 << base.dim) - 1, step or successor(base)
     if bad := [e for e in extras if not 0 < e <= full]:
         raise ValueError(f"extra support {bad[0]:#x} is outside 1..2^{n}-1")
@@ -620,17 +615,18 @@ def extra_support_gammas(
     for w, e in enumerate(extras):
         for i in bit_indices(e):
             lacks[i] ^= 1 << w
-    memo: dict[int, tuple[int, int]] = {}  # state -> (its successor, the witnesses a column hits leaving it)
+
+    @cache
+    def leaving(s: int) -> int:  # the witnesses a column hits leaving s: every one if it reaches [n]
+        return every if step(s) == full else reduce(and_, [lacks[i] for i in bit_indices(full ^ s)], every)
+
     states, hits = [1 << j for j in range(n)], [0] * n  # each column's S_{t-1} and the witnesses it hit
     out: list[int | None] = [None] * len(extras)
     done = t = 0
     while done != every and t < default_bound(n):
         t += 1
-        for s in {s for s in states if s not in memo}:
-            nxt = step(s)  # a column that reaches [n] hits every witness
-            memo[s] = nxt, every if nxt == full else reduce(and_, [lacks[i] for i in bit_indices(full ^ s)], every)
-        hits = [hit | memo[s][1] for s, hit in zip(states, hits)]
-        states = [memo[s][0] for s in states]
+        hits = list(map(or_, hits, list(map(leaving, states))))  # leavings, then ORs: the heap fragments less
+        states = list(map(step, states))
         new = reduce(and_, hits, every) & ~done  # hit by every column, so resolved
         for w in bit_indices(new):
             out[w] = t

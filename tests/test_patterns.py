@@ -533,6 +533,32 @@ class TestMetamorphicLaws:
         g, h = gammas(dim, [row_masks(t), row_masks(more)])
         assert g is None or h is not None and h <= g
 
+    @settings(max_examples=200)
+    @given(st.one_of(sparse_row_pattern_inputs(), covered_pattern_inputs()))
+    def test_the_majorization_matrix_and_the_representative_digraph_bound_every_column(self, raw):
+        # M(A) keeps row u's singleton supports and G(A) holds i in row u when
+        # i is a member of a support of row u, so by the antitone law
+        # S_k(M) <= S_k(A) <= S_k(G), and the column degrees run the other
+        # way, None being +inf
+        t = make_pattern(*raw)
+        n = t.dim
+        g = tensor_of(2, n, [sorted({1 << i for m in fam.masks for i in bit_indices(m)}) for fam in t.rows])
+        m = monomial_lift(majorization_pattern(t), 2)
+        for j in range(1, n + 1):
+            orbits = (column_states(x, j, default_bound(n) + 1) for x in (m, t, g))
+            for low, mid, high in zip(*orbits):
+                assert low.mask & ~mid.mask == 0 and mid.mask & ~high.mask == 0
+
+        def at_most(a, b):
+            return b is None or a is not None and a <= b
+
+        reports = [analyze(x) for x in (g, t, m)]
+        for in_g, in_t, in_m in zip(*(r.gamma_by_column for r in reports)):
+            assert at_most(in_g, in_t) and at_most(in_t, in_m)
+        got = gammas(n, [row_masks(x) for x in (g, t, m)])
+        assert got == [r.gamma for r in reports]
+        assert at_most(got[0], got[1]) and at_most(got[1], got[2])
+
 
 def no_trace(*args, **kwargs):
     raise AssertionError("column_trace called")
@@ -881,6 +907,39 @@ class TestGammasScreen:
             assert gammas(dim, [rows for _, rows in batch]) == expected
         assert sum(len(chunk) for _, chunk in builds) == len(batch)
         assert [analyze(t).gamma for t in tensors] == expected
+
+
+class TestLaneEnds:
+    """``_sliced_run`` ends each lane on its own: a lane that reaches [n]
+    records that step, its column degree, and a lane that cycles closes the
+    group of lanes of its tensor."""
+
+    @staticmethod
+    def lane_ends(n, batch):
+        rows, consts = patterns._lane_rows(n, batch)
+        return patterns._sliced_run(rows, consts, n, tensors=len(batch), width=n, bound=default_bound(n))[0]
+
+    @settings(max_examples=150)
+    @given(covered_mask_batches())
+    def test_a_primitive_tensors_lanes_end_at_its_column_degrees(self, drawn):
+        dim, batch = drawn
+        ends = self.lane_ends(dim, [rows for _, rows in batch])
+        assert len(ends) == dim * len(batch)
+        for i, (order, rows) in enumerate(batch):
+            lanes, r = ends[i * dim:(i + 1) * dim], analyze(make_pattern(order, dim, entries_of(rows, order)))
+            if r.primitive:
+                assert tuple(lanes) == r.gamma_by_column
+            else:
+                assert None in lanes
+
+    def test_a_cycle_closes_its_group_before_its_other_lanes_reach(self):
+        # column 4 of t stays at {4}, a first repeat at step 2, so its group
+        # closes there; its columns 1-3 would reach [n] at steps 5, 3 and 4
+        t = make_pattern(2, 4, [(1, (2,)), (2, (3,)), (3, (1,)), (3, (2,)), (4, (1,)), (4, (4,))])
+        assert analyze(t).outcomes == (Reached(5), Reached(3), Reached(4), Cycled(first_repeat_at=2, period=1))
+        batch = [row_masks(t), row_masks(wielandt_tensor(3, 4))]
+        assert gammas(4, batch) == [None, 10]
+        assert self.lane_ends(4, batch) == [None] * 4 + [9, 8, 7, 10]
 
 
 def cell_of(members, order):
