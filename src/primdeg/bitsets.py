@@ -118,10 +118,10 @@ class IndexSet(Record):
 
 
 def _holds(by_size: dict[int, list[int]], m: int, size: int) -> bool:
-    """Whether m, of popcount ``size``, holds a member of ``by_size`` (masks by
-    popcount): one with fewer bits, or any if m < 0 (it has infinitely many)."""
+    """Whether the positive mask m, of popcount ``size``, holds a member of
+    ``by_size`` (positive masks by popcount) with fewer bits."""
     for s, ks in by_size.items():
-        if s < size or m < 0:
+        if s < size:
             for k in ks:
                 if k & m == k:
                     return True
@@ -129,33 +129,21 @@ def _holds(by_size: dict[int, list[int]], m: int, size: int) -> bool:
 
 
 def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    """Reduce a collection of nonzero masks to its inclusion-minimal antichain.
+    """Reduce a collection of positive masks to its inclusion-minimal antichain.
 
     Supersets of a kept mask are dropped; duplicates collapse. The result is
-    sorted ascending by mask value, which is the canonical storage order.
+    sorted ascending by mask value, which is the canonical storage order. A
+    mask below 1 raises ValueError: 0 is the empty set, and a negative int is
+    no subset of [n].
     """
     kept: dict[int, list[int]] = {}  # popcount -> the masks kept with it
     for cand in sorted(set(masks), key=lambda m: (m.bit_count(), m)):  # subsets first
-        if cand == 0:
-            raise ValueError("empty set is not a valid support")
+        if cand < 1:
+            raise ValueError(f"mask {cand:#x} out of range" if cand else "empty set is not a valid support")
         size = cand.bit_count()
         if not _holds(kept, cand, size):
             kept.setdefault(size, []).append(cand)
     return tuple(sorted([m for ks in kept.values() for m in ks]))
-
-
-def _is_minimized(masks: tuple[int, ...]) -> bool:
-    """``masks == minimize_masks(masks)`` for masks without 0, without
-    re-minimizing positive ones: strictly ascending, none holding an earlier one."""
-    if masks and masks[0] < 0:
-        return masks == minimize_masks(masks)
-    seen: dict[int, list[int]] = {}  # popcount -> the members before m
-    for prev, m in zip((0,) + masks, masks):
-        size = m.bit_count()
-        if m <= prev or _holds(seen, m, size):
-            return False
-        seen.setdefault(size, []).append(m)
-    return True
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:
@@ -184,7 +172,8 @@ def transpose_masks(masks: Sequence[int]) -> tuple[int, ...]:
 class SupportFamily(Record):
     """An inclusion-minimal family (antichain) of nonempty subsets of [dim].
 
-    ``masks`` is the canonical sorted tuple of member bitmasks. Construction via
+    ``masks`` is the canonical sorted tuple of member bitmasks: a direct call
+    checks that ``masks == minimize_masks(masks)``. Construction via
     :meth:`from_masks` minimizes arbitrary input: inserting a
     superset of a present set is a no-op, inserting a subset evicts everything it
     dominates. Two families built from step-equivalent raw collections therefore
@@ -194,14 +183,12 @@ class SupportFamily(Record):
     def __init__(self, dim: int, masks: tuple[int, ...], *, _canonical: bool = False) -> None:
         _check_dim(dim)
         limit = 1 << dim
-        if 0 in masks:
-            raise ValueError("empty set is not a valid support")
-        if not (_canonical or isinstance(masks, tuple) and _is_minimized(masks)):
+        if not (_canonical or isinstance(masks, tuple) and masks == minimize_masks(masks)):
             raise ValueError("masks must be a canonical inclusion-minimal tuple")
         singles = 0
         multis = []
         for m in masks:
-            if not 0 < m < limit:
+            if m >= limit:
                 raise ValueError(f"mask {m:#x} out of range for dim {dim}")
             if m & (m - 1):
                 multis.append(m)
@@ -223,7 +210,7 @@ class SupportFamily(Record):
         """Family consisting of one singleton per set bit of ``union_mask``."""
         if not 0 <= union_mask < (1 << dim):
             raise ValueError(f"mask {union_mask:#x} out of range for dim {dim}")
-        return cls(dim, tuple(1 << i for i in range(dim) if union_mask >> i & 1))
+        return cls(dim, tuple(1 << i for i in range(dim) if union_mask >> i & 1), _canonical=True)
 
     @property
     def sets(self) -> tuple[IndexSet, ...]:

@@ -50,8 +50,8 @@ class RunReport:
     """Accumulated result records; both emitters read the same dicts, so the
     text table and the json-lines stream cannot disagree."""
 
-    def __init__(self, records: list[dict] | None = None) -> None:
-        self.records = [] if records is None else records
+    def __init__(self) -> None:
+        self.records = []
 
     def add(self, **record) -> dict:
         self.records.append(record)

@@ -158,14 +158,6 @@ def majorization_of(a: DenseTensor) -> PatternMatrix:
     return PatternMatrix.from_entries(n, entries)
 
 
-def _apply_pattern(a_vals: np.ndarray, x01: np.ndarray, order: int) -> np.ndarray:
-    r = (a_vals > 0).astype(np.int64)
-    xi = x01.astype(np.int64)
-    for _ in range(order - 1):
-        r = np.tensordot(r, xi, axes=([1], [0]))
-    return r > 0
-
-
 def apply_to_basis(a: DenseTensor, column: int, steps: int) -> list[np.ndarray]:
     """Supports of the basis iterates x^{t+1} = a(x^t) starting from e_column.
 
@@ -183,7 +175,7 @@ def apply_to_basis(a: DenseTensor, column: int, steps: int) -> list[np.ndarray]:
     x[column - 1] = True
     out = []
     for _ in range(steps):
-        x = _apply_pattern(a.values, x, a.order)
+        x = _pattern_product_array(a.values, x, a.order, a.dim).reshape(a.dim) > 0
         out.append(x)
     return out
 
@@ -210,7 +202,7 @@ def majorization_recursion(a: DenseTensor, steps: int) -> list[PatternMatrix]:
     out = [current]
     cols = [np.array([(i + 1) in c for i in range(n)]) for c in current.reversed_digraph().rows]
     for _ in range(steps - 1):
-        cols = [_apply_pattern(a.values, c, a.order) for c in cols]
+        cols = [_pattern_product_array(a.values, c, a.order, n).reshape(n) > 0 for c in cols]
         entries = [
             (i + 1, j + 1)
             for j, c in enumerate(cols)

@@ -129,11 +129,8 @@ class DegreeWitness(Record):
     def tensor(self) -> PatternTensor:
         if isinstance(self.recipe, PatternMatrix):
             return monomial_lift(self.recipe, self.spec.order)
-        base, e = self.recipe  # base rows hold only singletons; one in E_k absorbs it
-        rows = tuple(
-            fam if fam.singles & e else SupportFamily(base.dim, tuple(sorted(fam.masks + (e,))))
-            for fam in base.rows
-        )
+        base, e = self.recipe
+        rows = tuple(SupportFamily.from_masks(base.dim, fam.masks + (e,)) for fam in base.rows)
         return PatternTensor(base.order, base.dim, rows)
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primdeg import CapExceededError, IndexSet, SupportFamily, bitsets
-from primdeg.bitsets import MAX_DIM, _check_dim, _is_minimized, minimize_masks
+from primdeg.bitsets import MAX_DIM, _check_dim, minimize_masks
 
 
 def outcome(fn, *args):
@@ -126,19 +126,21 @@ class TestMinimize:
     def test_matches_brute_force(self, masks):
         out = minimize_masks(masks)
         assert out == minimal_by_definition(masks) == scan_reference(masks)
-        assert _is_minimized(out)
+        # mask_collections draws over at most 10 bits; SupportFamily accepts a
+        # tuple exactly when it is the canonical form of its own members
+        assert outcome(SupportFamily, 10, out) is None
         for t in (tuple(masks), tuple(sorted(set(masks)))):
             ascending = all(a < b for a, b in zip(t, t[1:]))
-            assert _is_minimized(t) == (ascending and t == minimal_by_definition(t))
+            assert (outcome(SupportFamily, 10, t) is None) == (ascending and t == minimal_by_definition(t))
 
-    @given(st.lists(st.integers(-20, 20).filter(bool), max_size=8), st.booleans())
-    def test_negative_ints_scan_as_before(self, masks, canonical_order):
-        # a negative int holds infinitely many bits, so it is checked against
-        # every mask scanned before it, whatever its popcount
-        t = tuple(sorted(set(masks))) if canonical_order else tuple(masks)
-        assert minimize_masks(masks) == scan_reference(masks)
-        ascending = all(a < b for a, b in zip(t, t[1:]))
-        assert _is_minimized(t) == (ascending and t == scan_reference(t))
+    @given(st.lists(st.integers(-20, 20), max_size=8), st.integers(-20, 0))
+    def test_rejects_masks_below_one(self, masks, bad):
+        # 0 is the empty set and a negative int is no subset of [n]; the empty
+        # set's message wins, as 0 is the one mask without bits
+        masks = masks + [bad]
+        message = "empty set is not a valid support" if 0 in masks else "out of range"
+        with pytest.raises(ValueError, match=message):
+            minimize_masks(masks)
 
     @given(st.lists(st.integers(1, 31), max_size=8))
     def test_idempotent_and_order_free(self, masks):
@@ -168,16 +170,27 @@ class TestSupportFamily:
             SupportFamily(4, (0b0100, 0b0010))  # not sorted
 
     def test_from_masks_skips_only_the_canonical_check(self, monkeypatch):
-        # minimize_masks' output is canonical, so from_masks does not check it
-        # again; the empty set and masks out of range for the dim still raise
-        monkeypatch.setattr(bitsets, "_is_minimized", lambda masks: pytest.fail("re-checked"))
+        # minimize_masks' output is canonical, so from_masks minimizes once and
+        # does not check it again; a direct call checks with one minimize_masks
+        calls = []
+
+        def counted(masks):
+            calls.append(masks)
+            return minimize_masks(masks)
+
+        monkeypatch.setattr(bitsets, "minimize_masks", counted)
         assert SupportFamily.from_masks(3, [0b110, 0b010]).masks == (0b010,)
-        for bad, message in ((0b1000, "out of range"), (-1, "out of range"), (0, "empty set")):
-            with pytest.raises(ValueError, match=message):
-                SupportFamily.from_masks(3, [0b001, bad])
-        monkeypatch.undo()
+        assert len(calls) == 1
+        assert SupportFamily(3, (0b010, 0b101)).masks == (0b010, 0b101)
+        assert len(calls) == 2
         with pytest.raises(ValueError, match="canonical"):
             SupportFamily(4, (0b0110, 0b0010))  # a direct call keeps the full check
+        # the empty set, negative masks and masks out of range for the dim still raise
+        for bad, message in ((0b1000, "out of range for dim 3"), (-1, "out of range"), (0, "empty set")):
+            with pytest.raises(ValueError, match=message):
+                SupportFamily.from_masks(3, [0b001, bad])
+            with pytest.raises(ValueError, match=message):
+                SupportFamily(3, tuple(sorted((0b001, bad))))
 
     def test_singles_multis_split(self):
         fam = SupportFamily.from_masks(5, [0b00001, 0b00100, 0b11000])
@@ -188,6 +201,8 @@ class TestSupportFamily:
         fam = SupportFamily.of_singletons(4, 0b1010)
         assert fam.masks == (0b0010, 0b1000)
         assert fam.multis == ()
+        with pytest.raises(ValueError, match=r"^mask 0x8 out of range for dim 3$"):
+            SupportFamily.of_singletons(3, 8)
 
     def test_sets_view(self):
         fam = SupportFamily.from_masks(3, [0b011, 0b100])
@@ -217,11 +232,11 @@ class TestSupportFamily:
         assert outcome(SupportFamily, dim, masks) == outcome(minimizing_validator, dim, masks)
 
     def test_validator_keeps_message_precedence(self):
-        # 5 is inside -1 as bit sets, but minimize_masks scans -1 first and
-        # keeps both, so the range message wins over the canonical one
+        # minimize_masks rejects a mask below 1 before any containment or
+        # range test; the smallest negative int by popcount, then value, names it
         for dim, masks, message in [
-            (4, (-1, 5), "mask -0x1 out of range for dim 4"),
-            (4, (-2, -1), "masks must be a canonical inclusion-minimal tuple"),
+            (4, (-1, 5), "mask -0x1 out of range"),
+            (4, (-2, -1), "mask -0x2 out of range"),
             (4, (0, 3), "empty set is not a valid support"),
             (2, (1, 6), "mask 0x6 out of range for dim 2"),
             (2, (6, 1), "masks must be a canonical inclusion-minimal tuple"),

@@ -204,6 +204,29 @@ class TestAnalyze:
         assert out == ""
         assert f"error: line {line}: " in err
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("tensor-pattern v1\n", "line 1: missing 'order N' line"),
+            ("matrix v1\n", "line 1: missing 'dim N' line"),
+            ("tensor-sparse v1\norder 3\n", "line 2: missing 'dim N' line"),
+        ],
+        ids=["pattern", "matrix", "sparse"],
+    )
+    def test_a_truncated_header_names_its_last_line(self, capsys, tmp_path, text, error):
+        path = tmp_path / "short.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, ["analyze", str(path)])
+        assert code == 1
+        assert out == ""
+        assert f"error: {error}\n" in err
+
+    def test_budget_must_be_positive(self, capsys, wielandt_file):
+        code, out, err = run(capsys, ["analyze", str(wielandt_file), "--max-k", "0"])
+        assert code == 1
+        assert out == ""
+        assert "error: max_steps must be >= 1, got 0\n" in err
+
     def test_one_entry_sparse_document_beyond_dense_cell_cap(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text("tensor-sparse v1\norder 6\ndim 11\nentry 1 2 3 4 5 6 1.0\n")
@@ -477,6 +500,30 @@ class TestOracleCheck:
         assert code == 1
         assert out == ""
         assert "trials must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--m", "3", "--n", "17"], "random_pattern enumerates subsets; dim 17 > 16"),
+            (["--m", "1", "--n", "3"], "order must be >= 2, got 1"),
+            (["--m", "3", "--n", "3", "--max-k", "0"], "max-k must be >= 1, got 0"),
+        ],
+        ids=["dim-past-16", "order-1", "max-k-0"],
+    )
+    def test_parameters_out_of_range(self, capsys, args, error):
+        code, out, err = run(capsys, ["oracle-check", *args])
+        assert code == 1
+        assert out == ""
+        assert f"error: {error}\n" in err
+
+    def test_without_numpy_in_process(self, capsys, monkeypatch):
+        # the same path as the subprocess test below, run in process so that coverage of cli.py sees it
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.delitem(sys.modules, "primdeg.dense", raising=False)
+        code, out, err = run(capsys, ["oracle-check", "--m", "2", "--n", "3"])
+        assert code == 1
+        assert out == ""
+        assert "install the primdeg[oracle] extra" in err
 
     def test_without_numpy_names_the_oracle_extra(self):
         proc = run_python(

@@ -199,6 +199,10 @@ class TestDegreeWitness:
 
 
 class TestExponentSet:
+    def test_dim_validated(self):
+        with pytest.raises(ValueError, match=r"^dim must be >= 3, got 2$"):
+            exponent_set(3, 2)
+
     def test_full_interval_small_cases(self):
         for order, dim in ((3, 3), (4, 4)):
             result = exponent_set(order, dim)

@@ -288,6 +288,8 @@ class TestRender:
         for text in (PATTERN_TEXT, SPARSE_TEXT, MATRIX_TEXT):
             doc = parse_document(text)
             assert parse_document(render_document(doc)) == doc
+        with pytest.raises(TypeError, match=r"^cannot render int$"):
+            render_document(42)
 
 
 class TestRoundTrips:

@@ -81,6 +81,11 @@ class TestMakePattern:
         with pytest.raises(ValueError, match="order"):
             make_pattern(1, 3, [])
 
+    def test_a_row_of_another_dimension_rejected(self):
+        rows = (SupportFamily(3, (1,)), SupportFamily(4, (1,)), SupportFamily(3, (1,)))
+        with pytest.raises(ValueError, match=r"^row 2 dimension 4 does not match 3$"):
+            PatternTensor(3, 3, rows)
+
     def test_row_size_invariant_enforced(self):
         empty = SupportFamily(4, ())
         fam = SupportFamily.from_masks(4, [0b1000, 0b0111])
@@ -159,6 +164,11 @@ class TestColumnTrace:
             column_trace(wielandt_tensor(3, 3), 4)
         with pytest.raises(ValueError):
             column_trace(wielandt_tensor(3, 3), 1, max_steps=0)
+        t = wielandt_tensor(3, 3)
+        with pytest.raises(ValueError, match=r"^column 0 out of range 1..3$"):
+            column_states(t, 0, 3)
+        with pytest.raises(ValueError, match=r"^steps must be >= 0, got -1$"):
+            column_states(t, 1, -1)
 
     def test_states_match_column_states_prefix(self):
         t = wielandt_tensor(4, 4)
@@ -236,6 +246,10 @@ class TestAnalyze:
         r = analyze(wielandt_tensor(5, 5), max_steps=4)
         assert not r.primitive
         assert r.max_steps == 4 and r.bound == 17
+
+    def test_a_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_steps must be >= 1, got 0$"):
+            analyze(wielandt_tensor(3, 3), 0)
 
     def test_trace_states_replay_column_states(self):
         # Columns 1-3 walk a 3-cycle and columns 4-5 a 2-cycle; the supports
