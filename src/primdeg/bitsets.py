@@ -117,33 +117,27 @@ class IndexSet(Record):
         return f"IndexSet({{{inner}}}, dim={self.dim})"
 
 
-def _holds(by_size: dict[int, list[int]], m: int, size: int) -> bool:
-    """Whether the positive mask m, of popcount ``size``, holds a member of
-    ``by_size`` (positive masks by popcount) with fewer bits."""
-    for s, ks in by_size.items():
-        if s < size:
-            for k in ks:
-                if k & m == k:
-                    return True
-    return False
-
-
 def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Reduce a collection of positive masks to its inclusion-minimal antichain.
 
     Supersets of a kept mask are dropped; duplicates collapse. The result is
     sorted ascending by mask value, which is the canonical storage order. A
     mask below 1 raises ValueError: 0 is the empty set, and a negative int is
-    no subset of [n].
+    no subset of [n]; 0 is named first, then the negative mask with the
+    fewest bits and then the least value.
     """
-    kept: dict[int, list[int]] = {}  # popcount -> the masks kept with it
-    for cand in sorted(set(masks), key=lambda m: (m.bit_count(), m)):  # subsets first
-        if cand < 1:
-            raise ValueError(f"mask {cand:#x} out of range" if cand else "empty set is not a valid support")
-        size = cand.bit_count()
-        if not _holds(kept, cand, size):
-            kept.setdefault(size, []).append(cand)
-    return tuple(sorted([m for ks in kept.values() for m in ks]))
+    ordered = sorted(set(masks))
+    if ordered and ordered[0] < 1:
+        bad = min([m for m in ordered if m < 1], key=lambda m: (m.bit_count(), m))
+        raise ValueError(f"mask {bad:#x} out of range" if bad else "empty set is not a valid support")
+    kept: list[int] = []
+    for cand in ordered:  # a proper subset is a smaller int, so it comes first
+        for k in kept:
+            if k & cand == k:
+                break
+        else:
+            kept.append(cand)
+    return tuple(kept)
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:

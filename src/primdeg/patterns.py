@@ -33,19 +33,33 @@ step. A lane has reached [n] when its bit survives the AND of all R_u; it
 then records that step, its column degree, and closes. A lane that is not
 full and matches a snapshot of Brent's cycle detection, taken at steps 1, 2,
 4, 8, ..., cycles: [n] is out of its reach, and the steps since the snapshot
-are its exact period. It closes its whole group of lanes, as the run's
+are its exact period, as each snapshot is compared at every step from the
+one after it is taken. It closes its whole group of lanes, as the run's
 caller then needs none of them; the budget closes every lane. The first test
 reads rows until no open lane is left, the second folds every row in C.
+
+A run may keep a stack of snapshots, one per copy of its lanes (copy d of
+lane l is lane d*L + l, for L lanes a copy, all in the same state). S_1
+fills every copy; at each later power of two the stack moves up a copy, its
+oldest snapshot leaving, and copy 0 takes the current state, so the one fold
+per step compares every lane with every snapshot. A match closes its group
+in every copy and records its period on its copy-0 lane, the one the run's
+caller reads.
 
 :func:`analyze` is a batch of one tensor whose groups are its single columns.
 It takes no snapshot if the majorization matrix is primitive: as the step is
 monotone, every column then reaches [n], repeating no state first. Otherwise
-its run keeps S_1, ..., S_KEPT_STATES and goes on to three budgets, since the
-snapshot at the least power of two s >= max(tail, period) catches a first
-repeat at step f by step s + period <= 3f - 1; one pass over S_1, S_2, ... up
-to the budget finds each cycle's start, stepping on through the run's program
-past the kept states. A column still open at the budget is ``Exhausted``, so
-every certificate equals the one ``column_trace`` gives, with no column traced.
+its run keeps S_1, ..., S_KEPT_STATES and a stack of SNAPSHOTS = 4: the
+snapshot of step s stays until step 16s, so a column whose tail (the steps
+before its cycle) is at most s and whose period is at most 15s matches it at
+step s + period, not long after its first repeat. Past S_64 only copy 0 steps on, with the
+newest snapshot alone, so a long tail pays for one copy. The run goes on to
+three budgets, since the newest snapshot, at the least power of two
+s >= max(tail, period), catches a first repeat at step f by step
+s + period <= 3f - 1; one pass over S_1, S_2, ... up to the budget finds
+each cycle's start, stepping on through the run's program past the kept
+states. A column still open at the budget is ``Exhausted``, so every
+certificate equals the one ``column_trace`` gives, with no column traced.
 
 If the majorization matrix M is primitive and no row holds a multi-index
 support, :func:`analyze` squares instead of running. Such a step is linear
@@ -62,10 +76,10 @@ still short of [n] after it leaves each lane on its last state short of
 A lane whose degree passes the budget stays open and is ``Exhausted``. The
 Wielandt lift at n = 128 takes 27 products, not 16,130 steps.
 
-:func:`gammas` runs batches whose groups are whole tensors, for callers that
-need only gamma: a tensor's gamma is the largest of its n lane degrees, and
-None if a lane has none, because it cycled, its group closed or the default
-budget ran out.
+:func:`gammas` runs batches of one copy whose groups are whole tensors, for
+callers that need only gamma: a tensor's gamma is the largest of its n lane
+degrees, and None if a lane has none, because it cycled, its group closed or
+the default budget ran out.
 It reads each tensor as its n rows of support masks, so callers that draw or
 enumerate patterns build no :class:`PatternTensor`. The masks need not be
 minimized: duplicates merge in the lane table, and as the step is monotone a
@@ -113,6 +127,12 @@ GAMMA_LANES = 1280
 # States S_1..S_64 that an analyze run with the cycle test keeps for its
 # cycle-start pass; past them the pass steps on through the run's program.
 KEPT_STATES = 64
+
+# Brent snapshots that an analyze run with the cycle test compares up to
+# S_KEPT_STATES, one per copy of its lanes: a program step and the fold cost
+# about the same with 1 to 8 copies at n = 100, and with 4 the snapshot of
+# step s stays until step 16s, not 2s.
+SNAPSHOTS = 4
 
 # What the sliced step reads: each row's supports as tuples of their members,
 # a member n and up being a pseudo-index.
@@ -426,30 +446,36 @@ def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRo
 
 
 def _sliced_run(
-    rows: LaneRows, consts: list[int], n: int, tensors: int, width: int, bound: int, cycles: bool = True
+    rows: LaneRows, consts: list[int], n: int, tensors: int, width: int, bound: int, snapshots: int = 1
 ) -> tuple[list[int | None], dict[int, int], list[list[int]], Callable[[list[int]], list[int]]]:
     """Step the lanes of ``tensors`` tensors until each lane is resolved: it
     reaches [n], its group of ``width`` lanes closes as one of them matches a
     Brent snapshot, or the budget ``bound`` runs out.
 
-    It steps through :func:`_vector_step`'s program. With ``cycles`` false,
-    for lanes that all reach [n], it takes no snapshot; otherwise a run of
-    one-lane groups (:func:`analyze`'s) keeps its states S_1, ...,
-    S_KEPT_STATES for the cycle-start pass. It returns the step at which each
-    lane reached [n] (None if it did not), the lanes that matched a snapshot
-    keyed by period, the kept states, and its step function.
+    It steps through :func:`_vector_step`'s program. With ``snapshots`` 0,
+    for lanes that all reach [n], it takes no snapshot; otherwise it keeps a
+    stack of that many in as many copies of the lanes (see the module
+    docstring), comparing the snapshot of step s until step s * 2^snapshots,
+    and past S_KEPT_STATES steps copy 0 alone, with the newest snapshot. A
+    run of one-lane groups (:func:`analyze`'s) keeps its states S_1, ...,
+    S_KEPT_STATES for the cycle-start pass. It returns, of the copy-0 lanes,
+    the step at which each reached [n] (None if it did not) and those that
+    matched a snapshot keyed by period, then the kept states and its step
+    function.
     """
-    every = (1 << n * tensors) - 1
+    lanes, copies = n * tensors, max(snapshots, 1)  # lanes of copy 0, the ones the caller reads
+    low, every = (1 << lanes) - 1, (1 << lanes * copies) - 1
     group = (1 << width) - 1
-    ends: list[int | None] = [None] * (n * tensors)
-    periods: dict[int, int] = {}  # period -> lanes that cycle with it
+    ends: list[int | None] = [None] * lanes
+    periods: dict[int, int] = {}  # period -> copy-0 lanes that cycle with it
     kept: list[list[int]] = []
     live = every
     step = _vector_step(rows, consts)
-    R = step([every // ((1 << n) - 1) << u for u in range(n)])
-    snap, snap_step, k = None, 0, 1
+    ones = every // ((1 << n) - 1)  # bit 0 of each tensor's lanes, in every copy
+    R = step([ones << u for u in range(n)])
+    snap, taken, k = None, [], 1  # the stack, and the step of each copy's snapshot, newest first
     while True:
-        if cycles and width == 1 and k <= KEPT_STATES:
+        if snapshots and width == 1 and k <= KEPT_STATES:
             kept.append(R)
         full = live
         for r in R:
@@ -457,18 +483,31 @@ def _sliced_run(
                 break
             full &= r
         if full:
-            for b in bit_indices(full):
+            for b in bit_indices(full & low):
                 ends[b] = k
             live ^= full
         if snap is not None and (cycled := _same(live, R, snap)):
-            periods[k - snap_step] = periods.get(k - snap_step, 0) | cycled
-            while cycled:  # close the group of the highest cycled lane, once
-                keep = ~(group << (cycled.bit_length() - 1) // width * width)
-                live, cycled = live & keep, cycled & keep
+            hit = shut = 0  # the copy-0 lanes that matched a snapshot, and their groups
+            for s in taken:
+                if matched := cycled & low:
+                    periods[k - s] = periods.get(k - s, 0) | matched
+                    hit |= matched
+                cycled >>= lanes
+            while hit:  # the group of the highest hit lane, once
+                shut |= group << (hit.bit_length() - 1) // width * width
+                hit &= ~shut
+            live &= ~(shut * (every // low))  # in every copy
         if not live or k == bound:
             return ends, periods, kept, step
-        if cycles and k & (k - 1) == 0:
-            snap, snap_step = R, k
+        if snapshots and k & (k - 1) == 0:  # copy 0 takes S_k as the stack moves up a copy; S_1 fills it
+            if k == 1 or copies == 1:
+                snap, taken = R, [k] * copies
+            else:
+                snap, taken = [(s << lanes | r & low) & every for s, r in zip(snap, R)], [k, *taken[:-1]]
+        if k == KEPT_STATES and copies > 1:  # past the kept states, copy 0 alone, S_k (a power of two) its snapshot
+            R = snap = [r & low for r in R]
+            live, every, copies, taken = live & low, low, 1, [k]
+            kept[-1] = R  # the cycle-start pass steps on from it
         R, k = step(R), k + 1
 
 
@@ -509,16 +548,19 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     Each outcome equals ``column_trace(tensor, j, max_steps).outcome``, with
     no column traced. The module docstring describes the sliced run, a batch
     of one tensor whose every column is its own group, so that each lane ends
-    on its own, its cycle certificates and why a run with the cycle test goes
-    on to three budgets. The pass that finds each cycle's start reads the
-    states the run kept, then steps the run's program past them, drops a
-    period once its columns are settled and stops at the budget; a column
-    still open then is ``Exhausted``. A primitive majorization matrix spares
-    the run its cycle test, its kept states and the longer run: every column
-    then reaches [n], so none repeats a state first. If no row holds a
-    multi-index support either, the degrees come from Boolean repeated
-    squaring of that matrix instead (:func:`_squared_ends`): about 2 log2 of
-    the budget products, 27 at n = 128.
+    on its own, its cycle certificates, its stack of snapshots (a column with
+    tail at most s and period at most 15s matches the snapshot of step s by
+    step s + period; past S_KEPT_STATES copy 0 steps on alone), and why a
+    run with the cycle test goes on to three budgets. The pass that finds
+    each cycle's start reads the states the run kept, then steps the run's
+    program past them, drops a period once its columns are settled and stops
+    at the budget; a column still open then is ``Exhausted``. A primitive
+    majorization matrix spares the run its cycle test, its kept states and
+    the longer run: every column then reaches [n], so none repeats a state
+    first. If no row holds a multi-index support either, the degrees come
+    from Boolean repeated squaring of that matrix instead
+    (:func:`_squared_ends`): about 2 log2 of the budget products, 27 at
+    n = 128.
     """
     n = tensor.dim
     bound = default_bound(n) if max_steps is None else max_steps
@@ -528,7 +570,9 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     if cycles or any(fam.multis for fam in tensor.rows):
         rows, _ = _lane_rows(n, [[fam.masks for fam in tensor.rows]])
         stop = 3 * bound if cycles else bound  # a first repeat at step f matches a snapshot by 3f - 1
-        ends, periods, kept, step = _sliced_run(rows, [], n, tensors=1, width=1, bound=stop, cycles=cycles)
+        ends, periods, kept, step = _sliced_run(
+            rows, [], n, tensors=1, width=1, bound=stop, snapshots=SNAPSHOTS if cycles else 0
+        )
         ends = [None if k is None or k > bound else k for k in ends]
     else:
         ends, periods = _squared_ends([fam.singles for fam in tensor.rows], bound), {}

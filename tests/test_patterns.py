@@ -362,8 +362,12 @@ class TestBitSlicedAnalyze:
         # Columns on coprime cycles summing to 100 never reach [n]; each gets
         # its certificate from the sliced run, long before the default budget.
         monkeypatch.setattr(patterns, "column_trace", no_trace)
-        # the run resolves by step 55, within the states it keeps, and the
-        # cycle-start pass reads those states: 55 steps in all. Each period
+        # every column first repeats at step period + 1. The snapshot of
+        # step 1 catches periods up to 15 there, and that of step 2 the
+        # periods 17, 19 and 23 at steps 19, 21 and 25, so the run resolves
+        # by step 25, within the states it keeps, and the cycle-start pass
+        # reads those states: 25 steps in all (55 with the newest snapshot
+        # alone, which waits for the snapshot of step 32). Each period
         # leaves the pass at its columns' first repeat, so every cycle test
         # reads open lanes.
         table, steps = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
@@ -376,7 +380,7 @@ class TestBitSlicedAnalyze:
         r = analyze(make_pattern(3, 100, entries))
         lengths = [length for length in (2, 3, 5, 7, 11, 13, 17, 19, 23) for _ in range(length)]
         assert r.outcomes == tuple(Cycled(first_repeat_at=p + 1, period=p) for p in lengths)
-        assert len(steps) == 55 and table == []
+        assert len(steps) == 25 and table == []
         assert same and all(lanes for lanes, _, _ in same)
 
     def test_wielandt_lift_at_the_dimension_cap(self):
@@ -1407,16 +1411,18 @@ class TestCompiledStep:
 
     def test_cycles_after_the_swap_match_at_every_budget(self, monkeypatch):
         # column 1 feeds a 5-cycle and a 7-cycle, so its states repeat with
-        # period 35; Brent's snapshot of step 64 comes back at step 99, past
-        # the kept states, while the first repeats of columns 1 and 14, at
-        # steps 36 and 37, lie among them, so the pass steps no further
+        # period 35 from S_1, and column 14 from S_2. The stack's snapshot
+        # of step 4 comes back at step 39, within the kept states (the
+        # newest snapshot alone would wait for that of step 64, at step 99,
+        # past them), and the first repeats of columns 1 and 14, at steps
+        # 36 and 37, lie among them, so the pass steps no further
         program = count_program_steps(monkeypatch)
         runs = record_runs(monkeypatch, program)
         arcs = [(1, 2), (1, 7), (14, 1)]
         arcs += [(2 + a, 2 + (a + 1) % 5) for a in range(5)] + [(7 + a, 7 + (a + 1) % 7) for a in range(7)]
         t = make_pattern(2, 14, [(u, (i,)) for i, u in arcs])
         r = assert_matches_per_column_reference(t, None)
-        assert runs == [(99, patterns.KEPT_STATES)] and len(program) == 99
+        assert runs == [(39, 39)] and len(program) == 39
         assert r.outcomes[0] == Cycled(first_repeat_at=36, period=35)
         for max_steps in range(1, default_bound(14) + 2):
             assert_matches_per_column_reference(t, max_steps)
@@ -1479,6 +1485,48 @@ class TestCompiledStep:
         assert_tensor_program_matches(t, support_lanes(t))
         r = analyze(t)
         assert r.primitive and r.gamma == 255
+
+
+def cycle_arcs(first, length):
+    """Arcs i -> u of a cycle on first, ..., first + length - 1."""
+    return [(first + a, first + (a + 1) % length) for a in range(length)]
+
+
+class TestSnapshotStack:
+    """``analyze``'s run compares every lane with a stack of ``SNAPSHOTS``
+    Brent snapshots, one per copy of its lanes, and only copy 0 steps on past
+    ``KEPT_STATES``. Columns whose periods exceed the newest snapshot at their
+    first repeat, first repeating on both sides of steps 32 and 64, against
+    ``column_trace``."""
+
+    # Arcs i -> u at n = 64. Order 2: a Wielandt digraph on 1..9, whose
+    # columns first repeat around step 64, cycles of lengths 17 and 19, and
+    # the path 64 -> 63 -> ... -> 46 feeding the 19-cycle. Order 3, with
+    # every row also holding the pair of its next two indices: cycles of
+    # lengths 17, 19 and 23, vertex 60 feeding the 17- and 23-cycles (period
+    # 391) and the path 64 -> ... -> 61 -> 60.
+    WIELANDT = [(i + 1, j + 1) for i, r in enumerate(wielandt_matrix(9).rows) for j in range(9) if r.mask >> j & 1]
+    ORDER_2 = WIELANDT + cycle_arcs(10, 17) + cycle_arcs(27, 19) + [(v + 1, v) for v in range(46, 64)] + [(46, 27)]
+    ORDER_3 = cycle_arcs(1, 17) + cycle_arcs(18, 19) + cycle_arcs(37, 23) + [(60, 1), (60, 37)]
+    ORDER_3 += [(v + 1, v) for v in range(60, 64)]
+
+    @pytest.mark.parametrize("order, arcs", [(2, ORDER_2), (3, ORDER_3)])
+    def test_every_column_matches_its_trace_around_the_snapshots(self, order, arcs):
+        n = 64
+        entries = [(u, (i,) * (order - 1)) for i, u in arcs]
+        if order == 3:
+            entries += [(u, (u % n + 1, (u + 1) % n + 1)) for u in range(1, n + 1)]
+        t = make_pattern(order, n, entries)
+        assert not patterns._majorization_primitive(t)
+        r = assert_matches_per_column_reference(t, None)
+        cycled = [o for o in r.outcomes if isinstance(o, Cycled)]
+        repeats = {o.first_repeat_at for o in cycled}
+        # a period past the newest snapshot, 2^floor(log2 f), at first repeat f
+        assert any(o.period > 1 << o.first_repeat_at.bit_length() - 1 for o in cycled)
+        assert min(repeats) < 32 and 64 < max(repeats)
+        budgets = {1, 2, 3, *range(30, 35), *range(62, 67), *(f + d for f in repeats for d in (-1, 0, 1))}
+        for max_steps in sorted(budgets):
+            assert_matches_per_column_reference(t, max_steps)
 
 
 class TestNecessaryConditions:
