@@ -60,11 +60,10 @@ class RunReport:
     def emit(self, fmt: str, out=None) -> None:
         out = sys.stdout if out is None else out
         if fmt == "json-lines":
-            for r in self.records:
-                out.write(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n")
+            encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # one encoder, not one per json.dumps call
+            out.write("".join([encode(r) + "\n" for r in self.records]))
         else:
-            for r in self.records:
-                out.write(_text_line(r) + "\n")
+            out.write("".join([_text_line(r) + "\n" for r in self.records]))
 
 
 def _text_line(r: dict) -> str:
@@ -251,15 +250,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         max_steps=result.max_steps,
     )
     if args.per_column:
-        for j, o in enumerate(result.outcomes, start=1):
-            rec: dict = {"record": "column", "j": j, "gamma_j": result.gamma_by_column[j - 1]}
+        for j, (g, o) in enumerate(zip(result.gamma_by_column, result.outcomes), start=1):
             if isinstance(o, Reached):
-                rec.update(outcome="reached", step=o.step)
+                report.add(record="column", j=j, gamma_j=g, outcome="reached", step=o.step)
             elif isinstance(o, Cycled):
-                rec.update(outcome="cycled", first_repeat_at=o.first_repeat_at, period=o.period)
+                report.add(
+                    record="column", j=j, gamma_j=g, outcome="cycled", first_repeat_at=o.first_repeat_at, period=o.period
+                )
             else:
-                rec.update(outcome="exhausted", bound=o.bound)
-            report.add(**rec)
+                report.add(record="column", j=j, gamma_j=g, outcome="exhausted", bound=o.bound)
     report.emit(args.format)
     return 0
 

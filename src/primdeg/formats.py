@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 import re
+from functools import reduce
+from operator import or_
 
 from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set
 from .digraphs import PatternMatrix, monomial_lift
@@ -35,6 +37,10 @@ _SET_RE = re.compile(r"\{([^{}]*)\}")
 # An index or a count: ASCII digits with no sign, underscore or leading zero.
 _INT_RE = re.compile(r"0|[1-9][0-9]*")
 _ROW_RE = re.compile(rf"row\s+({_INT_RE.pattern}):(.*)")
+# A row that _ROW_RE and the checks after it accept if its row number, its
+# members and its set sizes are in range: every group ASCII digits and commas,
+# with no empty member.
+_WELL_FORMED_ROW_RE = re.compile(r"row\s+([1-9][0-9]*):((?:\s*\{[0-9]+(?:,[0-9]+)*\})*)")
 
 
 class SparseTensor(Record):
@@ -72,11 +78,7 @@ class TensorDocument(Record):
 
 
 def _lines_of(text: str) -> list[tuple[int, str]]:
-    return [
-        (no, line.strip())
-        for no, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
+    return [(no, line) for no, line in enumerate(map(str.strip, text.splitlines()), start=1) if line]
 
 
 def _keyed_int(lines: list[tuple[int, str]], pos: int, key: str) -> int:
@@ -113,39 +115,56 @@ def _keyed_dim(lines: list[tuple[int, str]], pos: int) -> int:
 def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
     order = _keyed_order(lines)
     dim = _keyed_dim(lines, 2)
+    bit = {str(i): 1 << (i - 1) for i in range(1, dim + 1)}  # a member's text -> its bit
     row_masks: dict[int, list[int]] = {}
     for no, line in lines[3:]:
-        m = _ROW_RE.fullmatch(line)
-        if not m:
-            raise ParseError(no, f"expected 'row U: ...', got {line!r}")
-        u = int(m.group(1))
-        if not 1 <= u <= dim:
-            raise ParseError(no, f"row {u} out of range 1..{dim}")
-        if u in row_masks:
-            raise ParseError(no, f"row {u} given twice")
-        rest = m.group(2).strip()
-        if rest and _SET_RE.sub("", rest).strip():
-            raise ParseError(no, f"unexpected text outside {{...}} groups: {rest!r}")
-        masks = row_masks[u] = []
-        for group in _SET_RE.findall(rest):
-            if not group.strip():
-                raise ParseError(no, "empty set {} is not a valid support")
-            parts = [p.strip() for p in group.split(",")]
-            if not all(parts):
-                raise ParseError(no, f"empty member in {{{group}}}")
-            if not all(map(_INT_RE.fullmatch, parts)):
-                raise ParseError(no, f"non-integer member in {{{group}}}")
-            members = [int(p) for p in parts]
-            mask = 0
-            for i in members:
-                if not 1 <= i <= dim:
-                    raise ParseError(no, f"index {i} out of range 1..{dim}")
-                mask |= 1 << (i - 1)
-            if mask.bit_count() > order - 1:
-                raise ParseError(no, f"set {{{group}}} larger than order-1 = {order - 1}")
-            masks.append(mask)
+        m = _WELL_FORMED_ROW_RE.fullmatch(line)
+        if m and (u := int(m[1])) <= dim and u not in row_masks:
+            try:
+                masks = [reduce(or_, map(bit.__getitem__, g.split(","))) for g in _SET_RE.findall(m[2])]
+            except KeyError:  # a member out of range or with a leading zero
+                pass
+            else:
+                if max(map(int.bit_count, masks), default=0) < order:
+                    row_masks[u] = masks
+                    continue
+        _parse_row(no, line, order, dim, row_masks)
     rows = (SupportFamily.from_masks(dim, row_masks.get(u, ())) for u in range(1, dim + 1))
     return PatternTensor(order, dim, tuple(rows))
+
+
+def _parse_row(no: int, line: str, order: int, dim: int, row_masks: dict[int, list[int]]) -> None:
+    """Check the row line ``no`` in full and add its masks to ``row_masks``,
+    or raise the ParseError of the first check it fails."""
+    m = _ROW_RE.fullmatch(line)
+    if not m:
+        raise ParseError(no, f"expected 'row U: ...', got {line!r}")
+    u = int(m.group(1))
+    if not 1 <= u <= dim:
+        raise ParseError(no, f"row {u} out of range 1..{dim}")
+    if u in row_masks:
+        raise ParseError(no, f"row {u} given twice")
+    rest = m.group(2).strip()
+    if rest and _SET_RE.sub("", rest).strip():
+        raise ParseError(no, f"unexpected text outside {{...}} groups: {rest!r}")
+    masks = row_masks[u] = []
+    for group in _SET_RE.findall(rest):
+        if not group.strip():
+            raise ParseError(no, "empty set {} is not a valid support")
+        parts = [p.strip() for p in group.split(",")]
+        if not all(parts):
+            raise ParseError(no, f"empty member in {{{group}}}")
+        if not all(map(_INT_RE.fullmatch, parts)):
+            raise ParseError(no, f"non-integer member in {{{group}}}")
+        members = [int(p) for p in parts]
+        mask = 0
+        for i in members:
+            if not 1 <= i <= dim:
+                raise ParseError(no, f"index {i} out of range 1..{dim}")
+            mask |= 1 << (i - 1)
+        if mask.bit_count() > order - 1:
+            raise ParseError(no, f"set {{{group}}} larger than order-1 = {order - 1}")
+        masks.append(mask)
 
 
 def _parse_sparse(lines: list[tuple[int, str]]) -> SparseTensor:

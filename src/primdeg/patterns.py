@@ -24,17 +24,20 @@ repeated squaring below), which follows many start columns of one or more
 tensors of dimension n at once. Bit t*n + j-1 of a mask R_u is a
 lane: it says row u is in column j's state of tensor t. One step sets R_u to
 the OR, over row u's supports, of the AND of each support's members' R_i.
-The lane table (:func:`_lane_rows`) lists each row's supports as tuples of
-their members. A run executes the step as a program built once per run
-(:func:`_vector_step`): C-level ``map`` passes that fold every meet, then
-every row's OR, a level of pairs at a time. The build gives each distinct
-support one register, so a support that several rows hold is met once per
-step. A lane has reached [n] when its bit survives the AND of all R_u; it
-then records that step, its column degree, and closes. A lane that is not
-full and matches a snapshot of Brent's cycle detection, taken at steps 1, 2,
-4, 8, ..., cycles: [n] is out of its reach, and the steps since the snapshot
-are its exact period, as each snapshot is compared at every step from the
-one after it is taken. It closes its whole group of lanes, as the run's
+The lane table lists each row's supports as tuples of their members:
+:func:`analyze` reads it straight off the tensor's canonical rows, and
+:func:`_lane_rows` builds it for a batch of :func:`gammas`. A run executes
+the step as a program built once per run (:func:`_vector_step`): C-level
+``map`` passes that fold every meet, then every row's OR, a level of pairs
+at a time; the build writes a last level, where every open group is a pair,
+with comprehensions. The build gives each distinct support one register, so
+a support that several rows hold is met once per step. A lane has reached
+[n] when its bit survives the AND of all R_u; it then records that step,
+its column degree, and closes. A lane that is not full and matches a
+snapshot of Brent's cycle detection, taken at steps 1, 2, 4, 8, ..., cycles:
+[n] is out of its reach, and the steps since the snapshot are its exact
+period, as each snapshot is compared at every step from the one after it is
+taken. It closes its whole group of lanes, as the run's
 caller then needs none of them; the budget closes every lane. The first test
 reads rows until no open lane is left, the second folds every row in C.
 
@@ -67,14 +70,16 @@ over the Boolean semiring: S_k(j) is column j of M^k. A lane list is also a
 jump table: if R_u holds the columns j with u in S_a(j), stepping any lane
 list with the table whose row u reads the bits of R_u advances every lane
 by a steps. So a Boolean product (:func:`_product`) squares M into M^2,
-M^4, ..., each power stepped by its own table, until the exponents sum to
-the budget or more, or the last power is all [n]. Every row of a primitive
-M is nonempty, so a column that is [n] stays [n]: with every lane at S_0 =
-{j}, a pass from the top power down that takes each jump on just the lanes
-still short of [n] after it leaves each lane on its last state short of
-[n], S_{gamma_j - 1}.
-A lane whose degree passes the budget stays open and is ``Exhausted``. The
-Wielandt lift at n = 128 takes 27 products, not 16,130 steps.
+M^4, ..., each power below the top one stepped by its own table, until
+the exponents sum to the budget or more, or the top power is all [n]. Every
+row of a primitive M is nonempty, so a column that is [n] stays [n]: with
+every lane at S_0 = {j}, a pass from the top power down that takes each jump
+on just the lanes still short of [n] after it leaves each lane on its last
+state short of [n], S_{gamma_j - 1}. Its first jump, from S_0, lands on the
+top power itself, so the top power takes no product and is never decoded
+into a table. A lane whose degree passes the budget stays open and is
+``Exhausted``. The Wielandt lift at n = 128 takes 26 products, not 16,130
+steps.
 
 :func:`gammas` runs batches of one copy whose groups are whole tensors, for
 callers that need only gamma: a tensor's gamma is the largest of its n lane
@@ -394,22 +399,28 @@ def _vector_step(rows: LaneRows, consts: list[int]) -> Callable[[list[int]], lis
         run = slice(idx[0], idx[0] + len(idx))
         return itemgetter(run) if idx == list(range(run.start, run.stop)) else itemgetter(*idx)
 
-    def fold(op: Callable, groups: list[list[int]]) -> list[int]:
+    def fold(op: Callable, groups: Sequence[Sequence[int]]) -> list[int]:
         nonlocal size
-        while any(len(g) > 1 for g in groups):
-            I, J = [], []
+        while max(map(len, groups), default=0) > 2:
+            I, J, level = [], [], []
             for g in groups:
                 half = len(g) // 2
                 I += g[:2 * half:2]
                 J += g[1:2 * half:2]
-                g[:2 * half] = range(size, size + half)
+                level.append([*range(size, size + half), *g[2 * half:]])
                 size += half
             passes.append((op, gather(I), gather(J)))
-        return [g[0] if g else zero for g in groups]
+            groups = level
+        # the last level, where every open group is a pair, by comprehensions
+        if pairs := [g for g in groups if len(g) == 2]:
+            passes.append((op, gather([g[0] for g in pairs]), gather([g[1] for g in pairs])))
+        new = iter(range(size, size + len(pairs)))
+        size += len(pairs)
+        return [next(new) if len(g) == 2 else g[0] if g else zero for g in groups]
 
     reg = {m: m[0] for row in rows for m in row}  # each distinct support's register
     multis = [m for m in reg if len(m) > 1]
-    reg.update(zip(multis, fold(and_, [list(m) for m in multis])))
+    reg.update(zip(multis, fold(and_, multis)))
     out = gather(fold(or_, [sorted(map(reg.__getitem__, row)) for row in rows]))
     start = [*consts, 0]
 
@@ -428,7 +439,9 @@ def _same(lanes: int, R: list[int], S: list[int]) -> int:
 
 def _lane_rows(n: int, batch: Sequence[Sequence[Iterable[int]]]) -> tuple[LaneRows, list[int]]:
     """The lane rows of valid row masks (:func:`gammas` checks its input), lane
-    t*n + j-1 being column j of ``batch[t]``, and the R entries of its pseudo-indices."""
+    t*n + j-1 being column j of ``batch[t]``, and the R entries of its
+    pseudo-indices: the merge of :func:`gammas`' batches. :func:`analyze`,
+    whose one tensor's rows are canonical, lists their masks' members instead."""
     col = (1 << n) - 1
     every = (1 << n * len(batch)) - 1
     tensors = [(tensor, col << t * n) for t, tensor in enumerate(batch)]  # each with its lanes
@@ -527,14 +540,14 @@ def _squared_ends(singles: list[int], bound: int) -> list[int | None]:
     hold only the singletons ``singles`` and whose majorization matrix is
     primitive, by Boolean repeated squaring (see the module docstring)."""
     n, full = len(singles), (1 << len(singles)) - 1
-    tables = [list(map(bit_indices, singles))]  # jump tables of M, M^2, M^4, ...
-    power = singles
-    while 1 << len(tables) <= bound and power != [full] * n:
-        power = _product(tables[-1], power)
+    tables: list[list[tuple[int, ...]]] = []  # jump tables of M, M^2, M^4, ... below the top power
+    power = singles  # M^(2^len(tables)), the top power
+    while 2 << len(tables) <= bound and power != [full] * n:
         tables.append(list(map(bit_indices, power)))
+        power = _product(tables[-1], power)
     X, ends = [1 << u for u in range(n)], [1] * n  # every lane at S_0 = {j}
-    for p in reversed(range(len(tables))):
-        Y = _product(tables[p], X)
+    for p in reversed(range(len(tables) + 1)):
+        Y = _product(tables[p], X) if p < len(tables) else power  # the top jump from S_0 lands on the power
         jump = full & ~reduce(and_, Y)  # the lanes still not full after it
         X = [x ^ (x ^ y) & jump for x, y in zip(X, Y)]
         for j in bit_indices(jump):
@@ -559,8 +572,9 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     the longer run: every column then reaches [n], so none repeats a state
     first. If no row holds a multi-index support either, the degrees come
     from Boolean repeated squaring of that matrix instead
-    (:func:`_squared_ends`): about 2 log2 of the budget products, 27 at
-    n = 128.
+    (:func:`_squared_ends`): about 2 log2 of the budget products, 26 at
+    n = 128. The run's lane table is each canonical row's masks as member
+    tuples: a batch of one needs none of :func:`_lane_rows`' merging.
     """
     n = tensor.dim
     bound = default_bound(n) if max_steps is None else max_steps
@@ -568,7 +582,7 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
         raise ValueError(f"max_steps must be >= 1, got {bound}")
     cycles = not _majorization_primitive(tensor)  # else every column reaches [n]
     if cycles or any(fam.multis for fam in tensor.rows):
-        rows, _ = _lane_rows(n, [[fam.masks for fam in tensor.rows]])
+        rows = [list(map(bit_indices, fam.masks)) for fam in tensor.rows]  # canonical: no mask repeats
         stop = 3 * bound if cycles else bound  # a first repeat at step f matches a snapshot by 3f - 1
         ends, periods, kept, step = _sliced_run(
             rows, [], n, tensors=1, width=1, bound=stop, snapshots=SNAPSHOTS if cycles else 0

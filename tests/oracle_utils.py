@@ -3,15 +3,23 @@
 Nothing here shares code with the package's trace engine: matrices go through
 numpy boolean powers, steps go through a direct scan of raw entries, and the
 general product is evaluated by literal nested loops over its defining sum.
+The reference row parser checks every row line in full, the way the parser
+does for a line that its one-regex path does not accept.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
-from primdeg import PatternMatrix
+from primdeg import ParseError, PatternMatrix, PatternTensor, SupportFamily
+from primdeg.formats import _keyed_dim, _keyed_order
+
+_SET_RE = re.compile(r"\{([^{}]*)\}")
+_INT_RE = re.compile(r"0|[1-9][0-9]*")
+_ROW_RE = re.compile(rf"row\s+({_INT_RE.pattern}):(.*)")
 
 
 def matrix_to_array(matrix: PatternMatrix) -> np.ndarray:
@@ -80,3 +88,44 @@ def brute_general_product(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:
                 total += term
             out[(i,) + tuple(x for al in alphas for x in al)] = total
     return out
+
+
+def reference_parse_pattern(text: str) -> PatternTensor:
+    """A ``tensor-pattern v1`` document read line by line with every check on
+    every row line, in the order of the messages they raise."""
+    lines = [(no, line.strip()) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    order = _keyed_order(lines)
+    dim = _keyed_dim(lines, 2)
+    row_masks: dict[int, list[int]] = {}
+    for no, line in lines[3:]:
+        m = _ROW_RE.fullmatch(line)
+        if not m:
+            raise ParseError(no, f"expected 'row U: ...', got {line!r}")
+        u = int(m.group(1))
+        if not 1 <= u <= dim:
+            raise ParseError(no, f"row {u} out of range 1..{dim}")
+        if u in row_masks:
+            raise ParseError(no, f"row {u} given twice")
+        rest = m.group(2).strip()
+        if rest and _SET_RE.sub("", rest).strip():
+            raise ParseError(no, f"unexpected text outside {{...}} groups: {rest!r}")
+        masks = row_masks[u] = []
+        for group in _SET_RE.findall(rest):
+            if not group.strip():
+                raise ParseError(no, "empty set {} is not a valid support")
+            parts = [p.strip() for p in group.split(",")]
+            if not all(parts):
+                raise ParseError(no, f"empty member in {{{group}}}")
+            if not all(map(_INT_RE.fullmatch, parts)):
+                raise ParseError(no, f"non-integer member in {{{group}}}")
+            members = [int(p) for p in parts]
+            mask = 0
+            for i in members:
+                if not 1 <= i <= dim:
+                    raise ParseError(no, f"index {i} out of range 1..{dim}")
+                mask |= 1 << (i - 1)
+            if mask.bit_count() > order - 1:
+                raise ParseError(no, f"set {{{group}}} larger than order-1 = {order - 1}")
+            masks.append(mask)
+    rows = (SupportFamily.from_masks(dim, row_masks.get(u, ())) for u in range(1, dim + 1))
+    return PatternTensor(order, dim, tuple(rows))

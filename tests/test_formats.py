@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import reference_parse_pattern
 from primdeg import (
     ParseError,
     PatternMatrix,
@@ -345,6 +346,51 @@ class TestRoundTrips:
         assert path.read_text() == render_document(doc)
 
 
+# Whitespace that str.strip() and the regex \s both take: ASCII, a tab, a
+# no-break space and wide Unicode spaces.
+SPACES = ("", " ", "\t", "\u00a0", "\u2003", "\u3000")
+# Numbers the parser refuses: signs, underscores, leading zeros and digits
+# outside ASCII, which int() would read.
+BAD_NUMBERS = ("0", "00", "01", "+1", "-1", "1_0", "\u0661", "1\u0660", "\uff12", "1 2", "x", "")
+FLAWS = ("row", "twice", "member", "empty", "oversize", "outside", "break")
+
+
+@st.composite
+def pattern_texts(draw):
+    """A pattern document whose row lines are well formed, in canonical form
+    or not (padded members, sets run together, tabs and Unicode spaces), but
+    for at most one, which has one flaw: a row number out of range or
+    malformed, a row given twice, a member out of range, malformed or empty,
+    an empty or oversize set, text outside the braces, or a \\x0b that
+    ends the line early."""
+    order, dim = draw(st.integers(2, 5)), draw(st.integers(1, 12))
+    space = st.sampled_from(SPACES)
+    bad = st.sampled_from((*BAD_NUMBERS, str(dim + 1)))
+    rows, lines = draw(st.lists(st.integers(1, dim).map(str), unique=True, max_size=dim)), []
+    flawed = draw(st.integers(0, len(rows)))  # the flawed line, if below len(rows)
+    for at, u in enumerate(rows):
+        flaw = draw(st.sampled_from(FLAWS)) if at == flawed else None
+        sets = draw(st.lists(st.lists(st.integers(1, dim).map(str), min_size=1, max_size=order - 1), max_size=4))
+        if flaw in ("member", "empty", "oversize"):
+            sets.insert(draw(st.integers(0, len(sets))), {
+                "member": ["1", draw(bad)], "empty": draw(st.sampled_from(([], [" "]))),
+                "oversize": [str(i % dim + 1) for i in range(order)],
+            }[flaw])
+        pad = draw(st.booleans())
+        groups = "".join(
+            "{" + ",".join(draw(space) + m + draw(space) if pad else m for m in members) + "}" + draw(space)
+            for members in sets
+        )
+        u = draw(bad) if flaw == "row" else draw(st.sampled_from(rows)) if flaw == "twice" else u
+        line = f"row{draw(space.filter(bool))}{u}:{draw(space)}{groups}"
+        if flaw in ("outside", "break"):
+            cut = draw(st.integers(0, len(line)))
+            text = "\x0b" if flaw == "break" else draw(st.sampled_from(("x", "}", "{", "{1", "{}}", "row 1: {1}")))
+            line = line[:cut] + text + line[cut:]
+        lines += [draw(space) + line + draw(space)] + [""] * draw(st.integers(0, 1))
+    return "\n".join(["tensor-pattern v1", f"order {order}", f"dim {dim}", *lines]) + "\n"
+
+
 @st.composite
 def written_patterns(draw):
     """A pattern document as a person might write it: sets unsorted, members
@@ -423,7 +469,23 @@ def damaged_documents(draw):
     return text, damaged
 
 
+def parsed_or_error(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return e.line_no, str(e)
+
+
 class TestFuzz:
+    @settings(max_examples=1000)
+    @given(pattern_texts())
+    def test_rows_parse_like_the_full_check(self, text):
+        # the same tensor, or the same line and message, as the reference
+        # that runs every check on every row line
+        assert parsed_or_error(lambda t: parse_document(t).payload, text) == parsed_or_error(
+            reference_parse_pattern, text
+        )
+
     @given(written_patterns())
     def test_written_patterns_parse_to_make_pattern(self, written):
         text, expected = written

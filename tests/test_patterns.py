@@ -481,13 +481,17 @@ class TestSquaredEnds:
         t = make_pattern(*raw)
         assert patterns._majorization_primitive(t) and not any(fam.multis for fam in t.rows)
         ends = assert_matches_per_column_reference(t, None).gamma_by_column
-        for max_steps in {1, 2, *(g - 1 for g in ends if g > 1), *ends}:
+        # budgets on either side of a power of two change how many powers the squaring builds
+        around = {b for p in range(default_bound(t.dim).bit_length() + 1) for b in (2**p - 1, 2**p, 2**p + 1)}
+        for max_steps in {1, 2, *(g - 1 for g in ends if g > 1), *ends, *around} - {0}:
             assert_matches_per_column_reference(t, max_steps)
 
     def test_the_lift_at_the_cap_takes_logarithmically_many_products(self, monkeypatch):
+        # 13 squarings up to M^8192, then 13 jumps below it: the top jump
+        # from S_0 = {j} lands on the top power itself, with no product
         steps, program = count_calls(monkeypatch, "_product"), count_program_steps(monkeypatch)
         r = analyze(wielandt_tensor(3, 128))
-        assert len(steps) <= 2 * math.ceil(math.log2(default_bound(128) + 1)) == 28
+        assert len(steps) == 2 * (math.ceil(math.log2(default_bound(128) + 1)) - 1) == 26
         assert program == []
         assert r.gamma_by_column == (*(16130 - j for j in range(1, 128)), 16130)
         assert r.outcomes == tuple(map(Reached, r.gamma_by_column))
@@ -1311,9 +1315,41 @@ def same_reference(lanes, R, S):
     return lanes
 
 
+@st.composite
+def mixed_fold_batches(draw, max_tensors=3):
+    """Tensors of dim 5-9 as raw row masks whose rows hold 0, 1, 2, 3 or 5
+    supports of 1 to 4 members: the program folds the meets of three or four
+    members and the ORs of three or five terms a level at a time, and the
+    pairs they leave, with the meets and ORs of two, in one last level."""
+    dim = draw(st.integers(5, 9))
+    support = st.lists(st.integers(0, dim - 1), min_size=1, max_size=4, unique=True).map(
+        lambda members: sum(1 << i for i in members))
+    row = st.sampled_from((0, 1, 2, 3, 5)).flatmap(lambda k: st.lists(support, min_size=k, max_size=k))
+    return dim, draw(st.lists(st.lists(row, min_size=dim, max_size=dim), min_size=1, max_size=max_tensors))
+
+
 class TestVectorStep:
     """``_vector_step``, the program every sliced run steps through, against
     the table step, and ``_same`` against its row loop."""
+
+    @settings(max_examples=200)
+    @given(mixed_fold_batches(), st.data())
+    def test_matches_the_table_step_at_every_fold_level(self, drawn, data):
+        dim, batch = drawn
+        assert_meets_once(*assert_program_matches(dim, batch, batch_lanes(data, dim, len(batch))))
+
+    @given(mixed_fold_batches(max_tensors=1))
+    def test_analyze_steps_the_lane_rows_of_its_tensor(self, drawn):
+        # analyze builds its table from the canonical rows, as _lane_rows
+        # does for a batch of one, unless it squares instead
+        dim, (masks,) = drawn
+        t = PatternTensor(5, dim, tuple(SupportFamily.from_masks(dim, row) for row in masks))
+        built, real = [], patterns._vector_step
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(patterns, "_vector_step", lambda rows, consts: built.append((rows, consts)) or real(rows, consts))
+            analyze(t)
+        squares = patterns._majorization_primitive(t) and not any(fam.multis for fam in t.rows)
+        assert built == ([] if squares else [(patterns._lane_rows(dim, [row_masks(t)])[0], [])])
 
     @settings(max_examples=300)
     @given(raw_mask_batches(), st.data())
@@ -1344,6 +1380,9 @@ class TestVectorStep:
             (6, [row_masks(degree_witness(6, 6, 7)[0]), row_masks(wielandt_tensor(6, 6))]),
             # a 9-member meet and a row of 28 pairs: several levels of each fold
             (12, [[[0x1FF], *([1 << u] for u in range(1, 11)), [1 << a | 1 << b for a in range(8) for b in range(a)]]]),
+            # rows of 0, 1, 2, 3 and 5 supports of 1 to 4 members: a level of
+            # each fold before its last level of pairs
+            (6, [[[], [0b1], [0b11, 0b100], [0b111, 0b1001, 0b110000], [0b10, 0b1111, 0b10110, 0b101000, 0b100001], [0b111100]]]),
         ],
     )
     def test_fixed_shapes(self, n, batch):
