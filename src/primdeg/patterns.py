@@ -15,90 +15,76 @@ and the least such k is the column degree gamma_j. The tensor is primitive when
 that holds for every column, and its primitive degree gamma is the largest
 gamma_j. States evolve deterministically, so every trace either reaches [n],
 revisits an earlier state (a certificate that [n] is unreachable), or runs out
-of its step budget. For a primitive tensor every column reaches [n] within
-(n-1)^2 + 1 steps, which is the default budget.
+of its step budget, by default (n-1)^2 + 1, within which every column of a
+primitive tensor reaches [n]. :func:`column_trace` follows one start column.
 
-:func:`column_trace` follows one start column. :func:`analyze` and
-:func:`gammas` go through one sliced run (or, for :func:`analyze`, its
-repeated squaring below), which follows many start columns of one or more
-tensors of dimension n at once. Bit t*n + j-1 of a mask R_u is a
-lane: it says row u is in column j's state of tensor t. One step sets R_u to
-the OR, over row u's supports, of the AND of each support's members' R_i.
-The lane table lists each row's supports as tuples of their members:
-:func:`analyze` reads it straight off the tensor's canonical rows, and
-:func:`_lane_rows` builds it for a batch of :func:`gammas`. A run executes
-the step as a program built once per run (:func:`_vector_step`): C-level
-``map`` passes that fold every meet, then every row's OR, a level of pairs
-at a time; the build writes a last level, where every open group is a pair,
-with comprehensions. The build gives each distinct support one register, so
-a support that several rows hold is met once per step. A lane has reached
-[n] when its bit survives the AND of all R_u; it then records that step,
-its column degree, and closes. A lane that is not full and matches a
-snapshot of Brent's cycle detection, taken at steps 1, 2, 4, 8, ..., cycles:
-[n] is out of its reach, and the steps since the snapshot are its exact
-period, as each snapshot is compared at every step from the one after it is
-taken. It closes its whole group of lanes, as the run's
-caller then needs none of them; the budget closes every lane. The first test
-reads rows until no open lane is left, the second folds every row in C.
+The sliced run (:func:`_sliced_run`) follows many start columns of one or more
+tensors of dimension n at once. Bit t*n + j-1 of a mask R_u is a lane: it says
+row u is in column j's state of tensor t. One step sets R_u to the OR, over
+row u's supports, of the AND of each support's members' R_i, as a program of
+C-level ``map`` passes built once per run (:func:`_vector_step`), in which
+each distinct support has one register, so it is met once per step. A lane
+has reached [n] when its bit survives the AND of all R_u; it records that
+step, its column degree, and closes. A lane that is not full and matches a
+Brent snapshot (Brent, BIT 1980), taken at steps 1, 2, 4, 8, ..., cycles: [n]
+is out of its reach, and as each snapshot is compared at every step after it
+is taken, the steps since it are the exact period. The match closes the
+lane's whole group, and the budget closes every lane.
 
-A run may keep a stack of snapshots, one per copy of its lanes (copy d of
-lane l is lane d*L + l, for L lanes a copy, all in the same state). S_1
-fills every copy; at each later power of two the stack moves up a copy, its
-oldest snapshot leaving, and copy 0 takes the current state, so the one fold
-per step compares every lane with every snapshot. A match closes its group
-in every copy and records its period on its copy-0 lane, the one the run's
-caller reads.
+A run may keep a stack of snapshots, one per copy of its lanes (copy d of lane
+l is lane d*L + l, for L lanes a copy, all in the same state). S_1 fills every
+copy; at each later power of two the stack moves up a copy, its oldest
+snapshot leaving, and copy 0 takes the current state, so one fold per step
+compares every lane with every snapshot. With SNAPSHOTS = 4 copies the
+snapshot of step s is compared up to step 16s. A match is recorded on the
+copy-0 lane, the one the caller reads.
 
-:func:`analyze` is a batch of one tensor whose groups are its single columns.
-It takes no snapshot if the majorization matrix is primitive: as the step is
-monotone, every column then reaches [n], repeating no state first. Otherwise
-its run keeps S_1, ..., S_KEPT_STATES and a stack of SNAPSHOTS = 4: the
-snapshot of step s stays until step 16s, so a column whose tail (the steps
-before its cycle) is at most s and whose period is at most 15s matches it at
-step s + period, not long after its first repeat. Past S_64 only copy 0 steps on, with the
-newest snapshot alone, so a long tail pays for one copy. The run goes on to
-three budgets, since the newest snapshot, at the least power of two
-s >= max(tail, period), catches a first repeat at step f by step
-s + period <= 3f - 1; one pass over S_1, S_2, ... up to the budget finds
-each cycle's start, stepping on through the run's program past the kept
-states. A column still open at the budget is ``Exhausted``, so every
-certificate equals the one ``column_trace`` gives, with no column traced.
+:func:`analyze` runs one tensor whose groups are its single columns, from a
+lane table read straight off its canonical rows, by one of three routes:
 
-If the majorization matrix M is primitive and no row holds a multi-index
-support, :func:`analyze` squares instead of running. Such a step is linear
-over the Boolean semiring: S_k(j) is column j of M^k. A lane list is also a
-jump table: if R_u holds the columns j with u in S_a(j), stepping any lane
-list with the table whose row u reads the bits of R_u advances every lane
-by a steps. So a Boolean product (:func:`_product`) squares M into M^2,
-M^4, ..., each power below the top one stepped by its own table, until
-the exponents sum to the budget or more, or the top power is all [n]. Every
-row of a primitive M is nonempty, so a column that is [n] stays [n]: with
-every lane at S_0 = {j}, a pass from the top power down that takes each jump
-on just the lanes still short of [n] after it leaves each lane on its last
-state short of [n], S_{gamma_j - 1}. Its first jump, from S_0, lands on the
-top power itself, so the top power takes no product and is never decoded
-into a table. A lane whose degree passes the budget stays open and is
-``Exhausted``. The Wielandt lift at n = 128 takes 26 products, not 16,130
-steps.
+- If the majorization matrix M (the rows' singletons) is primitive, every
+  column reaches [n], as the step is monotone, and repeats no state first.
+  The run then takes no snapshot and stops at the budget.
+- If besides no row holds a multi-index support, the step is linear over the
+  Boolean semiring (S_k(j) is column j of M^k), and :func:`_squared_ends`
+  squares instead of running. A lane list is also a jump table: if R_u holds
+  the columns j with u in S_a(j), the table whose row u reads the bits of
+  R_u advances any lane list by a steps. A Boolean product (:func:`_product`)
+  squares M into M^2, M^4, ... until the exponents sum to the budget or
+  more, or the top power is all [n]. As a column that is [n] stays [n], a
+  pass from the top power down, every lane starting at S_0 = {j}, takes each
+  jump on just the lanes still short of [n] after it, which leaves each on
+  S_{gamma_j - 1}. The first jump lands on the top power itself, which is
+  never decoded into a table. The Wielandt lift at n = 128 takes 26
+  products, not 16,130 steps.
+- Otherwise the run keeps the stack of SNAPSHOTS for the whole run and goes
+  on to two budgets. A column whose cycle starts at step c with period p
+  first repeats at f = c + p. The snapshot of the least power of two
+  s >= max(c, p/15) lies on the cycle and is still compared at step
+  s + p <= 16s; as s <= 2c - 1 or s < 2p/15, it matches by step
+  s + p <= 2f - 1. So every column that first repeats within the budget has
+  matched a snapshot, at a step that bounds its first repeat. The run keeps
+  S_1, ..., S_KEPT_STATES, the last in copy 0 alone, and one pass walks
+  S_1, S_2, ... up to the budget, stepping the run's program on past the
+  kept states: it compares each S_k with S_{k-p} for every period p still
+  open, and drops a period once its columns are settled.
 
-:func:`gammas` runs batches of one copy whose groups are whole tensors, for
-callers that need only gamma: a tensor's gamma is the largest of its n lane
-degrees, and None if a lane has none, because it cycled, its group closed or
-the default budget ran out.
-It reads each tensor as its n rows of support masks, so callers that draw or
-enumerate patterns build no :class:`PatternTensor`. The masks need not be
-minimized: duplicates merge in the lane table, and as the step is monotone a
-superset of another support never changes it. A support that every tensor
-in the batch holds in row u enters as it is. A support that only some hold
-gets one extra member, a pseudo-index c past the n rows whose R_c is the
-lane mask of those tensors; R_c is appended unchanged after every step, so
-the AND keeps that support on its own tensors' lanes, and two rows hold the
-same tuple, met once, when they share its pseudo-index too. The build reads
-the batch one row at a time and the members of each distinct mask once. Every
-lane mask is an int over the whole batch, so building one costs time
-quadratic in its size; ``gammas`` therefore runs its input in chunks of
-``GAMMA_LANES // n`` tensors (at least one). A tensor whose S_1 is empty
-from some j (no row holds {j}) gets None and no lane: step 1 settles it.
+A column still open at the budget is ``Exhausted``, so every outcome equals
+the one ``column_trace`` gives, with no column traced.
+
+:func:`gammas` runs batches whose groups are whole tensors, with one copy and
+the newest snapshot alone, for callers that need only gamma: a tensor's gamma
+is the largest of its n lane degrees, and None if a lane has none. It reads
+each tensor as n rows of support masks, so callers build no
+:class:`PatternTensor`, and :func:`_lane_rows` merges a batch. The masks need
+not be minimized: duplicates merge, and a superset of another support never
+changes the monotone step. A support that only some tensors of the batch hold
+gets a pseudo-index c past the n rows, whose R_c, appended unchanged after
+every step, is the lane mask of those tensors; two rows share its register
+when they share the pseudo-index too. A lane mask is an int over the whole
+batch, so building one costs time quadratic in its size, and ``gammas`` runs
+its input in chunks of ``GAMMA_LANES // n`` tensors (at least one). A tensor
+whose S_1 is empty from some j (no row holds {j}) gets None and no lane.
 
 :func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
 to every row: a column is [n] from the step after its base state first holds
@@ -130,13 +116,14 @@ from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set, bit_indi
 GAMMA_LANES = 1280
 
 # States S_1..S_64 that an analyze run with the cycle test keeps for its
-# cycle-start pass; past them the pass steps on through the run's program.
+# cycle-start pass, the last in copy 0 alone: past them the pass steps on from
+# it through the run's program, on n-bit states.
 KEPT_STATES = 64
 
-# Brent snapshots that an analyze run with the cycle test compares up to
-# S_KEPT_STATES, one per copy of its lanes: a program step and the fold cost
-# about the same with 1 to 8 copies at n = 100, and with 4 the snapshot of
-# step s stays until step 16s, not 2s.
+# Brent snapshots that an analyze run with the cycle test compares for the
+# whole run, one per copy of its lanes: a program step and the fold cost about
+# the same with 1 to 8 copies at n = 100, and with 4 the snapshot of step s
+# stays until step 16s, not 2s.
 SNAPSHOTS = 4
 
 # What the sliced step reads: each row's supports as tuples of their members,
@@ -378,19 +365,16 @@ class PrimitivityReport(Record):
         )
 
 
-def _sliced_step(rows: LaneRows, R: list[int]) -> list[int]:
-    """One step of every lane at once, ``R[u]`` being row u's lane mask and a
-    pseudo-index reading past the n rows: the reference OR of ANDs that
-    :func:`_vector_step`'s program computes."""
-    return [reduce(or_, [reduce(and_, map(R.__getitem__, m)) for m in row], 0) for row in rows]
-
-
 def _vector_step(rows: LaneRows, consts: list[int]) -> Callable[[list[int]], list[int]]:
-    """``R -> _sliced_step(rows, R + consts)`` as C-level passes on registers
-    ``R + consts + [0]``: each appends one ``map`` over pairs, folding every
-    meet a level, then every row's OR of its registers in ascending order; a
-    gather reads each row (0 if empty). Each distinct support has one register,
-    its member's or its meet's, so one that several rows hold is met once."""
+    """The step of every lane at once as a function of ``R``, row u's lane mask
+    being ``R[u]`` and ``consts`` the entries of the pseudo-indices past the n
+    rows: each row's OR of its supports' ANDs (``sliced_step`` in
+    ``tests/oracle_utils.py`` is the reference), as C-level passes on
+    registers ``R + consts + [0]``. Each pass appends one ``map`` over pairs,
+    folding every meet a level, then every row's OR of its registers in
+    ascending order; a gather reads each row (0 if empty). Each distinct
+    support has one register, its member's or its meet's, so one that several
+    rows hold is met once."""
     zero = len(rows) + len(consts)
     passes: list[tuple[Callable, Callable, Callable]] = []
     size = zero + 1  # the next register a pass appends
@@ -463,18 +447,14 @@ def _sliced_run(
 ) -> tuple[list[int | None], dict[int, int], list[list[int]], Callable[[list[int]], list[int]]]:
     """Step the lanes of ``tensors`` tensors until each lane is resolved: it
     reaches [n], its group of ``width`` lanes closes as one of them matches a
-    Brent snapshot, or the budget ``bound`` runs out.
+    Brent snapshot, or the budget ``bound`` runs out (see the module docstring).
 
-    It steps through :func:`_vector_step`'s program. With ``snapshots`` 0,
-    for lanes that all reach [n], it takes no snapshot; otherwise it keeps a
-    stack of that many in as many copies of the lanes (see the module
-    docstring), comparing the snapshot of step s until step s * 2^snapshots,
-    and past S_KEPT_STATES steps copy 0 alone, with the newest snapshot. A
-    run of one-lane groups (:func:`analyze`'s) keeps its states S_1, ...,
-    S_KEPT_STATES for the cycle-start pass. It returns, of the copy-0 lanes,
-    the step at which each reached [n] (None if it did not) and those that
-    matched a snapshot keyed by period, then the kept states and its step
-    function.
+    With ``snapshots`` 0, for lanes that all reach [n], it takes no snapshot;
+    otherwise it keeps a stack of that many. A run of one-lane groups with
+    snapshots (:func:`analyze`'s) keeps S_1, ..., S_KEPT_STATES, the last in
+    copy 0 alone. It returns, of the copy-0 lanes, the step at which each
+    reached [n] (None if it did not) and those that matched a snapshot keyed
+    by period, then the kept states and its step function.
     """
     lanes, copies = n * tensors, max(snapshots, 1)  # lanes of copy 0, the ones the caller reads
     low, every = (1 << lanes) - 1, (1 << lanes * copies) - 1
@@ -488,8 +468,8 @@ def _sliced_run(
     R = step([ones << u for u in range(n)])
     snap, taken, k = None, [], 1  # the stack, and the step of each copy's snapshot, newest first
     while True:
-        if snapshots and width == 1 and k <= KEPT_STATES:
-            kept.append(R)
+        if snapshots and width == 1 and k <= KEPT_STATES:  # the last in copy 0 alone, as the pass steps on from it
+            kept.append(R if k < KEPT_STATES else [r & low for r in R])
         full = live
         for r in R:
             if not full:
@@ -517,10 +497,6 @@ def _sliced_run(
                 snap, taken = R, [k] * copies
             else:
                 snap, taken = [(s << lanes | r & low) & every for s, r in zip(snap, R)], [k, *taken[:-1]]
-        if k == KEPT_STATES and copies > 1:  # past the kept states, copy 0 alone, S_k (a power of two) its snapshot
-            R = snap = [r & low for r in R]
-            live, every, copies, taken = live & low, low, 1, [k]
-            kept[-1] = R  # the cycle-start pass steps on from it
         R, k = step(R), k + 1
 
 
@@ -559,22 +535,9 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     """Decide primitivity by tracing every column at once; gamma = max over columns.
 
     Each outcome equals ``column_trace(tensor, j, max_steps).outcome``, with
-    no column traced. The module docstring describes the sliced run, a batch
-    of one tensor whose every column is its own group, so that each lane ends
-    on its own, its cycle certificates, its stack of snapshots (a column with
-    tail at most s and period at most 15s matches the snapshot of step s by
-    step s + period; past S_KEPT_STATES copy 0 steps on alone), and why a
-    run with the cycle test goes on to three budgets. The pass that finds
-    each cycle's start reads the states the run kept, then steps the run's
-    program past them, drops a period once its columns are settled and stops
-    at the budget; a column still open then is ``Exhausted``. A primitive
-    majorization matrix spares the run its cycle test, its kept states and
-    the longer run: every column then reaches [n], so none repeats a state
-    first. If no row holds a multi-index support either, the degrees come
-    from Boolean repeated squaring of that matrix instead
-    (:func:`_squared_ends`): about 2 log2 of the budget products, 26 at
-    n = 128. The run's lane table is each canonical row's masks as member
-    tuples: a batch of one needs none of :func:`_lane_rows`' merging.
+    no column traced. The module docstring describes its three routes: the
+    squaring, a run without the cycle test, and one with it that goes on to
+    two budgets, followed by the pass that finds each cycle's start.
     """
     n = tensor.dim
     bound = default_bound(n) if max_steps is None else max_steps
@@ -583,7 +546,7 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     cycles = not _majorization_primitive(tensor)  # else every column reaches [n]
     if cycles or any(fam.multis for fam in tensor.rows):
         rows = [list(map(bit_indices, fam.masks)) for fam in tensor.rows]  # canonical: no mask repeats
-        stop = 3 * bound if cycles else bound  # a first repeat at step f matches a snapshot by 3f - 1
+        stop = 2 * bound if cycles else bound  # a first repeat at step f matches a snapshot by 2f - 1
         ends, periods, kept, step = _sliced_run(
             rows, [], n, tensors=1, width=1, bound=stop, snapshots=SNAPSHOTS if cycles else 0
         )
@@ -592,9 +555,8 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
         ends, periods = _squared_ends([fam.singles for fam in tensor.rows], bound), {}
     outcomes: list[Outcome | None] = [None if k is None else Reached(k) for k in ends]
     # The first k where column j's S_k equals its S_{k-period} is its first
-    # repeat; a snapshot match at step k bounds it by k, so a run that ended
-    # by S_KEPT_STATES kept every state this reads, and the pass steps on
-    # past them otherwise, to the budget. A period leaves once settled.
+    # repeat, at most the step of its snapshot match: a run that ended by
+    # S_KEPT_STATES kept every state this reads.
     window: deque[list[int]] = deque(maxlen=max(periods, default=0) + 1)
     k = 0
     while periods and k < bound:

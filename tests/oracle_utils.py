@@ -1,8 +1,9 @@
 """Independent oracle implementations used to pin expected values.
 
 Nothing here shares code with the package's trace engine: matrices go through
-numpy boolean powers, steps go through a direct scan of raw entries, and the
-general product is evaluated by literal nested loops over its defining sum.
+numpy boolean powers, steps go through a direct scan of raw entries or, for
+lane masks, a per-row loop, and the general product is evaluated by literal
+nested loops over its defining sum.
 The reference row parser checks every row line in full, the way the parser
 does for a line that its one-regex path does not accept.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from functools import reduce
+from operator import and_, or_
 
 import numpy as np
 
@@ -67,6 +70,13 @@ def raw_states(
         state = raw_step(entries, state)
         out.append(state)
     return out
+
+
+def sliced_step(rows: list[list[tuple[int, ...]]], R: list[int]) -> list[int]:
+    """One step of every lane at once, ``R[u]`` being row u's lane mask and a
+    pseudo-index reading past the n rows: the OR of ANDs that
+    ``patterns._vector_step``'s program computes, one row at a time."""
+    return [reduce(or_, [reduce(and_, map(R.__getitem__, m)) for m in row], 0) for row in rows]
 
 
 def brute_general_product(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import raw_states, raw_step
+import oracle_utils
+from oracle_utils import raw_states, raw_step, sliced_step
 from primdeg import patterns
 from primdeg.bitsets import bit_indices
 from primdeg.patterns import extra_support_gammas, gammas
@@ -370,7 +371,7 @@ class TestBitSlicedAnalyze:
         # alone, which waits for the snapshot of step 32). Each period
         # leaves the pass at its columns' first repeat, so every cycle test
         # reads open lanes.
-        table, steps = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
+        table, steps = count_calls(monkeypatch, "sliced_step", oracle_utils), count_program_steps(monkeypatch)
         same = count_calls(monkeypatch, "_same")
         entries, base = [], 0
         for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
@@ -590,7 +591,7 @@ class TestLoweredBudgets:
     """``analyze`` labels a column still open at the budget ``Exhausted(bound)``
     without replaying it through ``column_trace``: with a primitive
     majorization matrix no column repeats a state before [n], and otherwise
-    the run goes on to three budgets, by which any first repeat within the
+    the run goes on to two budgets, by which any first repeat within the
     budget has matched a snapshot."""
 
     @given(primitive_singleton_inputs(), st.data())
@@ -628,8 +629,9 @@ class TestLoweredBudgets:
         assert traces == []
 
     def test_a_failed_screen_runs_past_the_budget_without_traces(self, monkeypatch):
-        # the 3-cycle's first repeat is at step 4, but Brent's snapshot of
-        # step 4 matches only at step 7, past the default budget of 5
+        # the 3-cycle first repeats at step 4, where the stack's snapshot of
+        # step 1 matches; under a budget of 2 the run goes on to step 4, past
+        # it, and the pass labels every column without a trace
         rot = make_pattern(2, 3, [(u, (u % 3 + 1,)) for u in (1, 2, 3)])
         assert not patterns._majorization_primitive(rot)
         traces = count_calls(monkeypatch, "column_trace")
@@ -649,6 +651,20 @@ class TestLoweredBudgets:
         assert r.outcomes[0] == Cycled(first_repeat_at=842, period=1)
         assert r.outcomes[32] == Cycled(first_repeat_at=845, period=2)
         for max_steps in (1, 2, 3, *range(280, 284), *range(841, 847), *range(1023, 1027)):
+            assert_matches_per_column_reference(t, max_steps)
+
+    @pytest.mark.parametrize(
+        "path, period", [(L, p) for L in (31, 32, 33, 63, 64, 65) for p in (1, 15, 17, 65) if L + p <= 128]
+    )
+    def test_paths_into_cycles_around_the_budget(self, path, period):
+        # Arcs i -> u: the path 1 -> 2 -> ... -> path into a cycle of the
+        # given period, so column 1 first repeats at f = path + period and
+        # matches a snapshot by step 2f - 1; budgets f - 1, f and f + 1
+        n = f = path + period
+        arcs = [(v, v + 1) for v in range(1, n)] + [(n, path + 1)]
+        t = make_pattern(2, n, [(u, (i,)) for i, u in arcs])
+        assert column_trace(t, 1).outcome == Cycled(first_repeat_at=f, period=period)
+        for max_steps in (f - 1, f, f + 1):
             assert_matches_per_column_reference(t, max_steps)
 
 
@@ -744,7 +760,7 @@ class TestBatchGammas:
     def test_budget_runs_out(self, monkeypatch):
         # a 3-cycle at dim 3 first matches a snapshot at step 7, after the
         # default budget of 5 steps, so the budget decides it
-        table, calls = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
+        table, calls = count_calls(monkeypatch, "sliced_step", oracle_utils), count_program_steps(monkeypatch)
         rot = make_pattern(2, 3, [(u, (u % 3 + 1,)) for u in (1, 2, 3)])
         assert gammas(3, [row_masks(rot)]) == [None]
         assert len(calls) == default_bound(3) and table == []
@@ -796,7 +812,7 @@ class TestBatchGammas:
         # singleton support and so reach the run: the batch stops within a few
         # steps of the second one's detection, not at the default budget of
         # their dimension
-        table, calls = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
+        table, calls = count_calls(monkeypatch, "sliced_step", oracle_utils), count_program_steps(monkeypatch)
         swap = make_pattern(2, 40, [(u, (u + 1 if u % 2 else u - 1,)) for u in range(1, 41)])
         rot = make_pattern(2, 40, [(u, (u + 1 if u % 3 else u - 2,)) for u in range(1, 40)] + [(40, (40,))])
         assert gammas(40, [row_masks(swap), row_masks(rot)]) == [None, None]
@@ -815,10 +831,10 @@ def covered_mask_batches(draw, max_dim=9, max_order=6, max_tensors=12):
     return dim, batch
 
 
-def count_calls(monkeypatch, name):
-    """Wrap ``patterns.<name>`` so that each call appends its arguments to the returned list."""
-    calls, real = [], getattr(patterns, name)
-    monkeypatch.setattr(patterns, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+def count_calls(monkeypatch, name, module=patterns):
+    """Wrap ``module.<name>`` so that each call appends its arguments to the returned list."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
     return calls
 
 
@@ -1123,7 +1139,7 @@ class TestSharedSupports:
         t = degree_witness(5, 5, 12)[0]
         rows, _ = patterns._lane_rows(5, [row_masks(t)])
         R = [1 << u for u in range(5)]
-        patterns._sliced_step(rows, R)
+        sliced_step(rows, R)
         patterns._vector_step(rows, [])(R)
         assert R == [1 << u for u in range(5)]
 
@@ -1290,7 +1306,7 @@ def assert_program_matches(n, batch, R):
     leaves alone; returns the lane rows and those entries."""
     rows, consts = patterns._lane_rows(n, batch)
     before = list(R)
-    assert patterns._vector_step(rows, consts)(R) == patterns._sliced_step(rows, R + consts)
+    assert patterns._vector_step(rows, consts)(R) == sliced_step(rows, R + consts)
     assert R == before
     return rows, consts
 
@@ -1485,7 +1501,7 @@ class TestCompiledStep:
             base += length
         arcs += [(v + 1, v) for v in range(17, 17 + tail)]
         t = make_pattern(2, 17 + tail, [(u, (i,)) for i, u in arcs])
-        table, program = count_calls(monkeypatch, "_sliced_step"), count_program_steps(monkeypatch)
+        table, program = count_calls(monkeypatch, "sliced_step", oracle_utils), count_program_steps(monkeypatch)
         runs = record_runs(monkeypatch, program)
         r = assert_matches_per_column_reference(t, None)
         assert r.outcomes[16:] == tuple(Cycled(first_repeat_at=57 + s, period=30) for s in range(tail + 1))
@@ -1533,10 +1549,10 @@ def cycle_arcs(first, length):
 
 class TestSnapshotStack:
     """``analyze``'s run compares every lane with a stack of ``SNAPSHOTS``
-    Brent snapshots, one per copy of its lanes, and only copy 0 steps on past
-    ``KEPT_STATES``. Columns whose periods exceed the newest snapshot at their
-    first repeat, first repeating on both sides of steps 32 and 64, against
-    ``column_trace``."""
+    Brent snapshots, one per copy of its lanes, for the whole run, and stops
+    at two budgets: columns whose periods exceed the newest snapshot at their
+    first repeat, first repeating on both sides of steps 32 and 64 or past
+    ``KEPT_STATES`` or the budget, against ``column_trace``."""
 
     # Arcs i -> u at n = 64. Order 2: a Wielandt digraph on 1..9, whose
     # columns first repeat around step 64, cycles of lengths 17 and 19, and
@@ -1566,6 +1582,36 @@ class TestSnapshotStack:
         budgets = {1, 2, 3, *range(30, 35), *range(62, 67), *(f + d for f in repeats for d in (-1, 0, 1))}
         for max_steps in sorted(budgets):
             assert_matches_per_column_reference(t, max_steps)
+
+    def test_a_long_period_past_the_kept_states(self, monkeypatch):
+        # Arcs i -> u: cycles of lengths 3, 5 and 7 on 1..15, and vertex 16
+        # feeding 1, 4 and 9, so column 16 first repeats at step 106 with
+        # period 105. The snapshot of step 8 is still compared at step 113,
+        # and the run ends there; the pass steps on to S_106: 155 steps
+        program = count_program_steps(monkeypatch)
+        runs = record_runs(monkeypatch, program)
+        arcs = cycle_arcs(1, 3) + cycle_arcs(4, 5) + cycle_arcs(9, 7) + [(16, 1), (16, 4), (16, 9)]
+        t = make_pattern(2, 16, [(u, (i,)) for i, u in arcs])
+        r = analyze(t)
+        assert r.outcomes[15] == Cycled(first_repeat_at=106, period=105)
+        assert runs == [(113, 64)] and len(program) == 155
+        for max_steps in range(1, default_bound(16) + 2):
+            assert_matches_per_column_reference(t, max_steps)
+
+    def test_a_column_open_at_the_budget_runs_two_budgets(self, monkeypatch):
+        # Arcs i -> u: cycles of lengths 3, 4, 5, 7 and 11 on 1..30, and
+        # vertex 31 feeding each one's first vertex, so column 31 has period
+        # 4,620 and stays open at the default budget of 901: the run steps
+        # to twice the budget, and no pass step follows
+        program = count_program_steps(monkeypatch)
+        arcs, first = [], 1
+        for length in (3, 4, 5, 7, 11):
+            arcs += cycle_arcs(first, length) + [(31, first)]
+            first += length
+        t = make_pattern(3, 31, [(u, (i, i)) for i, u in arcs])
+        r = assert_matches_per_column_reference(t, None)
+        assert r.outcomes[30] == Exhausted(901)
+        assert len(program) == 2 * default_bound(31) == 1802
 
 
 class TestNecessaryConditions:
