@@ -125,18 +125,36 @@ def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
     mask below 1 raises ValueError: 0 is the empty set, and a negative int is
     no subset of [n]; 0 is named first, then the negative mask with the
     fewest bits and then the least value.
+
+    A candidate with p members is tested against the kept masks the cheaper
+    way: by looking up its 2^p - 2 proper non-empty submasks (Pritchard, "A
+    simple sub-quadratic algorithm for computing the subset partial order",
+    IPL 1995), or by scanning the kept masks when there are fewer of them.
     """
     ordered = sorted(set(masks))
     if ordered and ordered[0] < 1:
         bad = min([m for m in ordered if m < 1], key=lambda m: (m.bit_count(), m))
         raise ValueError(f"mask {bad:#x} out of range" if bad else "empty set is not a valid support")
     kept: list[int] = []
+    index: set[int] | None = None  # kept[:len(index)], made at the first walk
     for cand in ordered:  # a proper subset is a smaller int, so it comes first
-        for k in kept:
-            if k & cand == k:
-                break
+        # a singleton has no submask to look up, and a pair's two are fewer
+        # than the kept masks only once there are three of them
+        if len(kept) > 2 and (1 << cand.bit_count()) - 2 < len(kept):
+            if index is None:
+                index = set()
+            index.update(kept[len(index) :])
+            sub = (cand - 1) & cand
+            while sub and sub not in index:
+                sub = (sub - 1) & cand
+            if not sub:
+                kept.append(cand)
         else:
-            kept.append(cand)
+            for k in kept:
+                if k & cand == k:
+                    break
+            else:
+                kept.append(cand)
     return tuple(kept)
 
 
@@ -176,14 +194,15 @@ class SupportFamily(Record):
 
     def __init__(self, dim: int, masks: tuple[int, ...], *, _canonical: bool = False) -> None:
         _check_dim(dim)
-        limit = 1 << dim
         if not (_canonical or isinstance(masks, tuple) and masks == minimize_masks(masks)):
             raise ValueError("masks must be a canonical inclusion-minimal tuple")
+        limit = 1 << dim
+        if masks and masks[-1] >= limit:  # canonical order ends with the largest mask
+            bad = next(m for m in masks if m >= limit)
+            raise ValueError(f"mask {bad:#x} out of range for dim {dim}")
         singles = 0
         multis = []
         for m in masks:
-            if m >= limit:
-                raise ValueError(f"mask {m:#x} out of range for dim {dim}")
             if m & (m - 1):
                 multis.append(m)
             else:

@@ -387,65 +387,95 @@ def cmd_scan_open_problem(args: argparse.Namespace) -> int:
 # parser / entry point
 
 
-@functools.cache  # built once per process; main only reads it
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="primdeg",
-        description="Primitivity and primitive degrees of nonnegative tensors.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="decide primitivity of a tensor document")
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path")
     p.add_argument("--max-k", type=int, default=None, help="step budget override")
     p.add_argument("--per-column", action="store_true", help="emit the per-column table")
     p.add_argument("--format", choices=["text", "json-lines"], default="text")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("construct", help="write a canonical document for a known family")
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=["wielandt", "a0", "ak", "bt", "small-matrix"])
     p.add_argument("--n", type=int, required=True, help="dimension")
     p.add_argument("--m", type=int, help="order (tensor kinds)")
     p.add_argument("--k", type=int, help="frontier index (kind ak)")
     p.add_argument("--t", type=int, help="target degree (kinds bt, small-matrix)")
     p.add_argument("--out", help="output path (default: document to stdout)")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("exponent-set", help="witness every degree 1..(n-1)^2+1")
+
+def _exponent_set_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True, help="order")
     p.add_argument("--n", type=int, required=True, help="dimension")
     p.add_argument("--emit-witnesses", metavar="DIR", help="write witness documents here")
     p.add_argument("--max-n", type=int, default=12, help="desk-scale dimension guard")
     p.add_argument("--format", choices=["text", "json-lines"], default="text")
-    p.set_defaults(func=cmd_exponent_set)
 
-    p = sub.add_parser("oracle-check", help="cross-check trace engine vs dense oracles")
+
+def _oracle_check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True, help="order")
     p.add_argument("--n", type=int, required=True, help="dimension")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-k", type=int, default=5)
     p.add_argument("--format", choices=["text", "json-lines"], default="text")
-    p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser(
-        "scan-open-problem",
-        help="sample degrees for order < dim (NON-EXHAUSTIVE)",
-    )
+
+def _scan_open_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True, help="order (>= 3)")
     p.add_argument("--n", type=int, required=True, help="dimension (> order)")
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "json-lines"], default="text")
-    p.set_defaults(func=cmd_scan_open_problem)
 
+
+# command -> (its line in the top-level help, the function that adds its
+# arguments, its handler)
+_COMMANDS = {
+    "analyze": ("decide primitivity of a tensor document", _analyze_args, cmd_analyze),
+    "construct": ("write a canonical document for a known family", _construct_args, cmd_construct),
+    "exponent-set": ("witness every degree 1..(n-1)^2+1", _exponent_set_args, cmd_exponent_set),
+    "oracle-check": ("cross-check trace engine vs dense oracles", _oracle_check_args, cmd_oracle_check),
+    "scan-open-problem": ("sample degrees for order < dim (NON-EXHAUSTIVE)", _scan_open_problem_args, cmd_scan_open_problem),
+}
+
+
+def _add_command(p: argparse.ArgumentParser, command: str) -> None:
+    _, add_args, handler = _COMMANDS[command]
+    add_args(p)
+    p.set_defaults(func=handler)
+
+
+@functools.cache  # built once per process; main only reads it
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command alone: the same arguments, defaults and help
+    as its subparser in :func:`build_parser`, which main builds only when
+    ``argv[0]`` names no command."""
+    p = argparse.ArgumentParser(prog=f"primdeg {command}")
+    _add_command(p, command)
+    return p
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser of all five commands, for ``--help``, a missing
+    command and an unknown one."""
+    parser = argparse.ArgumentParser(
+        prog="primdeg",
+        description="Primitivity and primitive degrees of nonnegative tensors.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(command, help=help_text), command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; that slot is reserved for
         # verification failures, so usage problems become input errors.

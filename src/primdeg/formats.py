@@ -37,10 +37,13 @@ _SET_RE = re.compile(r"\{([^{}]*)\}")
 # An index or a count: ASCII digits with no sign, underscore or leading zero.
 _INT_RE = re.compile(r"0|[1-9][0-9]*")
 _ROW_RE = re.compile(rf"row\s+({_INT_RE.pattern}):(.*)")
-# A row that _ROW_RE and the checks after it accept if its row number, its
-# members and its set sizes are in range: every group ASCII digits and commas,
-# with no empty member.
-_WELL_FORMED_ROW_RE = re.compile(r"row\s+([1-9][0-9]*):((?:\s*\{[0-9]+(?:,[0-9]+)*\})*)")
+# A body of row lines, each ended by "\n", that _ROW_RE and the checks after it
+# accept if its row numbers, members and set sizes are in range: every group
+# ASCII digits and commas, with no empty member. Whitespace is [^\S\n], so no
+# match runs over a line's end.
+_WELL_FORMED_BODY_RE = re.compile(r"(?:row[^\S\n]+[1-9][0-9]*:(?:[^\S\n]*\{[0-9]+(?:,[0-9]+)*\})*\n)*")
+# In a well-formed body: a row number, or the members of one group.
+_ROW_OR_GROUP_RE = re.compile(r"row[^\S\n]+([0-9]+):|\{([0-9,]+)\}")
 
 
 class SparseTensor(Record):
@@ -85,10 +88,10 @@ def _keyed_int(lines: list[tuple[int, str]], pos: int, key: str) -> int:
     if pos >= len(lines):
         raise ParseError(lines[-1][0] if lines else 1, f"missing '{key} N' line")
     no, line = lines[pos]
-    m = re.fullmatch(rf"{key}\s+({_INT_RE.pattern})", line)
-    if not m:
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != key or not _INT_RE.fullmatch(parts[1]):
         raise ParseError(no, f"expected '{key} N', got {line!r}")
-    return int(m.group(1))
+    return int(parts[1])
 
 
 def _keyed_order(lines: list[tuple[int, str]]) -> int:
@@ -115,22 +118,42 @@ def _keyed_dim(lines: list[tuple[int, str]], pos: int) -> int:
 def _parse_pattern(lines: list[tuple[int, str]]) -> PatternTensor:
     order = _keyed_order(lines)
     dim = _keyed_dim(lines, 2)
+    rows = _read_rows(lines, order, dim)
+    if rows is None:  # check each line in full: the first to fail names its line
+        rows = {}
+        for no, line in lines[3:]:
+            _parse_row(no, line, order, dim, rows)
+    families = (SupportFamily.from_masks(dim, rows.get(u, ())) for u in range(1, dim + 1))
+    return PatternTensor(order, dim, tuple(families))
+
+
+def _read_rows(lines: list[tuple[int, str]], order: int, dim: int) -> dict[int, list[int]] | None:
+    """Row number -> its masks, read in one pass over the row lines, or None
+    if the pass cannot accept them, which a line the full check accepts may
+    also cause."""
+    body = "".join([line + "\n" for _, line in lines[3:]])
+    if not _WELL_FORMED_BODY_RE.fullmatch(body):
+        return None
     bit = {str(i): 1 << (i - 1) for i in range(1, dim + 1)}  # a member's text -> its bit
-    row_masks: dict[int, list[int]] = {}
-    for no, line in lines[3:]:
-        m = _WELL_FORMED_ROW_RE.fullmatch(line)
-        if m and (u := int(m[1])) <= dim and u not in row_masks:
-            try:
-                masks = [reduce(or_, map(bit.__getitem__, g.split(","))) for g in _SET_RE.findall(m[2])]
-            except KeyError:  # a member out of range or with a leading zero
-                pass
+    rows: dict[int, list[int]] = {}
+    masks: list[int] = []
+    try:
+        for u, group in _ROW_OR_GROUP_RE.findall(body):
+            if u:
+                row = int(u)
+                if row > dim or row in rows:
+                    return None
+                masks = rows[row] = []
+            elif "," not in group:
+                masks.append(bit[group])
             else:
-                if max(map(int.bit_count, masks), default=0) < order:
-                    row_masks[u] = masks
-                    continue
-        _parse_row(no, line, order, dim, row_masks)
-    rows = (SupportFamily.from_masks(dim, row_masks.get(u, ())) for u in range(1, dim + 1))
-    return PatternTensor(order, dim, tuple(rows))
+                mask = reduce(or_, map(bit.__getitem__, group.split(",")))
+                if mask.bit_count() >= order:
+                    return None
+                masks.append(mask)
+    except KeyError:  # a member out of range or with a leading zero
+        return None
+    return rows
 
 
 def _parse_row(no: int, line: str, order: int, dim: int, row_masks: dict[int, list[int]]) -> None:

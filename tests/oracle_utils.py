@@ -5,7 +5,8 @@ numpy boolean powers, steps go through a direct scan of raw entries or, for
 lane masks, a per-row loop, and the general product is evaluated by literal
 nested loops over its defining sum.
 The reference row parser checks every row line in full, the way the parser
-does for a line that its one-regex path does not accept.
+does for a document that its one-pass read does not accept, and the
+reference minimizer compares each candidate with every mask kept before it.
 """
 
 from __future__ import annotations
@@ -77,6 +78,24 @@ def sliced_step(rows: list[list[tuple[int, ...]]], R: list[int]) -> list[int]:
     pseudo-index reading past the n rows: the OR of ANDs that
     ``patterns._vector_step``'s program computes, one row at a time."""
     return [reduce(or_, [reduce(and_, map(R.__getitem__, m)) for m in row], 0) for row in rows]
+
+
+def reference_minimize_masks(masks) -> tuple[int, ...]:
+    """``bitsets.minimize_masks`` as a quadratic scan: the distinct masks in
+    ascending order, each kept unless a mask kept before it is its subset,
+    with the same ValueErrors for masks below 1."""
+    ordered = sorted(set(masks))
+    if ordered and ordered[0] < 1:
+        bad = min([m for m in ordered if m < 1], key=lambda m: (m.bit_count(), m))
+        raise ValueError(f"mask {bad:#x} out of range" if bad else "empty set is not a valid support")
+    kept: list[int] = []
+    for cand in ordered:
+        for k in kept:
+            if k & cand == k:
+                break
+        else:
+            kept.append(cand)
+    return tuple(kept)
 
 
 def brute_general_product(a_vals: np.ndarray, b_vals: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_utils import reference_minimize_masks
 from primdeg import CapExceededError, IndexSet, SupportFamily, bitsets
 from primdeg.bitsets import MAX_DIM, _check_dim, minimize_masks
 
@@ -57,6 +60,21 @@ def mask_collections(draw, max_dim=10):
     if masks:
         masks += draw(st.lists(st.sampled_from(masks), max_size=4))
     return draw(st.permutations(masks))
+
+
+@st.composite
+def long_rows(draw):
+    """Hundreds of one- and two-member masks over up to 128 bits, the shape
+    of a long row, with a few wide masks and duplicates, in any order: the
+    minimizer scans the kept masks for the first candidates and walks the
+    submasks of the later ones. A seeded rng draws the masks, so that a
+    list of hundreds is cheap to make."""
+    dim, rng = draw(st.integers(2, 128)), random.Random(draw(st.integers(0, 2**32)))
+    masks = [sum(1 << b for b in rng.sample(range(dim), rng.randint(1, 2))) for _ in range(rng.randint(100, 400))]
+    masks += [sum(1 << b for b in rng.sample(range(dim), rng.randint(2, min(dim, 12)))) for _ in range(rng.randint(0, 4))]
+    masks += rng.choices(masks, k=rng.randint(0, 10))
+    rng.shuffle(masks)
+    return masks
 
 
 class TestIndexSet:
@@ -147,6 +165,33 @@ class TestMinimize:
         once = minimize_masks(masks)
         assert minimize_masks(once) == once
         assert minimize_masks(reversed(masks)) == once
+
+
+class TestMinimizeAgainstTheScan:
+    """The submask walk against the quadratic scan it replaced."""
+
+    @settings(max_examples=300)
+    @given(long_rows())
+    def test_long_rows(self, masks):
+        assert minimize_masks(masks) == reference_minimize_masks(masks)
+
+    @given(mask_collections(max_dim=16))
+    def test_nested_collections(self, masks):
+        assert minimize_masks(masks) == reference_minimize_masks(masks)
+
+    @given(long_rows(), st.lists(st.integers(-(1 << 130), 0), min_size=1, max_size=3))
+    def test_masks_below_one_raise_the_same_error(self, masks, bad):
+        masks = masks + bad
+        assert outcome(minimize_masks, masks) == outcome(reference_minimize_masks, masks)
+        assert outcome(minimize_masks, masks)[0] is ValueError
+
+    def test_both_branches_on_the_long_row_at_the_cap(self):
+        # row 1 of CI's long-row document: {127}, {128} and every pair of
+        # 1..128; the pairs holding 127 or 128 go
+        pairs = [1 << a | 1 << b for a in range(128) for b in range(a + 1, 128)]
+        expected = sorted([1 << 126, 1 << 127] + [m for m in pairs if m < 1 << 126])
+        assert minimize_masks([1 << 126, 1 << 127] + pairs) == tuple(expected)
+        assert len(expected) == 2 + 126 * 125 // 2
 
 
 class TestSupportFamily:

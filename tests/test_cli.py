@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import primdeg
 from primdeg import families, patterns
 from primdeg import IndexSet, ParseError, VerificationError, degree_witness, load_document, make_pattern, parse_document, render_document, wielandt_tensor
 from primdeg.bitsets import minimize_masks
-from primdeg.cli import _random_rows, _subset_pool, main, random_pattern
+from primdeg.cli import _COMMANDS, _random_rows, _subset_pool, build_parser, main, random_pattern
 from primdeg.formats import render_pattern
 
 
@@ -777,6 +778,23 @@ class TestTopLevel:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "analyze" in out and "construct" in out
+        assert all(f"\n    {command}" in out for command in _COMMANDS)
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_command_help_is_the_full_parsers(self, capsys, command):
+        # main parses a named command with that command's parser alone; its
+        # help must be the bytes of the command's subparser in the full one
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        code, out, _ = run(capsys, [command, "--help"])
+        assert code == 0
+        assert out == subparsers.choices[command].format_help()
+
+    @pytest.mark.parametrize(
+        "argv", [["bogus"], ["--format", "text", "analyze"], ["analyze"], ["construct", "wielandt"], ["exponent-set", "--m", "x"]]
+    )
+    def test_usage_errors_exit_one(self, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        assert code == 1 and out == ""
 
     def test_unexpected_exception_exit_code(self, capsys, monkeypatch):
         import primdeg.cli as cli_mod

@@ -352,7 +352,9 @@ SPACES = ("", " ", "\t", "\u00a0", "\u2003", "\u3000")
 # Numbers the parser refuses: signs, underscores, leading zeros and digits
 # outside ASCII, which int() would read.
 BAD_NUMBERS = ("0", "00", "01", "+1", "-1", "1_0", "\u0661", "1\u0660", "\uff12", "1 2", "x", "")
-FLAWS = ("row", "twice", "member", "empty", "oversize", "outside", "break")
+FLAWS = ("row", "twice", "member", "empty", "oversize", "outside", "break", "split", "lone", "joined", "bare", "far")
+# Line breaks that str.splitlines honours and a "\n"-joined body does not.
+BREAKS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 
 
 @st.composite
@@ -360,22 +362,28 @@ def pattern_texts(draw):
     """A pattern document whose row lines are well formed, in canonical form
     or not (padded members, sets run together, tabs and Unicode spaces), but
     for at most one, which has one flaw: a row number out of range or
-    malformed, a row given twice, a member out of range, malformed or empty,
-    an empty or oversize set, text outside the braces, or a \\x0b that
-    ends the line early."""
+    malformed, a row given twice (next to its first line or as the last
+    line), a member out of range, malformed or empty, an empty or oversize
+    set, text outside the braces, a line break that only str.splitlines
+    honours inside the line or in place of the "\n" before it, a "\n"
+    inside a set, a line of one set after it, or no sets at all."""
     order, dim = draw(st.integers(2, 5)), draw(st.integers(1, 12))
     space = st.sampled_from(SPACES)
     bad = st.sampled_from((*BAD_NUMBERS, str(dim + 1)))
     rows, lines = draw(st.lists(st.integers(1, dim).map(str), unique=True, max_size=dim)), []
-    flawed = draw(st.integers(0, len(rows)))  # the flawed line, if below len(rows)
+    flawed, kind = draw(st.integers(0, len(rows))), draw(st.sampled_from(FLAWS))  # no flaw if flawed == len(rows)
+    if kind == "far" and flawed < len(rows):
+        rows, flawed = rows + rows[:1], len(rows)  # the first row again, as the last line
     for at, u in enumerate(rows):
-        flaw = draw(st.sampled_from(FLAWS)) if at == flawed else None
+        flaw = kind if at == flawed else None
         sets = draw(st.lists(st.lists(st.integers(1, dim).map(str), min_size=1, max_size=order - 1), max_size=4))
         if flaw in ("member", "empty", "oversize"):
             sets.insert(draw(st.integers(0, len(sets))), {
                 "member": ["1", draw(bad)], "empty": draw(st.sampled_from(([], [" "]))),
                 "oversize": [str(i % dim + 1) for i in range(order)],
             }[flaw])
+        elif flaw == "bare":
+            sets = []
         pad = draw(st.booleans())
         groups = "".join(
             "{" + ",".join(draw(space) + m + draw(space) if pad else m for m in members) + "}" + draw(space)
@@ -385,9 +393,20 @@ def pattern_texts(draw):
         line = f"row{draw(space.filter(bool))}{u}:{draw(space)}{groups}"
         if flaw in ("outside", "break"):
             cut = draw(st.integers(0, len(line)))
-            text = "\x0b" if flaw == "break" else draw(st.sampled_from(("x", "}", "{", "{1", "{}}", "row 1: {1}")))
+            text = draw(st.sampled_from(BREAKS)) if flaw == "break" else draw(st.sampled_from(("x", "}", "{", "{1", "{}}", "row 1: {1}")))
             line = line[:cut] + text + line[cut:]
-        lines += [draw(space) + line + draw(space)] + [""] * draw(st.integers(0, 1))
+        elif flaw == "split":
+            cuts = [k for k, c in enumerate(line) if c in ",}"]
+            cut = draw(st.sampled_from(cuts)) if cuts else len(line)
+            line = line[:cut] + "\n" + line[cut:]
+        elif flaw == "lone":
+            line += "\n{" + draw(st.integers(1, dim).map(str)) + "}"
+        line = draw(space) + line + draw(space)
+        if flaw == "joined" and lines:
+            lines[-1] += draw(st.sampled_from(BREAKS)) + line
+        else:
+            lines.append(line)
+        lines += [""] * draw(st.integers(0, 1))
     return "\n".join(["tensor-pattern v1", f"order {order}", f"dim {dim}", *lines]) + "\n"
 
 
