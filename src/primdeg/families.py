@@ -130,7 +130,8 @@ class DegreeWitness(Record):
         if isinstance(self.recipe, PatternMatrix):
             return monomial_lift(self.recipe, self.spec.order)
         base, e = self.recipe
-        rows = tuple(SupportFamily.from_masks(base.dim, fam.masks + (e,)) for fam in base.rows)
+        # a row with a singleton in E_k dominates E_k, so it stays as it is
+        rows = tuple(fam if fam.singles & e else SupportFamily.from_masks(base.dim, (*fam.masks, e)) for fam in base.rows)
         return PatternTensor(base.order, base.dim, rows)
 
 

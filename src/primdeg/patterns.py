@@ -16,7 +16,11 @@ that holds for every column, and its primitive degree gamma is the largest
 gamma_j. States evolve deterministically, so every trace either reaches [n],
 revisits an earlier state (a certificate that [n] is unreachable), or runs out
 of its step budget, by default (n-1)^2 + 1, within which every column of a
-primitive tensor reaches [n]. :func:`column_trace` follows one start column.
+primitive tensor reaches [n]. :func:`column_trace` follows one start column,
+reading its state a byte at a time (:func:`_step_mask`), by the method of Four
+Russians (Arlazarov, Dinic, Kronrod and Faradzev, Soviet Math. Dokl. 11, 1970):
+a per-tensor memo, filled on first read, gives the rows with a support inside
+each byte, and supports across bytes are tested one by one.
 
 The sliced run (:func:`_sliced_run`) follows many start columns of one or more
 tensors of dimension n at once. Bit t*n + j-1 of a mask R_u is a lane: it says
@@ -87,12 +91,12 @@ its input in chunks of ``GAMMA_LANES // n`` tensors (at least one). A tensor
 whose S_1 is empty from some j (no row holds {j}) gets None and no lane.
 
 :func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
-to every row: a column is [n] from the step after its base state first holds
-E, or from the base's own reach. One walk of the base's n column orbits serves
+to every row: a column is [n] from the step after its base state first holds E,
+or from the base's own reach. One walk of the base's n column orbits serves
 every E. It steps each distinct state once through :func:`successor`, which a
-caller that walks the base itself can share, and keeps the E it holds as one
-int, so time and memory scale with the number of distinct base states:
-(n-1)^2+1 for the Wielandt lift, at most n times the budget.
+caller that walks the base itself can share, and finds the E it holds, one int,
+by one AND per byte of its complement: time and memory scale with the distinct
+base states, (n-1)^2+1 for the Wielandt lift, at most n times the budget.
 
 This module imports only ``bitsets`` from the package. Matrices, digraphs and
 the majorization pattern live one layer up, in ``digraphs``, which runs them
@@ -131,6 +135,25 @@ SNAPSHOTS = 4
 LaneRows = list[list[tuple[int, ...]]]
 
 
+class _ByteSteps(dict):
+    """A tensor's step on each byte of a state, in place, filled on first read: the rows with a support inside it."""
+
+    def __init__(self, rows: tuple[SupportFamily, ...]) -> None:
+        self.rows = rows
+
+    def __missing__(self, part: int) -> int:
+        out = 0
+        for u, fam in enumerate(self.rows):
+            if fam.singles & part:
+                out |= 1 << u
+            else:
+                for m in fam.multis:
+                    if m & part == m:
+                        out |= 1 << u
+                        break
+        return self.setdefault(part, out)
+
+
 class PatternTensor(Record):
     """Zero pattern of a nonnegative tensor of order >= 2 on indices 1..dim.
 
@@ -158,6 +181,13 @@ class PatternTensor(Record):
         _set(self, "order", order)
         _set(self, "dim", dim)
         _set(self, "rows", rows)
+
+    @cached_property
+    def _step_tables(self) -> tuple[_ByteSteps, list[tuple[int, int]]]:
+        """What :func:`_step_mask` reads, out of equality, hash and repr: the byte memo, and each support across bytes."""
+        rows = enumerate(self.rows if self.dim > 8 else ())  # below 9 indices every support lies in one byte
+        across = [(1 << u, m) for u, fam in rows for m in fam.multis if m >> ((m & -m).bit_length() - 1 & -8) > 255]
+        return _ByteSteps(self.rows), across
 
 
 def make_pattern(
@@ -194,18 +224,14 @@ def make_pattern(
 
 
 def _step_mask(tensor: PatternTensor, state: int) -> int:
-    """One step on masks: the rows with a support contained in ``state``."""
+    """One step on masks, a byte at a time: the rows with a support inside ``state``."""
+    meets, across = tensor._step_tables
     out = 0
-    bit = 1
-    for fam in tensor.rows:
-        if fam.singles & state:
+    for p in range(0, tensor.dim, 8):
+        out |= meets[state & 255 << p]
+    for bit, m in across:
+        if m & state == m:
             out |= bit
-        else:
-            for m in fam.multis:
-                if m & state == m:
-                    out |= bit
-                    break
-        bit <<= 1
     return out
 
 
@@ -625,28 +651,26 @@ def extra_support_gammas(
 ) -> list[int | None]:
     """``gammas(n, ([[*fam.masks, e] for fam in base.rows] for e in extras))``,
     from one walk of the base's n column orbits (see the module docstring)
-    stepped with ``step``, the base's :func:`successor`, made here if not given.
-    The walk calls ``step`` twice on each state, so it must be memoized."""
+    stepped with ``step``, the base's :func:`successor`, made here if not given."""
     n, full, step = base.dim, (1 << base.dim) - 1, step or successor(base)
     if bad := [e for e in extras if not 0 < e <= full]:
         raise ValueError(f"extra support {bad[0]:#x} is outside 1..2^{n}-1")
-    every = (1 << len(extras)) - 1
-    lacks = [every] * n  # bit w of lacks[i]: extras[w] does not hold i
-    for w, e in enumerate(extras):
-        for i in bit_indices(e):
-            lacks[i] ^= 1 << w
+    every, bound, parts = (1 << len(extras)) - 1, default_bound(n), [255 << p for p in range(0, n, 8)]
+    # bit w of holds[i]: extras[w] holds i, by one transpose of their bits, the last extra first
+    holds = [int("".join(c), 2) for c in zip(*[format(e, f"0{n}b") for e in reversed(extras)])][::-1]
+    lacks = cache(lambda part: every ^ reduce(or_, map(holds.__getitem__, bit_indices(part)), 0))  # extras meeting no member
 
     @cache
-    def leaving(s: int) -> int:  # the witnesses a column hits leaving s: every one if it reaches [n]
-        return every if step(s) == full else reduce(and_, [lacks[i] for i in bit_indices(full ^ s)], every)
+    def move(s: int) -> tuple[int, int]:  # s's successor, and the witnesses hit leaving s: all at [n], else those inside s
+        return (nxt := step(s)), every if nxt == full else reduce(and_, map(lacks, map((full ^ s).__and__, parts)))
 
     states, hits = [1 << j for j in range(n)], [0] * n  # each column's S_{t-1} and the witnesses it hit
     out: list[int | None] = [None] * len(extras)
     done = t = 0
-    while done != every and t < default_bound(n):
+    while done != every and t < bound:
         t += 1
-        hits = list(map(or_, hits, list(map(leaving, states))))  # leavings, then ORs: the heap fragments less
-        states = list(map(step, states))
+        states, leaving = zip(*map(move, states))
+        hits = list(map(or_, hits, leaving))
         new = reduce(and_, hits, every) & ~done  # hit by every column, so resolved
         for w in bit_indices(new):
             out[w] = t

@@ -1,9 +1,9 @@
 """Independent oracle implementations used to pin expected values.
 
 Nothing here shares code with the package's trace engine: matrices go through
-numpy boolean powers, steps go through a direct scan of raw entries or, for
-lane masks, a per-row loop, and the general product is evaluated by literal
-nested loops over its defining sum.
+numpy boolean powers, steps go through a direct scan of raw entries or a
+per-row loop, on state masks or on lane masks, and the general product is
+evaluated by literal nested loops over its defining sum.
 The reference row parser checks every row line in full, the way the parser
 does for a document that its one-pass read does not accept, and the
 reference minimizer compares each candidate with every mask kept before it.
@@ -70,6 +70,24 @@ def raw_states(
     for _ in range(steps):
         state = raw_step(entries, state)
         out.append(state)
+    return out
+
+
+def row_loop_step(tensor: PatternTensor, state: int) -> int:
+    """One step on masks, one row at a time: the rows with a singleton in
+    ``state`` or a multi-index support inside it. ``patterns._step_mask``
+    reads each byte of the state off a memo instead."""
+    out = 0
+    bit = 1
+    for fam in tensor.rows:
+        if fam.singles & state:
+            out |= bit
+        else:
+            for m in fam.multis:
+                if m & state == m:
+                    out |= bit
+                    break
+        bit <<= 1
     return out
 
 

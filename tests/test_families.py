@@ -26,6 +26,7 @@ from primdeg import (
     wielandt_tensor,
 )
 from primdeg import digraphs, families, patterns
+from primdeg.bitsets import bit_indices
 from primdeg.families import _monomial_pattern_from_bits
 from primdeg.patterns import gammas
 
@@ -116,6 +117,22 @@ class TestFrontierFamily:
         for w in frontier:
             e = extras[w.spec.k - 1].mask
             assert w.tensor.rows == tuple(SupportFamily.from_masks(n, (*fam.masks, e)) for fam in base.rows)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_every_witness_tensor_equals_the_build_through_from_masks(self, n):
+        # a frontier row with a singleton in E_k is the base row itself, as
+        # E_k is a superset of that singleton; every other row is minimized
+        for w in exponent_set(n, n).witnesses:
+            if w.spec.kind == "monomial-lift":
+                masks = [[1 << j for j in bit_indices(r.mask)] for r in w.recipe.rows]
+            else:
+                base, e = w.recipe
+                assert base == wielandt_tensor(n, n)
+                masks = [(*fam.masks, e) for fam in base.rows]
+                assert [got is fam for got, fam in zip(w.tensor.rows, base.rows)] == [
+                    bool(fam.singles & e) for fam in base.rows
+                ]
+            assert w.tensor == PatternTensor(n, n, tuple(SupportFamily.from_masks(n, m) for m in masks))
 
     def test_a_wrong_gamma_raises(self, monkeypatch):
         # the builder verifies the degree it claims, so a misreading engine

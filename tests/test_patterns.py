@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_utils
-from oracle_utils import raw_states, raw_step, sliced_step
+from oracle_utils import raw_states, raw_step, row_loop_step, sliced_step
 from primdeg import patterns
 from primdeg.bitsets import bit_indices
 from primdeg.patterns import extra_support_gammas, gammas
@@ -132,6 +132,46 @@ class TestStep:
         t = make_pattern(order, dim, entries)
         full = (1 << dim) - 1
         assert patterns._step_mask(t, full) == full
+
+    @pytest.mark.parametrize("dim", [1, 7, 8, 9, 15, 16, 17, 64, 128])
+    def test_matches_the_row_loop_across_byte_boundaries(self, dim):
+        # rows that are empty, hold singletons only, multi-index supports
+        # only, or both; one tensor steps through every state twice, so the
+        # first pass fills the memo and the second reads only what it holds
+        rng = random.Random(dim)
+        entries = []
+        for u in range(1, dim + 1):
+            kind = rng.randrange(4)  # 0 empty, 1 singletons, 2 multi-index supports, 3 both
+            if kind in (1, 3):
+                entries += [(u, (rng.randint(1, dim),) * 3) for _ in range(rng.randint(1, 3))]
+            if kind in (2, 3) and dim > 1:
+                for _ in range(rng.randint(1, 3)):
+                    members = rng.sample(range(1, dim + 1), rng.randint(2, min(3, dim)))
+                    entries.append((u, tuple(members + members[:1] * (3 - len(members)))))
+        t = make_pattern(4, dim, entries)
+        assert any(not fam.masks for fam in t.rows) or dim < 7
+        assert any(fam.multis and not fam.singles for fam in t.rows) or dim < 7
+        full = (1 << dim) - 1
+        states = [0, full, *(1 << i for i in range(dim))]
+        states += [rng.getrandbits(dim) & rng.getrandbits(dim) for _ in range(100)]
+        states += [rng.getrandbits(dim) | rng.getrandbits(dim) for _ in range(100)]
+        for j in (1, dim):
+            states += [s.mask for s in column_states(t, j, 2 * dim)]
+        first = [patterns._step_mask(t, s) for s in states]
+        memo = dict(t._step_tables[0])
+        assert len(memo) <= 256 * ((dim + 7) // 8)
+        assert [patterns._step_mask(t, s) for s in states] == first
+        assert t._step_tables[0] == memo  # the second pass only read it
+        assert first == [row_loop_step(t, s) for s in states]
+        for s, out in zip(states, first):
+            expected = raw_step(entries, frozenset(i + 1 for i in bit_indices(s)))
+            assert out == sum(1 << (u - 1) for u in expected)
+
+    def test_the_memo_is_out_of_equality_hash_and_repr(self):
+        stepped, fresh = wielandt_tensor(3, 20), wielandt_tensor(3, 20)
+        column_trace(stepped, 20)
+        assert stepped._step_tables[0] and "_step_tables" not in vars(fresh)
+        assert stepped == fresh and hash(stepped) == hash(fresh) and repr(stepped) == repr(fresh)
 
 
 class TestColumnTrace:
@@ -1273,6 +1313,35 @@ class TestExtraSupportGammas:
         assert extra_support_gammas(tensor_of(2, 3, [[2], [4], [1]]), [1, 3]) == [3, None]
         # row 1 holds nothing but {1,2}, so no S_t with t >= 1 holds 1
         assert extra_support_gammas(tensor_of(3, 3, [[], [1], [2]]), [3]) == [None]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_gammas_where_the_tables_span_several_bytes(self, seed):
+        # dims 10-40, past extra_support_inputs' one byte: a Wielandt lift or
+        # a random n-cycle with random singletons and pairs added, with extras of every size from
+        # 1 to dim, the base's own states among them
+        rng = random.Random(seed)
+        dim = rng.randint(10, 40)
+        if seed % 2:
+            base = [list(fam.masks) for fam in wielandt_tensor(3, dim).rows]
+        else:  # a random n-cycle's singletons, a few more, and pairs
+            cycle = rng.sample(range(dim), dim)
+            base = [[] for _ in range(dim)]
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                base[u].append(1 << v)
+            for row in base:
+                row += [1 << rng.randrange(dim)] * (rng.random() < 0.2)
+                row += [1 << rng.randrange(dim) | 1 << rng.randrange(dim) for _ in range(rng.randint(0, 2))]
+        t = tensor_of(3, dim, base)
+        extras = [rng.getrandbits(dim) | 1 for _ in range(4)]
+        for size in range(1, dim + 1):
+            extras.append(sum(1 << i for i in rng.sample(range(dim), size)))
+        for j in (1, dim - 1, dim):
+            extras += [s.mask for s in column_states(t, j, 3 * dim) if s.mask][::dim // 4]
+        extras = rng.sample(extras, len(extras))
+        expected = gammas(dim, ([[*row, e] for row in base] for e in extras))
+        assert len(set(expected)) > 2
+        assert extra_support_gammas(t, extras) == expected
+        assert extra_support_gammas(t, []) == []
 
     def test_empty_and_bad_input(self):
         identity = tensor_of(2, 3, [[1], [2], [4]])
