@@ -27,7 +27,7 @@ from itertools import islice
 from .bitsets import IndexSet, Record, SupportFamily, _set, bit_indices
 from .digraphs import PatternMatrix, matrix_gamma, monomial_lift, wielandt_matrix
 from .errors import VerificationError
-from .patterns import PatternTensor, _orbit, default_bound, extra_support_gammas, gammas, successor
+from .patterns import PatternTensor, _orbit, default_bound, extra_support_gammas, gammas
 from .patterns import analyze, column_states  # noqa: F401  (unused; bench/tracing.py wraps them by these names)
 
 
@@ -182,9 +182,8 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     if bad := [d for d in degrees if not 1 <= d <= top]:
         raise ValueError(f"degree must be in 1..{top} for dim {dim}, got {bad[0]}")
     base = wielandt_tensor(order, dim)
-    step = successor(base)  # shared by the two walks below, so each distinct state is stepped once
     # column dim-1's states S_1, S_2, ... are the extra supports E_1, E_2, ... of the frontier witnesses
-    extras = list(islice(_orbit(step, dim - 1), max(degrees[-1] - dim, 0)))
+    extras = list(islice(_orbit(base, dim - 1), max(degrees[-1] - dim, 0)))
     lifts = [
         DegreeWitness(d, FamilySpec("monomial-lift", order, dim, t=d), _small_exponent_rows(dim, d))
         for d in degrees if d <= dim
@@ -195,7 +194,7 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     ]
     ones = [1 << i for i in range(dim)]  # a lift's row u: one singleton per entry of matrix row u
     verdicts = gammas(dim, ([[o for o in ones if o & r.mask] for r in w.recipe.rows] for w in lifts))
-    verdicts += extra_support_gammas(base, [w.recipe[1] for w in fronts], step)
+    verdicts += extra_support_gammas(base, [w.recipe[1] for w in fronts])
     witnesses, failures = [], []
     for w, got in zip(lifts + fronts, verdicts):
         if got == w.degree:

@@ -93,8 +93,7 @@ whose S_1 is empty from some j (no row holds {j}) gets None and no lane.
 :func:`extra_support_gammas` gives ``gammas`` of a base with a support E added
 to every row: a column is [n] from the step after its base state first holds E,
 or from the base's own reach. One walk of the base's n column orbits serves
-every E. It steps each distinct state once through :func:`successor`, which a
-caller that walks the base itself can share, and finds the E it holds, one int,
+every E. It steps each distinct state once and finds the E it holds, one int,
 by one AND per byte of its complement: time and memory scale with the distinct
 base states, (n-1)^2+1 for the Wielandt lift, at most n times the budget.
 
@@ -106,7 +105,7 @@ through this engine as order-2 tensors.
 from __future__ import annotations
 
 from collections import deque
-from functools import cache, cached_property, partial, reduce
+from functools import cache, cached_property, reduce
 from itertools import islice
 from math import gcd
 from operator import and_, itemgetter, or_, xor
@@ -235,22 +234,16 @@ def _step_mask(tensor: PatternTensor, state: int) -> int:
     return out
 
 
-def successor(tensor: PatternTensor) -> Callable[[int], int]:
-    """``tensor``'s step on masks, memoized: walks that share it step each distinct state once."""
-    return cache(partial(_step_mask, tensor))
-
-
-def _orbit(step: Callable[[int], int], column: int) -> Iterator[int]:
-    """S_1, S_2, ... of one start column as masks under ``step``, without end.
+def _orbit(tensor: PatternTensor, column: int) -> Iterator[int]:
+    """S_1, S_2, ... of one start column as masks, stepped by :func:`_step_mask`, without end.
 
     The one single-column loop over the recursion: traces, raw orbits and walk
-    frontiers read their states from it, stepped with ``partial(_step_mask,
-    tensor)`` or a shared :func:`successor`. :func:`analyze` steps every column
+    frontiers read their states from it. :func:`analyze` steps every column
     at once instead.
     """
     state = 1 << (column - 1)
     while True:
-        state = step(state)
+        state = _step_mask(tensor, state)
         yield state
 
 
@@ -264,7 +257,7 @@ def column_states(tensor: PatternTensor, column: int, steps: int) -> tuple[Index
         raise ValueError(f"column {column} out of range 1..{tensor.dim}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    return tuple(IndexSet(m, tensor.dim) for m in islice(_orbit(partial(_step_mask, tensor), column), steps))
+    return tuple(IndexSet(m, tensor.dim) for m in islice(_orbit(tensor, column), steps))
 
 
 class Reached(Record):
@@ -340,7 +333,7 @@ def column_trace(tensor: PatternTensor, column: int, max_steps: int | None = Non
     masks: list[int] = []
     seen: dict[int, int] = {}
     outcome: Outcome = Exhausted(bound)
-    for k, cur in enumerate(islice(_orbit(partial(_step_mask, tensor), column), bound), start=1):
+    for k, cur in enumerate(islice(_orbit(tensor, column), bound), start=1):
         masks.append(cur)
         if cur == full:
             outcome = Reached(k)
@@ -646,13 +639,10 @@ def gammas(n: int, tensors: Iterable[Sequence[Sequence[int]]]) -> list[int | Non
     return out
 
 
-def extra_support_gammas(
-    base: PatternTensor, extras: Sequence[int], step: Callable[[int], int] | None = None
-) -> list[int | None]:
+def extra_support_gammas(base: PatternTensor, extras: Sequence[int]) -> list[int | None]:
     """``gammas(n, ([[*fam.masks, e] for fam in base.rows] for e in extras))``,
-    from one walk of the base's n column orbits (see the module docstring)
-    stepped with ``step``, the base's :func:`successor`, made here if not given."""
-    n, full, step = base.dim, (1 << base.dim) - 1, step or successor(base)
+    from one walk of the base's n column orbits (see the module docstring)."""
+    n, full = base.dim, (1 << base.dim) - 1
     if bad := [e for e in extras if not 0 < e <= full]:
         raise ValueError(f"extra support {bad[0]:#x} is outside 1..2^{n}-1")
     every, bound, parts = (1 << len(extras)) - 1, default_bound(n), [255 << p for p in range(0, n, 8)]
@@ -661,8 +651,8 @@ def extra_support_gammas(
     lacks = cache(lambda part: every ^ reduce(or_, map(holds.__getitem__, bit_indices(part)), 0))  # extras meeting no member
 
     @cache
-    def move(s: int) -> tuple[int, int]:  # s's successor, and the witnesses hit leaving s: all at [n], else those inside s
-        return (nxt := step(s)), every if nxt == full else reduce(and_, map(lacks, map((full ^ s).__and__, parts)))
+    def move(s: int) -> tuple[int, int]:  # the state after s, and the witnesses hit leaving s: all at [n], else those inside s
+        return (nxt := _step_mask(base, s)), every if nxt == full else reduce(and_, map(lacks, map((full ^ s).__and__, parts)))
 
     states, hits = [1 << j for j in range(n)], [0] * n  # each column's S_{t-1} and the witnesses it hit
     out: list[int | None] = [None] * len(extras)

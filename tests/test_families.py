@@ -282,14 +282,31 @@ class TestExponentSet:
         assert len(widths) == 13
         assert max(widths) <= patterns.GAMMA_LANES
 
-    def test_the_sweep_steps_each_distinct_state_once(self, monkeypatch):
-        # the extras' walk of column n-1 and the frontier walk share one
-        # memoized step: 227 distinct Wielandt-lift states at n = 16
+    def test_the_frontier_walk_steps_each_distinct_state_once(self, monkeypatch):
+        # the n = 16 Wielandt lift's column orbits lie on one chain: 227
+        # distinct states, S_0 = {j} included, each stepped once
+        base = wielandt_tensor(16, 16)
+        extras = [m.mask for m in column_states(base, 15, 210)]
         calls = []
         real = patterns._step_mask
         monkeypatch.setattr(patterns, "_step_mask", lambda t, s: calls.append(s) or real(t, s))
-        assert exponent_set(16, 16).complete
+        assert patterns.extra_support_gammas(base, extras) == list(range(17, 227))
         assert len(calls) == len(set(calls)) == 227
+
+    def test_the_sweep_steps_the_extras_walk_then_the_frontier_walk(self, monkeypatch):
+        # column 15's walk steps S_0, ..., S_209 for E_1, ..., E_210; the
+        # frontier walk then steps its 227 distinct states anew
+        walk = [1 << 14, *(m.mask for m in column_states(wielandt_tensor(16, 16), 15, 209))]
+        calls, split = [], []
+        real_step, real_gammas = patterns._step_mask, families.extra_support_gammas
+        monkeypatch.setattr(patterns, "_step_mask", lambda t, s: calls.append(s) or real_step(t, s))
+        monkeypatch.setattr(
+            families, "extra_support_gammas", lambda base, extras: split.append(len(calls)) or real_gammas(base, extras)
+        )
+        assert exponent_set(16, 16).complete
+        assert split == [210] and len(calls) == 437
+        assert calls[:210] == walk
+        assert len(set(calls[210:])) == 227
 
     def test_no_witness_tensor_is_built_until_one_is_read(self, monkeypatch):
         # the sweep verifies recipes: its one monomial_lift and its one order-8
@@ -325,8 +342,8 @@ class TestExponentSet:
         order, dim, k = 5, 5, 4
         real = families._orbit
 
-        def swapped(step, column):  # S_1, ..., S_{k-1}, S_{k+1}, S_{k+1}, S_{k+2}, ...
-            states = real(step, column)
+        def swapped(tensor, column):  # S_1, ..., S_{k-1}, S_{k+1}, S_{k+1}, S_{k+2}, ...
+            states = real(tensor, column)
             for i, s in enumerate(states, start=1):
                 if i == k:
                     s = next(states)
@@ -364,7 +381,7 @@ class TestExponentSet:
         real = families.gammas
         monkeypatch.setattr(families, "gammas", lambda n, tensors: [4 if g == 3 else g for g in real(n, tensors)])
         real_orbit = families._orbit
-        monkeypatch.setattr(families, "_orbit", lambda step, column: itertools.repeat(next(real_orbit(step, column))))
+        monkeypatch.setattr(families, "_orbit", lambda tensor, column: itertools.repeat(next(real_orbit(tensor, column))))
         result = exponent_set(4, 4)
         message = "degree_witness(order=4, dim=4, degree=3) self-check failed: analyzed degree is 4"
         assert result.failures[0] == (3, message)

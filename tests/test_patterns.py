@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -483,7 +484,8 @@ class TestMajorizationScreen:
         r = analyze(t)
         assert same == [] and r.primitive and r.gamma == default_bound(64)
         # the columns' orbits share their states, so the reference steps each once
-        monkeypatch.setattr(patterns, "_step_mask", lambda tensor, state, step=patterns.successor(t): step(state))
+        step = functools.cache(functools.partial(patterns._step_mask, t))
+        monkeypatch.setattr(patterns, "_step_mask", lambda tensor, state: step(state))
         assert r.outcomes == tuple(column_trace(t, j).outcome for j in range(1, 65))
 
     def test_a_pair_support_keeps_the_cycle_test(self, monkeypatch):
@@ -499,12 +501,12 @@ class TestMajorizationScreen:
 
 
 @st.composite
-def primitive_singleton_inputs(draw, max_dim=12):
-    """A tensor of order 2-4 and dim 1-12 whose rows hold only singletons: an
-    n-cycle through a drawn order of the indices, a chord that closes an
-    (n-1)-cycle on it, so the majorization matrix is primitive, and up to 2n
-    more arcs (row u holding {i} is the arc i -> u)."""
-    dim = draw(st.integers(1, max_dim))
+def primitive_singleton_inputs(draw, max_dim=12, dim=None):
+    """A tensor of order 2-4 and dim 1-12 (or ``dim``) whose rows hold only
+    singletons: an n-cycle through a drawn order of the indices, a chord that
+    closes an (n-1)-cycle on it, so the majorization matrix is primitive, and
+    up to 2n more arcs (row u holding {i} is the arc i -> u)."""
+    dim = draw(st.integers(1, max_dim)) if dim is None else dim
     order = draw(st.integers(2, 4))
     perm = draw(st.permutations(range(1, dim + 1)))
     arcs = [(perm[a], perm[(a + 1) % dim]) for a in range(dim)] + [(perm[dim - 2], perm[0])]
@@ -536,6 +538,62 @@ class TestSquaredEnds:
         assert program == []
         assert r.gamma_by_column == (*(16130 - j for j in range(1, 128)), 16130)
         assert r.outcomes == tuple(map(Reached, r.gamma_by_column))
+
+
+@st.composite
+def screened_sparse_inputs(draw):
+    """A ``sparse_row_pattern_inputs`` tensor of order 2-6 and dim 1-6 with the
+    singleton arcs of a ``primitive_singleton_inputs`` draw on its indices
+    added, so its majorization matrix is primitive and its rows may still hold
+    supports of up to five indices."""
+    order, dim, entries = draw(sparse_row_pattern_inputs(max_dim=6))
+    arcs = draw(primitive_singleton_inputs(dim=dim))[2]
+    return order, dim, entries + [(u, cell[:1] * (order - 1)) for u, cell in arcs]
+
+
+class TestForcedCycleTest:
+    """``analyze`` with its majorization screen forced to fail takes the
+    route with the cycle test on every tensor, even where the screen picks
+    the squaring or a run without the test: the report must not change."""
+
+    @staticmethod
+    def assert_forced_route_agrees(t):
+        default = analyze(t)
+        with pytest.MonkeyPatch.context() as mp:
+            runs, real = [], patterns._sliced_run
+            mp.setattr(patterns, "_sliced_run", lambda *args, **kw: runs.append(kw["snapshots"]) or real(*args, **kw))
+            mp.setattr(patterns, "_majorization_primitive", lambda tensor: False)
+            forced = assert_matches_per_column_reference(t, None)
+        assert runs == [patterns.SNAPSHOTS]
+        assert forced == default
+
+    @given(primitive_singleton_inputs())
+    def test_in_place_of_the_squaring(self, raw):
+        t = make_pattern(*raw)
+        assert patterns._majorization_primitive(t) and not any(fam.multis for fam in t.rows)
+        self.assert_forced_route_agrees(t)
+
+    @given(screened_sparse_inputs())
+    def test_in_place_of_a_run_without_the_test(self, raw):
+        t = make_pattern(*raw)
+        assert patterns._majorization_primitive(t)
+        self.assert_forced_route_agrees(t)
+
+    @given(sparse_row_pattern_inputs(max_dim=6))
+    def test_on_any_sparse_tensor(self, raw):
+        # dim 1 and empty rows included; where the screen fails, forcing it changes nothing
+        self.assert_forced_route_agrees(make_pattern(*raw))
+
+    def test_the_pair_lift_at_the_cap(self, monkeypatch):
+        # CI's pair128: the Wielandt lift at n = 128 with the pair {127, 128} added to row 2
+        rows = list(wielandt_tensor(3, 128).rows)
+        rows[1] = SupportFamily.from_masks(128, [*rows[1].masks, 3 << 126])
+        t = PatternTensor(3, 128, tuple(rows))
+        assert patterns._majorization_primitive(t) and analyze(t).gamma == 16130
+        # the columns' orbits share their states, so the reference steps each once
+        step = functools.cache(functools.partial(patterns._step_mask, t))
+        monkeypatch.setattr(patterns, "_step_mask", lambda tensor, state: step(state))
+        self.assert_forced_route_agrees(t)
 
 
 class TestMetamorphicLaws:

@@ -55,3 +55,25 @@ def test_top_level_imports_are_acyclic():
     assert order.index("bitsets") < order.index("patterns") < order.index("digraphs")
     assert order.index("digraphs") < min(order.index("families"), order.index("formats"))
     assert max(order.index("families"), order.index("formats")) < order.index("cli")
+
+
+# Imported and never used, on purpose: bench/tracing.py wraps these names in families.
+UNUSED_ALLOWED = {("families", "analyze"), ("families", "column_states")}
+
+
+def test_every_imported_name_is_used():
+    # a name counts as used where it is read as a name; __init__'s re-exports count through __all__
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.stem == "__init__":
+            used |= set(primdeg.__all__)
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == UNUSED_ALLOWED
