@@ -93,7 +93,7 @@ class IndexSet(Record):
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.dim) if self.mask >> i & 1)
+        return tuple([i + 1 for i in bit_indices(self.mask)])
 
     @property
     def is_full(self) -> bool:
@@ -113,8 +113,7 @@ class IndexSet(Record):
         return self.mask.bit_count()
 
     def __repr__(self) -> str:
-        inner = ",".join(str(i) for i in self.members)
-        return f"IndexSet({{{inner}}}, dim={self.dim})"
+        return f"IndexSet({_braces(self.mask)}, dim={self.dim})"
 
 
 def minimize_masks(masks: Iterable[int]) -> tuple[int, ...]:
@@ -166,6 +165,11 @@ def bit_indices(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _braces(mask: int) -> str:
+    """The members of ``mask`` as a set, ``{1,3}``: how reprs and documents spell one."""
+    return "{" + ",".join([str(i + 1) for i in bit_indices(mask)]) + "}"
 
 
 def transpose_masks(masks: Sequence[int]) -> tuple[int, ...]:
@@ -236,5 +240,4 @@ class SupportFamily(Record):
         return s.dim == self.dim and s.mask in self.masks
 
     def __repr__(self) -> str:
-        inner = " ".join("{" + ",".join(map(str, IndexSet(m, self.dim).members)) + "}" for m in self.masks)
-        return f"SupportFamily(dim={self.dim}, [{inner}])"
+        return f"SupportFamily(dim={self.dim}, [{' '.join(map(_braces, self.masks))}])"

@@ -23,6 +23,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 
 from .bitsets import Record, SupportFamily, _set
 from .digraphs import matrix_gamma, wielandt_matrix
@@ -57,13 +58,10 @@ class RunReport:
         self.records.append(record)
         return record
 
-    def emit(self, fmt: str, out=None) -> None:
-        out = sys.stdout if out is None else out
-        if fmt == "json-lines":
-            encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # one encoder, not one per json.dumps call
-            out.write("".join([encode(r) + "\n" for r in self.records]))
-        else:
-            out.write("".join([_text_line(r) + "\n" for r in self.records]))
+    def emit(self, fmt: str) -> None:
+        # one JSON encoder for every record, not one per json.dumps call
+        line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode if fmt == "json-lines" else _text_line
+        sys.stdout.write("".join([line(r) + "\n" for r in self.records]))
 
 
 def _text_line(r: dict) -> str:
@@ -287,14 +285,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:  # bt: degree_witness returns only a tensor whose degree it verified
         payload, spec = degree_witness(need("m"), n, need("t"))
         gamma = spec.t
-    text = render_document(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"gamma={'-' if gamma is None else gamma}")
+        save_document(args.out, payload)
     else:
-        sys.stdout.write(text)
-        print(f"gamma={'-' if gamma is None else gamma}", file=sys.stderr)
+        sys.stdout.write(render_document(payload))
+    print(f"gamma={'-' if gamma is None else gamma}", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -366,19 +361,15 @@ def cmd_scan_open_problem(args: argparse.Namespace) -> int:
     if args.budget < 1:
         raise ValueError(f"budget must be >= 1, got {args.budget}")
     rng = random.Random(args.seed)
-    counts: dict[int, int] = {}
-    primitive = 0
-    for gamma in gammas(args.n, (_random_rows(rng, args.m, args.n) for _ in range(args.budget))):
-        if gamma is not None:
-            primitive += 1
-            counts[gamma] = counts.get(gamma, 0) + 1
+    drawn = gammas(args.n, (_random_rows(rng, args.m, args.n) for _ in range(args.budget)))
+    counts = Counter(g for g in drawn if g is not None)
     report = RunReport()
     params = {"order": args.m, "dim": args.n, "budget": args.budget, "seed": args.seed}
     report.add(record="meta", command="scan-open-problem", sha256=_digest_params(params), **params)
     report.add(record="scan-header", **params)
     for gamma in sorted(counts):
         report.add(record="histogram", gamma=gamma, count=counts[gamma])
-    report.add(record="scan-summary", primitive=primitive, samples=args.budget)
+    report.add(record="scan-summary", primitive=counts.total(), samples=args.budget)
     report.emit(args.format)
     return 0
 
@@ -439,43 +430,36 @@ _COMMANDS = {
 }
 
 
-def _add_command(p: argparse.ArgumentParser, command: str) -> None:
-    _, add_args, handler = _COMMANDS[command]
-    add_args(p)
-    p.set_defaults(func=handler)
-
-
 @functools.cache  # built once per process; main only reads it
 def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one command alone: the same arguments, defaults and help
-    as its subparser in :func:`build_parser`, which main builds only when
-    ``argv[0]`` names no command."""
+    """The one parser of a command's arguments, defaults and help."""
+    _, add_args, handler = _COMMANDS[command]
     p = argparse.ArgumentParser(prog=f"primdeg {command}")
-    _add_command(p, command)
+    add_args(p)
+    p.set_defaults(func=handler)
     return p
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser of all five commands, for ``--help``, a missing
-    command and an unknown one."""
+    """The top-level parser, which lists the five commands without their
+    arguments: all that ``--help``, a missing command and an unknown one read."""
     parser = argparse.ArgumentParser(
         prog="primdeg",
         description="Primitivity and primitive degrees of nonnegative tensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(command, help=help_text), command)
+        sub.add_parser(command, help=help_text)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and argv[0] in _COMMANDS:
-            args = _command_parser(argv[0]).parse_args(argv[1:])
-        else:
-            args = build_parser().parse_args(argv)
+        # the top-level parser exits on --help and on usage errors; it returns
+        # only a command that argv names later, which then parses what follows it
+        command = argv[0] if argv and argv[0] in _COMMANDS else build_parser().parse_args(argv).command
+        args = _command_parser(command).parse_args(argv[argv.index(command) + 1:])
     except SystemExit as e:
         # argparse exits 2 on usage errors; that slot is reserved for
         # verification failures, so usage problems become input errors.

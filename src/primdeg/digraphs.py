@@ -6,16 +6,18 @@ i. The reversed digraph rev(D(M)), with an arc j -> i for each positive entry
 (i, j), is the transposed matrix.
 
 This layer sits above the engine in ``patterns``. A matrix enters it as its
-order-2 monomial lift: ``analyze`` gives its exponent, ``column_states`` its
-walk frontiers. A tensor's majorization pattern is read back as a matrix.
+order-2 monomial lift: ``analyze`` gives its exponent, and the one-column
+orbit (``patterns._orbit``) its walk frontiers. A tensor's majorization
+pattern is read back as a matrix.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set, transpose_masks
-from .patterns import PatternTensor, analyze, column_states
+from .patterns import PatternTensor, _orbit, analyze
 
 
 class PatternMatrix(Record):
@@ -47,13 +49,9 @@ class PatternMatrix(Record):
     @classmethod
     def from_rows01(cls, rows: Sequence[Sequence[int]]) -> "PatternMatrix":
         dim = len(rows)
-        _check_dim(dim)
-        out = []
-        for r in rows:
-            if len(r) != dim:
-                raise ValueError("matrix rows must be square")
-            out.append(IndexSet.from_members((j + 1 for j, v in enumerate(r) if v), dim))
-        return cls(dim, tuple(out))
+        if any(len(r) != dim for r in rows):
+            raise ValueError("matrix rows must be square")
+        return cls.from_entries(dim, ((i, j) for i, r in enumerate(rows, 1) for j, v in enumerate(r, 1) if v))
 
     def to_rows01(self) -> list[list[int]]:
         return [[1 if j in r else 0 for j in range(1, self.dim + 1)] for r in self.rows]
@@ -103,7 +101,8 @@ def exact_length_frontier(d: PatternMatrix, start: int, length: int) -> IndexSet
         raise ValueError(f"length must be >= 0, got {length}")
     if length == 0:
         return IndexSet.singleton(start, d.dim)
-    return column_states(monomial_lift(d.reversed_digraph(), 2), start, length)[-1]
+    orbit = _orbit(monomial_lift(d.reversed_digraph(), 2), start)
+    return IndexSet(next(islice(orbit, length - 1, None)), d.dim)
 
 
 def matrix_gamma(matrix: PatternMatrix) -> int | None:

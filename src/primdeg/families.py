@@ -47,14 +47,19 @@ def wielandt_frontier_tensor(order: int, dim: int, k: int) -> PatternTensor:
     the last column. :func:`degree_witness` builds it and verifies that degree,
     raising VerificationError on disagreement.
     """
-    if dim < 3:
-        raise ValueError(f"dim must be >= 3, got {dim}")
-    if order < dim:
-        raise ValueError(f"order must be >= dim, got order {order} < dim {dim}")
+    _check_sizes(order, dim)
     k_max = dim * dim - 3 * dim + 2
     if not 1 <= k <= k_max:
         raise ValueError(f"k must be in 1..{k_max} for dim {dim}, got {k}")
     return degree_witness(order, dim, dim + k)[0]
+
+
+def _check_sizes(order: int, dim: int) -> None:
+    """The sizes the frontier family needs: order >= dim >= 3."""
+    if dim < 3:
+        raise ValueError(f"dim must be >= 3, got {dim}")
+    if order < dim:
+        raise ValueError(f"order must be >= dim, got order {order} < dim {dim}")
 
 
 def small_exponent_matrix(dim: int, target: int) -> PatternMatrix:
@@ -174,10 +179,7 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     """Verify a witness for each of the ascending ``degrees`` off its recipe, building no
     tensor (lifts off their matrix rows, frontier ones off the base and E_k). Return the verified
     ones and, in degree order, the failures: those whose gamma is not their degree."""
-    if dim < 3:
-        raise ValueError(f"dim must be >= 3, got {dim}")
-    if order < dim:
-        raise ValueError(f"order must be >= dim, got order {order} < dim {dim}")
+    _check_sizes(order, dim)
     top = default_bound(dim)
     if bad := [d for d in degrees if not 1 <= d <= top]:
         raise ValueError(f"degree must be in 1..{top} for dim {dim}, got {bad[0]}")

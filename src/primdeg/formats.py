@@ -24,7 +24,7 @@ import re
 from functools import reduce
 from operator import or_
 
-from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set
+from .bitsets import Record, SupportFamily, _braces, _check_dim, _set
 from .digraphs import PatternMatrix, monomial_lift
 from .errors import CapExceededError, ParseError
 from .patterns import PatternTensor, make_pattern
@@ -69,14 +69,11 @@ class TensorDocument(Record):
         A matrix becomes its order-2 tensor view; a sparse numeric tensor is
         collapsed to its zero pattern.
         """
-        if self.kind == "pattern":
-            assert isinstance(self.payload, PatternTensor)
-            return self.payload
-        if self.kind == "matrix":
-            assert isinstance(self.payload, PatternMatrix)
-            return monomial_lift(self.payload, 2)
-        assert isinstance(self.payload, SparseTensor)
         t = self.payload
+        if isinstance(t, PatternTensor):
+            return t
+        if isinstance(t, PatternMatrix):
+            return monomial_lift(t, 2)
         return make_pattern(t.order, t.dim, ((idx[0], idx[1:]) for idx, _ in t.entries))
 
 
@@ -266,15 +263,10 @@ def load_document(path: str) -> TensorDocument:
         return parse_document(_decode(fh.read()))
 
 
-def _render_set(s: IndexSet) -> str:
-    return "{" + ",".join(str(i) for i in s.members) + "}"
-
-
 def render_pattern(tensor: PatternTensor) -> str:
     lines = [PATTERN_HEADER, f"order {tensor.order}", f"dim {tensor.dim}"]
-    for u in range(1, tensor.dim + 1):
-        sets = " ".join(_render_set(s) for s in tensor.rows[u - 1].sets)
-        lines.append(f"row {u}: {sets}".rstrip())
+    for u, fam in enumerate(tensor.rows, start=1):
+        lines.append(f"row {u}: {' '.join(map(_braces, fam.masks))}".rstrip())
     return "\n".join(lines) + "\n"
 
 

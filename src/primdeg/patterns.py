@@ -315,6 +315,15 @@ def default_bound(dim: int) -> int:
     return (dim - 1) ** 2 + 1
 
 
+def _budget(dim: int, max_steps: int | None) -> int:
+    """The step budget of :func:`column_trace` and :func:`analyze`:
+    ``max_steps``, by default (dim-1)^2 + 1, and at least 1."""
+    bound = default_bound(dim) if max_steps is None else max_steps
+    if bound < 1:
+        raise ValueError(f"max_steps must be >= 1, got {bound}")
+    return bound
+
+
 def column_trace(tensor: PatternTensor, column: int, max_steps: int | None = None) -> ColumnTrace:
     """Run the state iteration for one column until it resolves.
 
@@ -326,9 +335,7 @@ def column_trace(tensor: PatternTensor, column: int, max_steps: int | None = Non
     """
     if not 1 <= column <= tensor.dim:
         raise ValueError(f"column {column} out of range 1..{tensor.dim}")
-    bound = default_bound(tensor.dim) if max_steps is None else max_steps
-    if bound < 1:
-        raise ValueError(f"max_steps must be >= 1, got {bound}")
+    bound = _budget(tensor.dim, max_steps)
     full = (1 << tensor.dim) - 1
     masks: list[int] = []
     seen: dict[int, int] = {}
@@ -512,7 +519,7 @@ def _sliced_run(
         if not live or k == bound:
             return ends, periods, kept, step
         if snapshots and k & (k - 1) == 0:  # copy 0 takes S_k as the stack moves up a copy; S_1 fills it
-            if k == 1 or copies == 1:
+            if k == 1:
                 snap, taken = R, [k] * copies
             else:
                 snap, taken = [(s << lanes | r & low) & every for s, r in zip(snap, R)], [k, *taken[:-1]]
@@ -559,9 +566,7 @@ def analyze(tensor: PatternTensor, max_steps: int | None = None) -> PrimitivityR
     two budgets, followed by the pass that finds each cycle's start.
     """
     n = tensor.dim
-    bound = default_bound(n) if max_steps is None else max_steps
-    if bound < 1:
-        raise ValueError(f"max_steps must be >= 1, got {bound}")
+    bound = _budget(n, max_steps)
     cycles = not _majorization_primitive(tensor)  # else every column reaches [n]
     if cycles or any(fam.multis for fam in tensor.rows):
         rows = [list(map(bit_indices, fam.masks)) for fam in tensor.rows]  # canonical: no mask repeats

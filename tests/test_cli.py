@@ -780,14 +780,33 @@ class TestTopLevel:
         assert "analyze" in out and "construct" in out
         assert all(f"\n    {command}" in out for command in _COMMANDS)
 
+    @staticmethod
+    def full_parser() -> argparse.ArgumentParser:
+        """One parser of all five commands with their arguments."""
+        full = argparse.ArgumentParser(prog="primdeg", description=build_parser().description)
+        subparsers = full.add_subparsers(dest="command", required=True)
+        for name, (help_text, add_args, _) in _COMMANDS.items():
+            add_args(subparsers.add_parser(name, help=help_text))
+        return full
+
     @pytest.mark.parametrize("command", list(_COMMANDS))
     def test_command_help_is_the_full_parsers(self, capsys, command):
         # main parses a named command with that command's parser alone; its
-        # help must be the bytes of the command's subparser in the full one
-        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        # help must be the bytes of the command's subparser in the full parser
+        subparsers = next(a for a in self.full_parser()._actions if isinstance(a, argparse._SubParsersAction))
         code, out, _ = run(capsys, [command, "--help"])
         assert code == 0
         assert out == subparsers.choices[command].format_help()
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]])
+    def test_top_level_output_is_the_full_parsers(self, capsys, argv):
+        # build_parser lists the commands without their arguments, which
+        # --help, a missing command and an unknown one never read
+        with pytest.raises(SystemExit):
+            self.full_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (0 if argv == ["--help"] else 1, expected.out, expected.err)
 
     @pytest.mark.parametrize(
         "argv", [["bogus"], ["--format", "text", "analyze"], ["analyze"], ["construct", "wielandt"], ["exponent-set", "--m", "x"]]

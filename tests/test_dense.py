@@ -84,6 +84,33 @@ class TestConstruction:
         assert t.value_at((1, 1)) == 1.0
 
 
+VECTOR = DenseTensor(1, 2, np.zeros(2))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: DenseTensor(0, 2, np.zeros(())), "order must be >= 1, got 0"),
+            (lambda: DenseTensor.from_array(np.float64(1.0)), "array must have at least one axis"),
+            (lambda: DenseTensor.from_array(np.zeros((2, 3))), "all axes must have equal length, got shape (2, 3)"),
+            (lambda: DenseTensor.zeros(2, 2).value_at((1, 3)), "index 3 out of range 1..2"),
+            (lambda: general_product(VECTOR, VECTOR), "left factor must have order >= 2, got 1"),
+            (lambda: power_patterns(VECTOR, 1), "order must be >= 2, got 1"),
+            (lambda: majorization_of(VECTOR), "order must be >= 2, got 1"),
+            (lambda: apply_to_basis(VECTOR, 1, 1), "order must be >= 2, got 1"),
+            (lambda: to_pattern(VECTOR), "order must be >= 2, got 1"),
+            (lambda: apply_to_basis(DenseTensor.zeros(2, 2), 3, 1), "column 3 out of range 1..2"),
+            (lambda: apply_to_basis(DenseTensor.zeros(2, 2), 1, 0), "steps must be >= 1, got 0"),
+            (lambda: majorization_recursion(DenseTensor.zeros(2, 2), 0), "steps must be >= 1, got 0"),
+        ],
+    )
+    def test_each_check_names_its_input(self, call, message):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == message
+
+
 class TestGeneralProduct:
     def test_matches_nested_loop_oracle(self):
         rng = random.Random(11)

@@ -10,6 +10,7 @@ from primdeg import (
     IndexSet,
     PatternMatrix,
     analyze,
+    column_states,
     exact_length_frontier,
     frobenius_representable,
     matrix_gamma,
@@ -109,6 +110,23 @@ class TestExactLengthFrontier:
             exact_length_frontier(d, 5, 1)
         with pytest.raises(ValueError):
             exact_length_frontier(d, 1, -1)
+
+    @pytest.mark.parametrize("length", [1, 2, 225, 226])
+    def test_reads_the_orbit_without_an_index_set_per_step(self, monkeypatch, length):
+        # at n = 16 the transpose's 16 rows and the answer, not one IndexSet per step
+        n, d = 16, wielandt_matrix(16)
+        want = column_states(monomial_lift(d.reversed_digraph(), 2), n, length)[-1]
+        made = []
+        init = IndexSet.__init__
+
+        def counted(self, mask, dim):
+            made.append(mask)
+            init(self, mask, dim)
+
+        monkeypatch.setattr(IndexSet, "__init__", counted)
+        got = exact_length_frontier(d, n, length)
+        assert len(made) <= n + 1
+        assert got == want
 
     def test_agrees_with_boolean_powers(self):
         # the column frontier of the matrix is the walk frontier of the
