@@ -22,7 +22,6 @@ from .errors import CapExceededError, ParseError, VerificationError
 from .families import (
     DegreeWitness,
     ExponentSetResult,
-    FamilySpec,
     brute_force_matrix_exponent_set,
     degree_witness,
     exponent_set,
@@ -31,7 +30,7 @@ from .families import (
     wielandt_tensor,
 )
 from .formats import (
-    TensorDocument,
+    as_pattern_tensor,
     load_document,
     parse_document,
     render_document,
@@ -62,14 +61,12 @@ __all__ = [
     "SupportFamily",
     "PatternTensor",
     "PatternMatrix",
-    "TensorDocument",
     "ColumnTrace",
     "Reached",
     "Cycled",
     "Exhausted",
     "PrimitivityReport",
     "Violation",
-    "FamilySpec",
     "DegreeWitness",
     "ExponentSetResult",
     "CapExceededError",
@@ -95,6 +92,7 @@ __all__ = [
     "exponent_set",
     "brute_force_matrix_exponent_set",
     "parse_document",
+    "as_pattern_tensor",
     "load_document",
     "render_document",
     "save_document",

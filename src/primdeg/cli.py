@@ -29,7 +29,7 @@ from .bitsets import Record, SupportFamily, _set
 from .digraphs import matrix_gamma, wielandt_matrix
 from .errors import VerificationError
 from .families import degree_witness, exponent_set, small_exponent_matrix, wielandt_frontier_tensor, wielandt_tensor
-from .formats import _decode, parse_document, render_document, save_document
+from .formats import _KINDS, _decode, as_pattern_tensor, parse_document, render_document, save_document
 from .patterns import (
     Cycled,
     PatternTensor,
@@ -181,11 +181,9 @@ def random_pattern(rng: random.Random, order: int, dim: int) -> PatternTensor:
 
 class OracleCheckResult(Record):
     def __init__(
-        self, order: int, dim: int, trials: int, agreements: int, mismatches: list[tuple[int, str]],
+        self, trials: int, agreements: int, mismatches: list[tuple[int, str]],
         associativity_triples: int, explicit_power_trials: int,
     ) -> None:
-        _set(self, "order", order)
-        _set(self, "dim", dim)
         _set(self, "trials", trials)
         _set(self, "agreements", agreements)
         _set(self, "mismatches", mismatches)
@@ -217,9 +215,7 @@ def run_oracle_check(
         mismatches.extend((trial, p) for p in problems)
         ran += checks
     agreements = trials - len({t for t, _ in mismatches})
-    return OracleCheckResult(
-        order, dim, trials, agreements, mismatches, ran.count("associativity"), ran.count("explicit-powers")
-    )
+    return OracleCheckResult(trials, agreements, mismatches, ran.count("associativity"), ran.count("explicit-powers"))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +226,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with open(args.path, "rb") as fh:
         data = fh.read()
     doc = parse_document(_decode(data))
-    tensor = doc.as_pattern_tensor()
+    tensor = as_pattern_tensor(doc)
     report = RunReport()
     report.add(record="meta", command="analyze", input=args.path, sha256=hashlib.sha256(data).hexdigest())
-    report.add(record="document", kind=doc.kind, order=tensor.order, dim=tensor.dim)
+    report.add(record="document", kind=_KINDS[type(doc)], order=tensor.order, dim=tensor.dim)
     violations = check_necessary_conditions(tensor)
     report.add(
         record="conditions",
@@ -282,9 +278,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "ak":
         payload = wielandt_frontier_tensor(need("m"), n, need("k"))
         gamma = n + args.k  # the degree wielandt_frontier_tensor verified
-    else:  # bt: degree_witness returns only a tensor whose degree it verified
-        payload, spec = degree_witness(need("m"), n, need("t"))
-        gamma = spec.t
+    else:  # bt: degree_witness returns only a witness whose degree it verified
+        witness = degree_witness(need("m"), n, need("t"))
+        payload, gamma = witness.tensor, witness.degree
     if args.out:
         save_document(args.out, payload)
     else:
@@ -309,8 +305,8 @@ def cmd_exponent_set(args: argparse.Namespace) -> int:
         report.add(
             record="degree",
             t=w.degree,
-            kind=w.spec.kind,
-            k=w.spec.k,
+            kind=w.kind,
+            k=w.k,
             gamma=w.degree,
             status="ok",
         )

@@ -39,6 +39,7 @@ class PatternMatrix(Record):
     @classmethod
     def from_entries(cls, dim: int, entries: Iterable[tuple[int, int]]) -> "PatternMatrix":
         """Build from positive positions given as 1-based (row, column) pairs."""
+        _check_dim(dim)
         masks = [0] * dim
         for i, j in entries:
             if not (1 <= i <= dim and 1 <= j <= dim):
@@ -125,6 +126,7 @@ def wielandt_matrix(dim: int) -> PatternMatrix:
     """
     if dim < 3:
         raise ValueError(f"dim must be >= 3, got {dim}")
+    _check_dim(dim)
     entries = [(1, dim - 1), (1, dim)] + [(i + 1, i) for i in range(1, dim)]
     return PatternMatrix.from_entries(dim, entries)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .bitsets import IndexSet, Record, SupportFamily, _set, bit_indices
+from .bitsets import IndexSet, Record, SupportFamily, _check_dim, _set, bit_indices
 from .digraphs import PatternMatrix, matrix_gamma, monomial_lift, wielandt_matrix
 from .errors import VerificationError
 from .patterns import PatternTensor, _orbit, default_bound, extra_support_gammas, gammas
@@ -51,15 +51,16 @@ def wielandt_frontier_tensor(order: int, dim: int, k: int) -> PatternTensor:
     k_max = dim * dim - 3 * dim + 2
     if not 1 <= k <= k_max:
         raise ValueError(f"k must be in 1..{k_max} for dim {dim}, got {k}")
-    return degree_witness(order, dim, dim + k)[0]
+    return degree_witness(order, dim, dim + k).tensor
 
 
 def _check_sizes(order: int, dim: int) -> None:
-    """The sizes the frontier family needs: order >= dim >= 3."""
+    """The sizes the frontier family needs: order >= dim >= 3, with dim within the cap."""
     if dim < 3:
         raise ValueError(f"dim must be >= 3, got {dim}")
     if order < dim:
         raise ValueError(f"order must be >= dim, got order {order} < dim {dim}")
+    _check_dim(dim)
 
 
 def small_exponent_matrix(dim: int, target: int) -> PatternMatrix:
@@ -94,46 +95,45 @@ def _small_exponent_rows(dim: int, target: int) -> PatternMatrix:
     return PatternMatrix(dim, tuple(IndexSet(r, dim) for r in rows))
 
 
-class FamilySpec(Record):
-    """Recipe for one constructed tensor, recorded alongside its witnesses."""
-
-    def __init__(self, kind: str, order: int, dim: int, k: int | None = None, t: int | None = None) -> None:
-        _set(self, "kind", kind)  # "monomial-lift" | "wielandt-frontier"
-        _set(self, "order", order)
-        _set(self, "dim", dim)
-        _set(self, "k", k)
-        _set(self, "t", t)
-
-
-def degree_witness(order: int, dim: int, degree: int) -> tuple[PatternTensor, FamilySpec]:
-    """A primitive tensor of the given order/dim whose degree is exactly ``degree``.
+def degree_witness(order: int, dim: int, degree: int) -> DegreeWitness:
+    """The verified witness of a primitive tensor of the given order/dim whose
+    degree is exactly ``degree``; its ``tensor`` is the tensor.
 
     Degrees up to dim come from small-exponent matrix lifts; larger ones from
     the frontier family with k = degree - dim. Requires order >= dim >= 3 and
-    1 <= degree <= (dim-1)^2 + 1. The built tensor's degree is recomputed
+    1 <= degree <= (dim-1)^2 + 1. The witness's degree is recomputed
     and a disagreement raises VerificationError.
     """
     witnesses, failures = _witnesses(order, dim, range(degree, degree + 1))
     if failures:
         raise VerificationError(failures[0][1])
-    return witnesses[0].tensor, witnesses[0].spec
+    return witnesses[0]
 
 
 class DegreeWitness(Record):
-    """A verified degree and the recipe of its witness: the small-exponent matrix
-    of a lift, or the Wielandt lift and the extra support E_k of a frontier
-    witness. Verification reads only the recipe; :attr:`tensor` builds the
-    tensor each time it is read."""
+    """A verified degree of order-``order`` tensors and the recipe of its witness:
+    the small-exponent matrix of a monomial lift, or the Wielandt lift and the
+    extra support E_k of a frontier witness. Verification reads only the recipe;
+    :attr:`tensor` builds the tensor each time it is read."""
 
-    def __init__(self, degree: int, spec: FamilySpec, recipe: PatternMatrix | tuple[PatternTensor, int]) -> None:
+    def __init__(self, order: int, degree: int, recipe: PatternMatrix | tuple[PatternTensor, int]) -> None:
+        _set(self, "order", order)
         _set(self, "degree", degree)
-        _set(self, "spec", spec)
         _set(self, "recipe", recipe)
+
+    @property
+    def kind(self) -> str:
+        return "monomial-lift" if isinstance(self.recipe, PatternMatrix) else "wielandt-frontier"
+
+    @property
+    def k(self) -> int | None:
+        """A frontier witness's k: its E_k is the k-th state of column dim-1."""
+        return None if isinstance(self.recipe, PatternMatrix) else self.degree - self.recipe[0].dim
 
     @property
     def tensor(self) -> PatternTensor:
         if isinstance(self.recipe, PatternMatrix):
-            return monomial_lift(self.recipe, self.spec.order)
+            return monomial_lift(self.recipe, self.order)
         base, e = self.recipe
         # a row with a singleton in E_k dominates E_k, so it stays as it is
         rows = tuple(fam if fam.singles & e else SupportFamily.from_masks(base.dim, (*fam.masks, e)) for fam in base.rows)
@@ -141,12 +141,9 @@ class DegreeWitness(Record):
 
 
 class ExponentSetResult(Record):
-    """Witnessed degrees for one (order, dim), against the expected full interval."""
+    """Witnessed degrees of one :func:`exponent_set` call, against the expected full interval."""
 
-    def __init__(
-        self, order: int, dim: int, witnesses: tuple[DegreeWitness, ...], failures: tuple[tuple[int, str], ...]
-    ) -> None:
-        _set(self, "order", order)
+    def __init__(self, dim: int, witnesses: tuple[DegreeWitness, ...], failures: tuple[tuple[int, str], ...]) -> None:
         _set(self, "dim", dim)
         _set(self, "witnesses", witnesses)
         _set(self, "failures", failures)
@@ -172,7 +169,7 @@ def exponent_set(order: int, dim: int) -> ExponentSetResult:
     aborting the sweep, so a discrepancy names the degree that broke.
     """
     witnesses, failures = _witnesses(order, dim, range(1, default_bound(dim) + 1))
-    return ExponentSetResult(order, dim, tuple(witnesses), tuple(failures))
+    return ExponentSetResult(dim, tuple(witnesses), tuple(failures))
 
 
 def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness], list[tuple[int, str]]]:
@@ -186,14 +183,8 @@ def _witnesses(order: int, dim: int, degrees: range) -> tuple[list[DegreeWitness
     base = wielandt_tensor(order, dim)
     # column dim-1's states S_1, S_2, ... are the extra supports E_1, E_2, ... of the frontier witnesses
     extras = list(islice(_orbit(base, dim - 1), max(degrees[-1] - dim, 0)))
-    lifts = [
-        DegreeWitness(d, FamilySpec("monomial-lift", order, dim, t=d), _small_exponent_rows(dim, d))
-        for d in degrees if d <= dim
-    ]
-    fronts = [
-        DegreeWitness(d, FamilySpec("wielandt-frontier", order, dim, k=d - dim, t=d), (base, extras[d - dim - 1]))
-        for d in degrees if d > dim
-    ]
+    lifts = [DegreeWitness(order, d, _small_exponent_rows(dim, d)) for d in degrees if d <= dim]
+    fronts = [DegreeWitness(order, d, (base, extras[d - dim - 1])) for d in degrees if d > dim]
     ones = [1 << i for i in range(dim)]  # a lift's row u: one singleton per entry of matrix row u
     verdicts = gammas(dim, ([[o for o in ones if o & r.mask] for r in w.recipe.rows] for w in lifts))
     verdicts += extra_support_gammas(base, [w.recipe[1] for w in fronts])

@@ -56,25 +56,23 @@ class SparseTensor(Record):
         _set(self, "entries", entries)
 
 
-class TensorDocument(Record):
-    """One parsed document: kind is 'pattern', 'sparse', or 'matrix'."""
+# a payload's type -> its kind, as ``analyze`` names it in its document line
+_KINDS = {PatternTensor: "pattern", SparseTensor: "sparse", PatternMatrix: "matrix"}
 
-    def __init__(self, kind: str, payload: PatternTensor | SparseTensor | PatternMatrix) -> None:
-        _set(self, "kind", kind)
-        _set(self, "payload", payload)
 
-    def as_pattern_tensor(self) -> PatternTensor:
-        """The pattern-analysis view of any document kind.
+def as_pattern_tensor(doc: PatternTensor | SparseTensor | PatternMatrix) -> PatternTensor:
+    """The pattern-analysis view of any document payload.
 
-        A matrix becomes its order-2 tensor view; a sparse numeric tensor is
-        collapsed to its zero pattern.
-        """
-        t = self.payload
-        if isinstance(t, PatternTensor):
-            return t
-        if isinstance(t, PatternMatrix):
-            return monomial_lift(t, 2)
-        return make_pattern(t.order, t.dim, ((idx[0], idx[1:]) for idx, _ in t.entries))
+    A matrix becomes its order-2 tensor view; a sparse numeric tensor is
+    collapsed to its zero pattern.
+    """
+    if isinstance(doc, PatternTensor):
+        return doc
+    if isinstance(doc, PatternMatrix):
+        return monomial_lift(doc, 2)
+    if isinstance(doc, SparseTensor):
+        return make_pattern(doc.order, doc.dim, ((idx[0], idx[1:]) for idx, _ in doc.entries))
+    raise TypeError(f"cannot analyze {type(doc).__name__}")
 
 
 def _lines_of(text: str) -> list[tuple[int, str]]:
@@ -232,22 +230,17 @@ def _parse_matrix(lines: list[tuple[int, str]]) -> PatternMatrix:
     return PatternMatrix.from_rows01(rows)
 
 
-def parse_document(text: str) -> TensorDocument:
+_PARSERS = {PATTERN_HEADER: _parse_pattern, SPARSE_HEADER: _parse_sparse, MATRIX_HEADER: _parse_matrix}
+
+
+def parse_document(text: str) -> PatternTensor | SparseTensor | PatternMatrix:
     lines = _lines_of(text)
     if not lines:
         raise ParseError(1, "empty document")
     no, header = lines[0]
-    if header == PATTERN_HEADER:
-        return TensorDocument("pattern", _parse_pattern(lines))
-    if header == SPARSE_HEADER:
-        return TensorDocument("sparse", _parse_sparse(lines))
-    if header == MATRIX_HEADER:
-        return TensorDocument("matrix", _parse_matrix(lines))
-    raise ParseError(
-        no,
-        f"unknown header {header!r}; expected one of "
-        f"{PATTERN_HEADER!r}, {SPARSE_HEADER!r}, {MATRIX_HEADER!r}",
-    )
+    if header not in _PARSERS:
+        raise ParseError(no, f"unknown header {header!r}; expected one of {', '.join(map(repr, _PARSERS))}")
+    return _PARSERS[header](lines)
 
 
 def _decode(data: bytes) -> str:
@@ -258,7 +251,7 @@ def _decode(data: bytes) -> str:
         raise ParseError(line, f"not UTF-8: byte {data[e.start]:#04x}") from None
 
 
-def load_document(path: str) -> TensorDocument:
+def load_document(path: str) -> PatternTensor | SparseTensor | PatternMatrix:
     with open(path, "rb") as fh:
         return parse_document(_decode(fh.read()))
 
@@ -284,17 +277,16 @@ def render_matrix(matrix: PatternMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_document(doc: TensorDocument | PatternTensor | SparseTensor | PatternMatrix) -> str:
-    payload = doc.payload if isinstance(doc, TensorDocument) else doc
-    if isinstance(payload, PatternTensor):
-        return render_pattern(payload)
-    if isinstance(payload, SparseTensor):
-        return render_sparse(payload)
-    if isinstance(payload, PatternMatrix):
-        return render_matrix(payload)
-    raise TypeError(f"cannot render {type(payload).__name__}")
+def render_document(doc: PatternTensor | SparseTensor | PatternMatrix) -> str:
+    if isinstance(doc, PatternTensor):
+        return render_pattern(doc)
+    if isinstance(doc, SparseTensor):
+        return render_sparse(doc)
+    if isinstance(doc, PatternMatrix):
+        return render_matrix(doc)
+    raise TypeError(f"cannot render {type(doc).__name__}")
 
 
-def save_document(path: str, doc: TensorDocument | PatternTensor | SparseTensor | PatternMatrix) -> None:
+def save_document(path: str, doc: PatternTensor | SparseTensor | PatternMatrix) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_document(doc))

@@ -11,7 +11,7 @@ import pytest
 
 import primdeg
 from primdeg import families, patterns
-from primdeg import IndexSet, ParseError, VerificationError, degree_witness, load_document, make_pattern, parse_document, render_document, wielandt_tensor
+from primdeg import IndexSet, ParseError, PatternTensor, VerificationError, as_pattern_tensor, degree_witness, load_document, make_pattern, parse_document, render_document, wielandt_tensor
 from primdeg.bitsets import minimize_masks
 from primdeg.cli import _COMMANDS, _random_rows, _subset_pool, build_parser, main, random_pattern
 from primdeg.formats import render_pattern
@@ -34,13 +34,13 @@ def json_records(out):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
 
 
-def run_python(code):
-    """Run ``code`` in a fresh interpreter that imports this primdeg."""
+def run_python(code, *args, timeout=120):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this primdeg."""
     env = dict(os.environ)
     src = str(Path(primdeg.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -257,8 +257,7 @@ class TestConstruct:
         )
         assert code == 0
         assert "gamma=17" in out
-        doc = parse_document(out_path.read_text())
-        assert doc.kind == "pattern"
+        assert isinstance(parse_document(out_path.read_text()), PatternTensor)
         code2, out2, _ = run(capsys, ["analyze", str(out_path)])
         assert code2 == 0 and "gamma: 17" in out2
 
@@ -324,6 +323,24 @@ class TestConstruct:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (["construct", "wielandt", "--n", "200000"], 200000),
+        (["construct", "a0", "--m", "3", "--n", "200000"], 200000),
+        (["exponent-set", "--m", "60000", "--n", "60000", "--max-n", "60000"], 60000),
+    ],
+)
+def test_a_dimension_over_the_cap_fails_before_any_build(argv, dim):
+    # under a 1 GB address space and a 10 s timeout: the cap is checked
+    # before n-bit rows are built and before the degrees 1..(n-1)^2+1 are
+    code = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    code += "from primdeg.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = run_python(code, *argv, timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines()[0] == f"error: dimension {dim} exceeds the cap 128 (set PRIMDEG_MAX_DIM to raise it)"
+
+
 class TestExponentSet:
     def test_covers_interval(self, capsys):
         code, out, _ = run(capsys, ["exponent-set", "--m", "4", "--n", "4"])
@@ -350,8 +367,7 @@ class TestExponentSet:
         from primdeg import analyze
 
         for i, f in enumerate(files, 1):
-            doc = parse_document(f.read_text())
-            assert analyze(doc.as_pattern_tensor()).gamma == i
+            assert analyze(as_pattern_tensor(parse_document(f.read_text()))).gamma == i
 
     def test_witness_files_render_the_degree_witnesses(self, capsys, tmp_path):
         # the files are written from tensors built on read; each is the
@@ -362,7 +378,7 @@ class TestExponentSet:
         files = sorted(wdir.iterdir())
         assert [f.name for f in files] == [f"witness-t{t:03d}.txt" for t in range(1, 18)]
         for t, f in enumerate(files, 1):
-            assert f.read_bytes() == render_document(degree_witness(5, 5, t)[0]).encode()
+            assert f.read_bytes() == render_document(degree_witness(5, 5, t).tensor).encode()
 
     def test_witness_file_names_sort_in_degree_order_past_three_digits(self, capsys, tmp_path):
         # n = 33 reaches degree 1025, so names are padded to four digits

@@ -104,7 +104,7 @@ class TestFrontierFamily:
     @pytest.mark.parametrize("order, dim", [(3, 3), (5, 5), (7, 4)])
     def test_is_the_verified_degree_witness(self, order, dim):
         for k in range(1, dim * dim - 3 * dim + 3):
-            assert wielandt_frontier_tensor(order, dim, k) == degree_witness(order, dim, dim + k)[0]
+            assert wielandt_frontier_tensor(order, dim, k) == degree_witness(order, dim, dim + k).tensor
 
     @pytest.mark.parametrize("n", [5, 6, 16])
     def test_rows_equal_adding_the_state_to_each_row(self, n):
@@ -112,10 +112,10 @@ class TestFrontierFamily:
         # SupportFamily.from_masks gives the same rows for every k
         base = wielandt_tensor(n, n)
         extras = column_states(base, n - 1, n * n - 3 * n + 2)
-        frontier = [w for w in exponent_set(n, n).witnesses if w.spec.kind == "wielandt-frontier"]
-        assert [w.spec.k for w in frontier] == list(range(1, len(extras) + 1))
+        frontier = [w for w in exponent_set(n, n).witnesses if w.kind == "wielandt-frontier"]
+        assert [w.k for w in frontier] == list(range(1, len(extras) + 1))
         for w in frontier:
-            e = extras[w.spec.k - 1].mask
+            e = extras[w.k - 1].mask
             assert w.tensor.rows == tuple(SupportFamily.from_masks(n, (*fam.masks, e)) for fam in base.rows)
 
     @pytest.mark.parametrize("n", range(3, 13))
@@ -123,7 +123,7 @@ class TestFrontierFamily:
         # a frontier row with a singleton in E_k is the base row itself, as
         # E_k is a superset of that singleton; every other row is minimized
         for w in exponent_set(n, n).witnesses:
-            if w.spec.kind == "monomial-lift":
+            if w.kind == "monomial-lift":
                 masks = [[1 << j for j in bit_indices(r.mask)] for r in w.recipe.rows]
             else:
                 base, e = w.recipe
@@ -195,16 +195,16 @@ class TestSmallExponentMatrix:
 
 class TestDegreeWitness:
     def test_small_degrees_use_matrix_lift(self):
-        tensor, spec = degree_witness(5, 5, 3)
-        assert spec.kind == "monomial-lift"
-        assert spec.t == 3 and spec.k is None
-        assert analyze(tensor).gamma == 3
+        w = degree_witness(5, 5, 3)
+        assert w.kind == "monomial-lift" and w.recipe == small_exponent_matrix(5, 3)
+        assert (w.order, w.degree, w.k) == (5, 3, None)
+        assert analyze(w.tensor).gamma == 3
 
     def test_large_degrees_use_frontier(self):
-        tensor, spec = degree_witness(5, 5, 11)
-        assert spec.kind == "wielandt-frontier"
-        assert spec.k == 6 and spec.t == 11
-        assert analyze(tensor).gamma == 11
+        w = degree_witness(5, 5, 11)
+        assert w.kind == "wielandt-frontier" and w.recipe[0] == wielandt_tensor(5, 5)
+        assert (w.order, w.degree, w.k) == (5, 11, 6)
+        assert analyze(w.tensor).gamma == 11
 
     def test_degree_range_validated(self):
         with pytest.raises(ValueError):
@@ -241,7 +241,7 @@ class TestExponentSet:
     def test_every_lift_recipe_is_the_verified_small_exponent_matrix(self, n):
         # the sweep verifies its lifts only through gammas; matrix_gamma on
         # each recipe and the self-checked public builder are the other route
-        lifts = [w for w in exponent_set(n, n).witnesses if w.spec.kind == "monomial-lift"]
+        lifts = [w for w in exponent_set(n, n).witnesses if w.kind == "monomial-lift"]
         assert [w.degree for w in lifts] == list(range(1, n + 1))
         for w in lifts:
             assert matrix_gamma(w.recipe) == w.degree
@@ -266,8 +266,10 @@ class TestExponentSet:
         # the one monomial_lift is the Wielandt base
         assert calls == {"gammas": 1, "monomial_lift": 1}
         calls.clear()
-        assert degree_witness(16, 16, 9)[1].t == 9
-        # the second monomial_lift builds the returned tensor
+        witness = degree_witness(16, 16, 9)
+        assert witness.degree == 9 and calls == {"gammas": 1, "monomial_lift": 1}
+        # the second monomial_lift builds the witness's tensor, when it is read
+        assert analyze(witness.tensor).gamma == 9
         assert calls == {"gammas": 1, "monomial_lift": 2}
 
     def test_the_lifts_run_in_batches_of_at_most_gamma_lanes_lanes(self, monkeypatch):
@@ -322,7 +324,7 @@ class TestExponentSet:
         for w in result.witnesses:
             first, second = w.tensor, w.tensor
             assert first is not second
-            assert first == second == degree_witness(8, 8, w.degree)[0]
+            assert first == second == degree_witness(8, 8, w.degree).tensor
 
     def test_witnesses_sorted_and_unique(self):
         result = exponent_set(3, 3)
@@ -333,8 +335,9 @@ class TestExponentSet:
     def test_equals_one_degree_witness_per_degree(self, order, dim):
         result = exponent_set(order, dim)
         assert result.complete and not result.failures
-        expected = [(d, *degree_witness(order, dim, d)) for d in range(1, (dim - 1) ** 2 + 2)]
-        assert [(w.degree, w.tensor, w.spec) for w in result.witnesses] == expected
+        expected = tuple(degree_witness(order, dim, d) for d in range(1, (dim - 1) ** 2 + 2))
+        assert result.witnesses == expected
+        assert [w.tensor for w in result.witnesses] == [w.tensor for w in expected]
 
     def test_a_wrong_frontier_witness_is_recorded_against_its_degree(self, monkeypatch):
         # column n-1's k-th state swapped for its (k+1)-th: the degree n+k

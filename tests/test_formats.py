@@ -10,7 +10,7 @@ from primdeg import (
     ParseError,
     PatternMatrix,
     PatternTensor,
-    TensorDocument,
+    as_pattern_tensor,
     load_document,
     majorization_pattern,
     make_pattern,
@@ -22,7 +22,16 @@ from primdeg import (
 )
 from primdeg.cli import main, random_pattern
 from primdeg.dense import DenseTensor, densify, to_pattern
-from primdeg.formats import SparseTensor, render_matrix, render_pattern, render_sparse
+from primdeg.formats import (
+    _KINDS,
+    MATRIX_HEADER,
+    PATTERN_HEADER,
+    SPARSE_HEADER,
+    SparseTensor,
+    render_matrix,
+    render_pattern,
+    render_sparse,
+)
 
 PATTERN_TEXT = """\
 tensor-pattern v1
@@ -81,9 +90,7 @@ dim 3
 
 class TestParse:
     def test_pattern_document(self):
-        doc = parse_document(PATTERN_TEXT)
-        assert doc.kind == "pattern"
-        t = doc.payload
+        t = parse_document(PATTERN_TEXT)
         assert isinstance(t, PatternTensor)
         assert t.order == 3 and t.dim == 3
         assert [s.members for s in t.rows[0].sets] == [(2,), (1, 3)]
@@ -91,35 +98,31 @@ class TestParse:
         assert len(t.rows[2]) == 0
 
     def test_sparse_document(self):
-        doc = parse_document(SPARSE_TEXT)
-        assert doc.kind == "sparse"
-        t = doc.payload
+        t = parse_document(SPARSE_TEXT)
         assert isinstance(t, SparseTensor)
         assert (t.order, t.dim) == (3, 2)
         assert t.entries == (((1, 2, 2), 1.5), ((2, 1, 1), 2.0))
         assert sum(v for _, v in t.entries) == 3.5
 
     def test_matrix_document(self):
-        doc = parse_document(MATRIX_TEXT)
-        assert doc.kind == "matrix"
-        m = doc.payload
+        m = parse_document(MATRIX_TEXT)
         assert isinstance(m, PatternMatrix)
         assert m.to_rows01() == [[0, 1, 0], [0, 0, 1], [1, 1, 0]]
 
     def test_blank_lines_and_padding_tolerated(self):
         text = "\n  tensor-pattern v1  \n\norder 2\n dim 2 \n\nrow 1: {2}\nrow 2: {1}\n\n"
         doc = parse_document(text)
-        assert doc.kind == "pattern"
-        assert doc.payload.dim == 2
+        assert isinstance(doc, PatternTensor)
+        assert doc.dim == 2
 
     def test_as_pattern_tensor_views(self):
-        m = parse_document(MATRIX_TEXT).as_pattern_tensor()
+        m = as_pattern_tensor(parse_document(MATRIX_TEXT))
         assert m.order == 2
         assert [s.members for s in m.rows[0].sets] == [(2,)]
-        s = parse_document(SPARSE_TEXT).as_pattern_tensor()
+        s = as_pattern_tensor(parse_document(SPARSE_TEXT))
         assert [x.members for x in s.rows[0].sets] == [(2,)]
         p = parse_document(PATTERN_TEXT)
-        assert p.as_pattern_tensor() is p.payload
+        assert as_pattern_tensor(p) is p
 
 
 class TestParseErrors:
@@ -228,8 +231,8 @@ class TestParseErrors:
 
     def test_plain_numbers_still_read(self):
         doc = parse_document("tensor-sparse v1\norder 2\ndim 10\nentry 1 10 +2\nentry 10 1 1e-3\nentry 2 2 0\n")
-        assert doc.payload.entries == (((1, 10), 2.0), ((10, 1), 0.001))
-        t = parse_document("tensor-pattern v1\norder 3\ndim 10\nrow 10: {10} {1,9}\n").payload
+        assert doc.entries == (((1, 10), 2.0), ((10, 1), 0.001))
+        t = parse_document("tensor-pattern v1\norder 3\ndim 10\nrow 10: {10} {1,9}\n")
         assert t.rows[9].masks == (0b100000001, 1 << 9)
 
     def test_duplicate_row(self):
@@ -271,7 +274,7 @@ class TestRender:
         )
 
     def test_empty_row_rendered_bare(self):
-        t = parse_document(PATTERN_TEXT).payload
+        t = parse_document(PATTERN_TEXT)
         assert "row 3:\n" in render_pattern(t)
 
     def test_matrix_rendering(self):
@@ -282,7 +285,7 @@ class TestRender:
     def test_sparse_values_round_trip_exactly(self):
         text = render_sparse(SparseTensor(2, 2, (((1, 2), 0.1), ((2, 1), 3.0))))
         assert text == "tensor-sparse v1\norder 2\ndim 2\nentry 1 2 0.1\nentry 2 1 3.0\n"
-        t = parse_document(text).payload
+        t = parse_document(text)
         assert dict(t.entries) == {(1, 2): 0.1, (2, 1): 3.0}
 
     def test_render_document_dispatches(self):
@@ -291,6 +294,25 @@ class TestRender:
             assert parse_document(render_document(doc)) == doc
         with pytest.raises(TypeError, match=r"^cannot render int$"):
             render_document(42)
+
+    def test_one_table_names_every_document_type(self):
+        # the kind table, render_document and as_pattern_tensor take the same
+        # three payload types, so a fourth cannot be rendered or analyzed
+        # without a name for analyze's document line
+        payloads = [wielandt_tensor(3, 4), SparseTensor(2, 2, (((1, 2), 1.5),)), wielandt_matrix(4)]
+        assert set(_KINDS) == {type(x) for x in payloads}
+        declared = {PATTERN_HEADER: "pattern", SPARSE_HEADER: "sparse", MATRIX_HEADER: "matrix"}
+        for x in payloads:
+            text = render_document(x)
+            back = parse_document(text)
+            assert type(back) is type(x) and back == x
+            assert _KINDS[type(back)] == declared[text.splitlines()[0]]
+            assert isinstance(as_pattern_tensor(back), PatternTensor)
+        for other in (42, wielandt_tensor(3, 4).rows[0], densify(wielandt_tensor(3, 3))):
+            with pytest.raises(TypeError, match=rf"^cannot render {type(other).__name__}$"):
+                render_document(other)
+            with pytest.raises(TypeError, match=rf"^cannot analyze {type(other).__name__}$"):
+                as_pattern_tensor(other)
 
 
 class TestRoundTrips:
@@ -306,20 +328,19 @@ class TestRoundTrips:
             order = rng.randint(2, 5)
             dim = rng.randint(1, 6)
             t = random_pattern(rng, order, dim)
-            doc = TensorDocument("pattern", t)
-            assert parse_document(render_document(doc)).payload == t
+            assert parse_document(render_document(t)) == t
 
     def test_random_sparse_round_trip(self):
         for t in random_sparse_inputs():
-            doc = TensorDocument("sparse", sparse_of(t))
-            back = parse_document(render_document(doc)).payload
-            assert back == doc.payload
+            doc = sparse_of(t)
+            back = parse_document(render_document(doc))
+            assert back == doc
             assert np.array_equal(dense_of(back), t.values)
 
     def test_random_sparse_pattern_matches_dense_oracle(self):
         for t in random_sparse_inputs():
             text = render_sparse(sparse_of(t))
-            assert parse_document(text).as_pattern_tensor() == to_pattern(t)
+            assert as_pattern_tensor(parse_document(text)) == to_pattern(t)
 
     def test_shuffled_sparse_cells_render_like_dense_route(self):
         # every cell listed, zeros included, in random order; the canonical
@@ -336,7 +357,7 @@ class TestRoundTrips:
             )
             doc = parse_document(text)
             assert render_document(doc) == render_sparse(sparse_of(t))
-            assert doc.as_pattern_tensor() == to_pattern(t)
+            assert as_pattern_tensor(doc) == to_pattern(t)
 
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -501,14 +522,12 @@ class TestFuzz:
     def test_rows_parse_like_the_full_check(self, text):
         # the same tensor, or the same line and message, as the reference
         # that runs every check on every row line
-        assert parsed_or_error(lambda t: parse_document(t).payload, text) == parsed_or_error(
-            reference_parse_pattern, text
-        )
+        assert parsed_or_error(parse_document, text) == parsed_or_error(reference_parse_pattern, text)
 
     @given(written_patterns())
     def test_written_patterns_parse_to_make_pattern(self, written):
         text, expected = written
-        assert parse_document(text).payload == expected
+        assert parse_document(text) == expected
 
     @settings(max_examples=500)
     @given(damaged_documents())

@@ -850,7 +850,7 @@ class TestBatchGammas:
 
     def test_all_primitive_batch(self):
         # every degree at dims 3-5, and Wielandt lifts
-        tensors = [degree_witness(n, n, g)[0] for n in (3, 4, 5) for g in range(1, default_bound(n) + 1)]
+        tensors = [degree_witness(n, n, g).tensor for n in (3, 4, 5) for g in range(1, default_bound(n) + 1)]
         tensors += [wielandt_tensor(3, n) for n in (6, 7)]
         assert_gammas_match_analyze(tensors)
         assert None not in [analyze(t).gamma for t in tensors]
@@ -872,7 +872,7 @@ class TestBatchGammas:
     def test_results_in_input_order_across_chunks(self):
         # three chunks of one dimension, each tensor a witness of its own
         # degree; the input may be a generator
-        witnesses = {g: row_masks(degree_witness(5, 5, g)[0]) for g in range(1, default_bound(5) + 1)}
+        witnesses = {g: row_masks(degree_witness(5, 5, g).tensor) for g in range(1, default_bound(5) + 1)}
         degrees = [1 + (7 * i) % default_bound(5) for i in range(2 * (patterns.GAMMA_LANES // 5) + 5)]
         assert gammas(5, (witnesses[g] for g in degrees)) == degrees
 
@@ -987,7 +987,7 @@ class TestGammasScreen:
         # chunks of 1, 2, 3 and 5 survivors at n = 4 over a mixed batch
         monkeypatch.setattr(patterns, "GAMMA_LANES", lanes)
         rng = random.Random(5)
-        tensors = [degree_witness(4, 4, g)[0] for g in range(1, default_bound(4) + 1)]
+        tensors = [degree_witness(4, 4, g).tensor for g in range(1, default_bound(4) + 1)]
         pool = [m for m in range(1, 16) if m.bit_count() <= 2]
         rows = [[rng.sample(pool, rng.randint(1, 3)) for _ in range(4)] for _ in range(40)]
         for r in rows[:20]:  # these get past step 1
@@ -1223,7 +1223,7 @@ class TestSharedSupports:
         # rows whose singletons do not absorb it; in a batch with the Wielandt
         # lift, which lacks it, those rows share it with its pseudo-index
         n = 6
-        w = degree_witness(n, n, 7)[0]
+        w = degree_witness(n, n, 7).tensor
         held = [u for u, fam in enumerate(w.rows) if 0b100001 in fam.masks]
         assert held == [2, 3, 4, 5]
         batch = [row_masks(w), row_masks(wielandt_tensor(n, n))]
@@ -1234,7 +1234,7 @@ class TestSharedSupports:
         assert analyze(w).gamma == traced_gamma(w) == 7
 
     def test_step_leaves_its_input_alone(self):
-        t = degree_witness(5, 5, 12)[0]
+        t = degree_witness(5, 5, 12).tensor
         rows, _ = patterns._lane_rows(5, [row_masks(t)])
         R = [1 << u for u in range(5)]
         sliced_step(rows, R)
@@ -1520,7 +1520,7 @@ class TestVectorStep:
             # rows 1 and 2 share {2,3}; {1,3}, {1,2} and {1} read pseudo-indices
             (3, [[[6], [6, 5], [3]], [[6], [6], [1]]]),
             # the degree-7 frontier witness shares {1,6} with its pseudo-index
-            (6, [row_masks(degree_witness(6, 6, 7)[0]), row_masks(wielandt_tensor(6, 6))]),
+            (6, [row_masks(degree_witness(6, 6, 7).tensor), row_masks(wielandt_tensor(6, 6))]),
             # a 9-member meet and a row of 28 pairs: several levels of each fold
             (12, [[[0x1FF], *([1 << u] for u in range(1, 11)), [1 << a | 1 << b for a in range(8) for b in range(a)]]]),
             # rows of 0, 1, 2, 3 and 5 supports of 1 to 4 members: a level of

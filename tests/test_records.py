@@ -7,8 +7,8 @@ import pytest
 from primdeg.bitsets import IndexSet, SupportFamily
 from primdeg.cli import OracleCheckResult, RunReport
 from primdeg.digraphs import PatternMatrix
-from primdeg.families import DegreeWitness, ExponentSetResult, FamilySpec
-from primdeg.formats import SparseTensor, TensorDocument
+from primdeg.families import DegreeWitness, ExponentSetResult
+from primdeg.formats import SparseTensor
 from primdeg.patterns import (
     ColumnTrace,
     Cycled,
@@ -23,8 +23,6 @@ from primdeg.patterns import (
 TENSOR = make_pattern(3, 2, [(1, (1, 2)), (2, (1, 1))])
 MATRIX = PatternMatrix(2, (IndexSet(1, 2), IndexSet(3, 2)))
 MATRIX_REPR = "PatternMatrix(dim=2, rows=(IndexSet({1}, dim=2), IndexSet({1,2}, dim=2)))"
-SPEC = FamilySpec("monomial-lift", 3, 2, t=2)
-SPEC_REPR = "FamilySpec(kind='monomial-lift', order=3, dim=2, k=None, t=2)"
 OUTCOMES = (Exhausted(2), Cycled(2, 1))
 
 # (class, keyword arguments in signature order, repr)
@@ -64,36 +62,32 @@ CASES = [
         "Violation(code='no-branching', vertex=None, detail='x')",
     ),
     (PatternMatrix, {"dim": 2, "rows": MATRIX.rows}, MATRIX_REPR),
-    (FamilySpec, {"kind": "monomial-lift", "order": 3, "dim": 2, "k": None, "t": 2}, SPEC_REPR),
     (
         DegreeWitness,
-        {"degree": 2, "spec": SPEC, "recipe": MATRIX},
-        f"DegreeWitness(degree=2, spec={SPEC_REPR}, recipe={MATRIX_REPR})",
+        {"order": 3, "degree": 2, "recipe": MATRIX},
+        f"DegreeWitness(order=3, degree=2, recipe={MATRIX_REPR})",
     ),
     (
         ExponentSetResult,
-        {"order": 3, "dim": 2, "witnesses": (), "failures": ((2, "bad"),)},
-        "ExponentSetResult(order=3, dim=2, witnesses=(), failures=((2, 'bad'),))",
+        {"dim": 2, "witnesses": (), "failures": ((2, "bad"),)},
+        "ExponentSetResult(dim=2, witnesses=(), failures=((2, 'bad'),))",
     ),
     (
         SparseTensor,
         {"order": 2, "dim": 2, "entries": (((1, 2), 1.5),)},
         "SparseTensor(order=2, dim=2, entries=(((1, 2), 1.5),))",
     ),
-    (TensorDocument, {"kind": "matrix", "payload": MATRIX}, f"TensorDocument(kind='matrix', payload={MATRIX_REPR})"),
     (
         OracleCheckResult,
         {
-            "order": 2,
-            "dim": 3,
             "trials": 4,
             "agreements": 3,
             "mismatches": [(1, "x")],
             "associativity_triples": 0,
             "explicit_power_trials": 2,
         },
-        "OracleCheckResult(order=2, dim=3, trials=4, agreements=3, mismatches=[(1, 'x')], "
-        "associativity_triples=0, explicit_power_trials=2)",
+        "OracleCheckResult(trials=4, agreements=3, mismatches=[(1, 'x')], associativity_triples=0, "
+        "explicit_power_trials=2)",
     ),
 ]
 
